@@ -6,14 +6,15 @@ decision and every set identity here is exact, never tolerance-based.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import CapExceededError, FalsifiedError, HypothesisError
 from .groups import FiniteGroup, GroupSubset
-from .harmonic import LinearCharacter, linear_characters
+from .harmonic import LinearCharacter, linear_phases
 from .metric import PseudoMetricNorm, ball, validate_norm
 
 SPAN_GUARD = 20
@@ -21,20 +22,20 @@ SPAN_GUARD = 20
 
 @dataclass(frozen=True)
 class CharSet:
-    """Finite set of degree-one characters over one group, canonically ordered."""
+    """Finite set of degree-one characters over one group, as sorted Lin(G) rows."""
 
     group: FiniteGroup
-    chars: tuple[LinearCharacter, ...]
+    indices: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "indices", tuple(sorted({int(i) for i in self.indices})))
 
     @classmethod
     def build(cls, group: FiniteGroup, chars: Iterable[LinearCharacter]) -> "CharSet":
-        uniq = {}
-        for c in chars:
-            if c.group is not group:
-                raise ValueError("character belongs to a different group")
-            uniq[c.phases] = c
-        ordered = tuple(uniq[p] for p in sorted(uniq))
-        return cls(group, ordered)
+        chars = list(chars)
+        if any(c.group is not group for c in chars):
+            raise ValueError("character belongs to a different group")
+        return cls(group, [c.index for c in chars])
 
     @classmethod
     def empty(cls, group: FiniteGroup) -> "CharSet":
@@ -42,39 +43,43 @@ class CharSet:
 
     @classmethod
     def trivial(cls, group: FiniteGroup) -> "CharSet":
-        e = LinearCharacter(group, (Fraction(0),) * group.order)
-        return cls(group, (e,))
+        return cls(group, (0,))
+
+    @property
+    def chars(self) -> tuple[LinearCharacter, ...]:
+        return tuple(LinearCharacter(self.group, i) for i in self.indices)
 
     def __len__(self) -> int:
-        return len(self.chars)
+        return len(self.indices)
 
     def __iter__(self):
         return iter(self.chars)
 
     def __contains__(self, c: LinearCharacter) -> bool:
-        return any(c.phases == d.phases for d in self.chars)
+        return c.group is self.group and c.index in self.indices
 
     @property
     def contains_identity(self) -> bool:
-        return any(c.is_trivial for c in self.chars)
+        return self.indices[:1] == (0,)
 
     @property
     def symmetric(self) -> bool:
-        return all(c.negate() in self for c in self.chars)
+        return bool(np.isin(linear_phases(self.group).negations(self.indices),
+                            self.indices).all())
 
     def union(self, other: "CharSet") -> "CharSet":
         if self.group is not other.group:
             raise ValueError("character sets over different groups")
-        return CharSet.build(self.group, self.chars + other.chars)
+        return CharSet(self.group, self.indices + other.indices)
 
     def negate(self) -> "CharSet":
-        return CharSet.build(self.group, tuple(c.negate() for c in self.chars))
+        return CharSet(self.group, linear_phases(self.group).negations(self.indices))
 
 
 def charset_sum(a: CharSet, b: CharSet) -> CharSet:
     if a.group is not b.group:
         raise ValueError("character sets over different groups")
-    return CharSet.build(a.group, tuple(x.add(y) for x in a for y in b))
+    return CharSet(a.group, linear_phases(a.group).sums(a.indices, b.indices))
 
 
 def kfold_charset(lam: CharSet, k: int) -> CharSet:
@@ -90,13 +95,10 @@ def char_span(x: CharSet) -> CharSet:
     """All {-1,0,1}-combinations of the characters of X under phase addition."""
     if len(x) > SPAN_GUARD:
         raise CapExceededError(f"char_span refused for |X| = {len(x)} > {SPAN_GUARD}")
-    group = x.group
-    zero = LinearCharacter(group, (Fraction(0),) * group.order)
-    combos = [zero]
-    for c in x:
-        neg = c.negate()
-        combos = [base.add(step) for base in combos for step in (zero, c, neg)]
-    return CharSet.build(group, combos)
+    span = CharSet.trivial(x.group)
+    for i, neg in zip(x.indices, linear_phases(x.group).negations(x.indices)):
+        span = charset_sum(span, CharSet(x.group, (0, i, neg)))
+    return span
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +112,14 @@ def phase_norm(q: Fraction) -> Fraction:
 
 
 def bohr_norm(charset: CharSet) -> PseudoMetricNorm:
+    """rho(x) = max over the characters of phase_norm(gamma(x)), read off the phase rows."""
     group = charset.group
-    vals = []
-    for g in range(group.order):
-        if charset.chars:
-            vals.append(max(phase_norm(c.phases[g]) for c in charset))
-        else:
-            vals.append(Fraction(0))
-    rho = PseudoMetricNorm(group, tuple(vals), "bohr")
+    lp = linear_phases(group)
+    e = lp.exponent
+    rows = lp.rows[list(charset.indices)]
+    dist = np.minimum(rows, e - rows).max(axis=0, initial=0)
+    vals = tuple(Fraction(d, e) for d in dist.tolist())
+    rho = PseudoMetricNorm(group, vals, "bohr")
     report = validate_norm(rho)
     if not report.valid:
         raise AssertionError(f"bohr norm failed validation: {report.witnesses}")
@@ -135,8 +137,9 @@ def linbohr_squared(charset: CharSet, delta_sq: Fraction) -> GroupSubset:
     if delta_sq < 0:
         raise ValueError("linbohr_squared needs delta_sq >= 0")
     rho = bohr_norm(charset)
-    members = [x for x in range(charset.group.order)
-               if Fraction(rho.values[x]) ** 2 <= delta_sq]
+    num, den = delta_sq.numerator, delta_sq.denominator
+    members = [x for x, r in enumerate(rho.values)
+               if r.numerator ** 2 * den <= num * r.denominator ** 2]
     return GroupSubset.from_indices(charset.group, members)
 
 
@@ -211,16 +214,6 @@ class BohrGrowthReport:
         return all(s.holds for s in self.steps)
 
 
-def _signed_phase(q: Fraction) -> Fraction:
-    q = q % 1
-    return q if q <= Fraction(1, 2) else q - 1
-
-
-def _round_half_up(q: Fraction) -> int:
-    from math import floor
-    return floor(q + Fraction(1, 2))
-
-
 def prop51_check(gamma: CharSet, x: CharSet, delta: Fraction) -> BohrGrowthReport:
     """Replay the covering-by-translates growth bound for structured Bohr sets."""
     delta = Fraction(delta)
@@ -235,16 +228,13 @@ def prop51_check(gamma: CharSet, x: CharSet, delta: Fraction) -> BohrGrowthRepor
     span = char_span(x)
     # hypothesis: Gamma + Gamma inside Span(X) + Gamma, checked as exact char sets
     target = charset_sum(span, gamma)
-    hypothesis_ok = True
+    pair_sums = linear_phases(group).sums(gamma.indices, gamma.indices)
+    missing = np.flatnonzero(~np.isin(pair_sums, target.indices))
+    hypothesis_ok = not missing.size
     witness = None
-    for a in gamma:
-        for b in gamma:
-            if a.add(b) not in target:
-                hypothesis_ok = False
-                witness = (a.phases, b.phases)
-                break
-        if not hypothesis_ok:
-            break
+    if missing.size:
+        i, j = divmod(int(missing[0]), len(gamma))
+        witness = (gamma.chars[i].phases, gamma.chars[j].phases)
 
     nx = len(x)
     grid_unit = delta / (4 * nx)
@@ -257,13 +247,14 @@ def prop51_check(gamma: CharSet, x: CharSet, delta: Fraction) -> BohrGrowthRepor
 
     # partition the big ball by rounded phase signatures on X; per signature
     # class the smallest element acts as the translate representative
+    # a signed phase s/e in (-1/2, 1/2] rounds half up on the grid to
+    # floor((2 s gd + e gn) / (2 e gn)) for grid_unit = gn/gd
+    e, gn, gd = linear_phases(group).exponent, grid_unit.numerator, grid_unit.denominator
+    signed = [[p if 2 * p <= e else p - e for p in c.row.tolist()] for c in x]
     classes: dict[tuple[int, ...], int] = {}
     for g in big:
-        sig = []
-        for c in x.chars:
-            k = _round_half_up(_signed_phase(c.phases[g]) / grid_unit)
-            sig.append(max(-grid_limit, min(grid_limit, k)))
-        key = tuple(sig)
+        key = tuple(max(-grid_limit, min(grid_limit, (2 * row[g] * gd + e * gn) // (2 * e * gn)))
+                    for row in signed)
         if key not in classes or g < classes[key]:
             classes[key] = g
     t_elems = sorted(classes.values())

@@ -22,7 +22,7 @@ from . import __version__
 from .bohr import CharSet, bohr_norm, linbohr
 from .errors import CapExceededError, FalsifiedError, GroupValidationError, HypothesisError
 from .groups import FiniteGroup, GroupSubset, build_group, conjugacy_classes
-from .harmonic import character_table, is_monomial, linear_characters
+from .harmonic import MONOMIAL_ORDER_CAP, character_table, is_monomial, linear_characters
 from .metric import ball_dimension
 from .pipeline import PipelineConfig, freiman_ball
 from .setops import appendix_growth_check, growth_profile, normalize_set
@@ -200,14 +200,7 @@ def _cmd_group_info(args) -> tuple[str, dict, Optional[list], int]:
     g = _group_from_file(args.group)
     part = conjugacy_classes(g)
     lin = linear_characters(g)
-    orders = []
-    for x in range(g.order):
-        y, k = x, 1
-        while y != g.identity:
-            y = g.mul(y, x)
-            k += 1
-        orders.append(k)
-    exponent = math.lcm(*orders)
+    exponent = math.lcm(*g.element_orders)
     abelian = len(part.classes) == g.order
     center = sum(1 for c in part.classes if len(c) == 1)
     result = {
@@ -523,7 +516,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="constant in the radius formula")
     p.add_argument("--out", help="report file path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--cap", type=int, default=128, help="order cap for subgroup searches")
+    p.add_argument("--cap", type=int, default=MONOMIAL_ORDER_CAP,
+                   help="order cap for subgroup searches")
     return p
 
 

@@ -57,14 +57,14 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        orders = []
-        for g in range(self.order):
-            k, x = 1, g
-            while x != self.identity:
-                x = self.mul(x, g)
-                k += 1
-            orders.append(k)
-        return tuple(orders)
+        elems = np.arange(self.order)
+        orders = np.zeros(self.order, dtype=np.int64)
+        power, k = elems, 1
+        while not orders.all():
+            orders[(power == self.identity) & (orders == 0)] = k
+            power = self.mul_table[power, elems]
+            k += 1
+        return tuple(orders.tolist())
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -504,17 +504,12 @@ def abelianization(group: FiniteGroup) -> Abelianization:
     cosets = group.mul_table[:, n_idx]
     rep_of = cosets.min(axis=1)
     reps = np.unique(rep_of)
-    pos = {int(r): i for i, r in enumerate(reps)}
-    proj = tuple(pos[int(r)] for r in rep_of)
-    q = len(reps)
-    q_mul = np.zeros((q, q), dtype=np.int64)
-    for i, ri in enumerate(reps):
-        for j, rj in enumerate(reps):
-            q_mul[i, j] = pos[int(rep_of[group.mul(int(ri), int(rj))])]
+    parr = np.searchsorted(reps, rep_of)
+    proj = tuple(int(i) for i in parr)
+    q_mul = parr[group.mul_table[np.ix_(reps, reps)]]
     labels = [group.labels[int(r)] for r in reps]
     quotient = _finish(q_mul, labels, f"{group.name}_ab")
     # projection must be a homomorphism with kernel = commutator subgroup
-    parr = np.array(proj)
     if not np.array_equal(parr[group.mul_table], q_mul[parr[:, None], parr[None, :]]):
         raise GroupValidationError("abelianization projection is not a homomorphism")
     kernel = np.flatnonzero(parr == proj[group.identity])

@@ -10,17 +10,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, GroupValidationError
+from .errors import CapExceededError
 from .groups import (
     ConjugacyPartition,
     FiniteGroup,
     GroupSubset,
-    Subgroup,
     SubgroupView,
     abelianization,
     conjugacy_classes,
@@ -67,48 +67,71 @@ class ClassFunction:
 
 @dataclass(frozen=True)
 class LinearCharacter:
-    """Degree-one character stored as exact rational phases, gamma(x) = e^{2 pi i q(x)}."""
+    """Degree-one character: a view onto row `index` of `linear_phases(group)`.
+    Given rational phases in place of the index, it finds their row, so equal
+    characters compare equal however they were built."""
 
     group: FiniteGroup
-    phases: tuple[Fraction, ...]
+    index: int
 
-    def phase(self, x: int) -> Fraction:
-        return self.phases[x]
+    def __post_init__(self):
+        if isinstance(self.index, int):
+            return
+        lp, phases = linear_phases(self.group), self.index
+        e = lp.exponent
+        if len(phases) != self.group.order or any(e % q.denominator for q in phases):
+            raise ValueError("phases are not those of a linear character")
+        row = [q.numerator * (e // q.denominator) % e for q in phases]
+        hits = np.flatnonzero((lp.rows == row).all(axis=1))
+        if not hits.size:
+            raise ValueError("phases are not those of a linear character")
+        object.__setattr__(self, "index", int(hits[0]))
+
+    @property
+    def row(self) -> np.ndarray:
+        """Phase numerators over `exponent`, one per element (read-only)."""
+        return linear_phases(self.group).rows[self.index]
+
+    @property
+    def exponent(self) -> int:
+        return linear_phases(self.group).exponent
+
+    @cached_property
+    def phases(self) -> tuple[Fraction, ...]:
+        e = self.exponent
+        return tuple(Fraction(p, e) for p in self.row.tolist())
 
     def value(self, x: int) -> complex:
-        q = self.phases[x]
-        return cmath.exp(2j * math.pi * float(q))
+        return cmath.exp(2j * math.pi * (int(self.row[x]) / self.exponent))
 
     def as_values(self) -> np.ndarray:
-        return np.array([self.value(x) for x in range(self.group.order)],
-                        dtype=np.complex128)
+        return np.exp(2j * np.pi * (self.row / self.exponent))
 
     def as_class_function(self) -> ClassFunction:
         return ClassFunction(self.group, self.as_values())
 
     @property
     def is_trivial(self) -> bool:
-        return all(q == 0 for q in self.phases)
+        return self.index == 0      # rows are sorted, so the zero row comes first
 
     def add(self, other: "LinearCharacter") -> "LinearCharacter":
         if self.group is not other.group:
             raise ValueError("characters live on different groups")
         return LinearCharacter(
-            self.group,
-            tuple((a + b) % 1 for a, b in zip(self.phases, other.phases)),
-        )
+            self.group, int(linear_phases(self.group).sums([self.index], [other.index])[0]))
 
     def negate(self) -> "LinearCharacter":
-        return LinearCharacter(self.group, tuple((-a) % 1 for a in self.phases))
+        return LinearCharacter(self.group, int(linear_phases(self.group).negations([self.index])[0]))
 
     def verify_homomorphism(self) -> None:
         g = self.group
-        if self.phases[g.identity] != 0:
+        p, e = self.row, self.exponent
+        if p[g.identity] != 0:
             raise AssertionError("linear character must vanish at the identity")
-        for x in range(g.order):
-            for y in range(g.order):
-                if (self.phases[x] + self.phases[y]) % 1 != self.phases[g.mul(x, y)]:
-                    raise AssertionError(f"phase additivity fails at ({x},{y})")
+        bad = np.argwhere((p[:, None] + p[None, :]) % e != p[g.mul_table])
+        if bad.size:
+            x, y = map(int, bad[0])
+            raise AssertionError(f"phase additivity fails at ({x},{y})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,66 +194,78 @@ class LinearityScanReport:
 # linear characters
 
 
-def linear_characters(group: FiniteGroup) -> list[LinearCharacter]:
-    """All of Lin(G), pulled back from the abelianization, phases exact."""
-    cached = group.__dict__.get("_linear_characters")
+@dataclass(frozen=True, eq=False)
+class LinearPhases:
+    """Lin(G) as a read-only int64 matrix: character i is e^{2 pi i rows[i, x] / e}.
+    Rows are sorted as integer tuples (the order of the phase tuples): row 0 is
+    trivial. `keys` holds each row on generators of G modulo [G, G], which fix it,
+    and `find` maps keys back to rows. Nothing here refers back to the group, so a
+    dropped group is freed at once, not by the cyclic garbage collector."""
+
+    rows: np.ndarray
+    exponent: int
+    keys: np.ndarray
+    index_of_key: dict
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        keys = np.ascontiguousarray(keys % self.exponent)
+        return np.array([self.index_of_key[k.tobytes()] for k in keys], dtype=np.int64)
+
+    def sums(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
+        """Rows of gamma_i + gamma_j for every i in a and j in b, a-major."""
+        total = self.keys[list(a)][:, None, :] + self.keys[list(b)][None, :, :]
+        return self.find(total.reshape(len(a) * len(b), self.keys.shape[1]))
+
+    def negations(self, a: Sequence[int]) -> np.ndarray:
+        return self.find(-self.keys[list(a)])
+
+
+def linear_phases(group: FiniteGroup) -> LinearPhases:
+    """Lin(G), pulled back from the abelianization, as integer phases (cached)."""
+    cached = group.__dict__.get("_linear_phases")
     if cached is not None:
-        return list(cached)
+        return cached
     ab = abelianization(group)
     q = ab.quotient
-    qn = q.order
+    orders = np.array(q.element_orders)
+    e = math.lcm(*q.element_orders)
 
-    # grow a subgroup chain of the abelian quotient, extending characters stepwise
-    sub_elems = [q.identity]
-    sub_pos = {q.identity: 0}
-    chars: list[list[Fraction]] = [[Fraction(0)]]  # phases indexed like sub_elems
-    orders = q.element_orders
-    while len(sub_elems) < qn:
-        outside = [x for x in range(qn) if x not in sub_pos]
-        y = max(outside, key=lambda x: (orders[x], -x))
-        # relative order: least m with y^m inside the current subgroup
-        m, p = 1, y
-        while p not in sub_pos:
-            p = q.mul(p, y)
-            m += 1
-        anchor = sub_pos[p]  # index of y^m in sub_elems
-        new_elems = list(sub_elems)
-        new_pos = dict(sub_pos)
+    # grow a subgroup chain of the abelian quotient: a character of the chain so
+    # far extends to y, with y^m the first power inside, in m ways, one for each
+    # m-th root of its value at y^m
+    elems = np.array([q.identity])          # chain elements in order of discovery
+    rows = np.zeros((1, 1), dtype=np.int64)  # rows[c, j]: numerator at elems[j]
+    inside = np.arange(q.order) == q.identity
+    gens = []
+    while len(elems) < q.order:
+        outside = np.flatnonzero(~inside)
+        y = int(outside[np.argmax(orders[outside])])
         powers = [q.identity]
-        for _ in range(m - 1):
+        while not inside[q.mul(powers[-1], y)]:
             powers.append(q.mul(powers[-1], y))
-        for j in range(1, m):
-            for h in sub_elems:
-                z = q.mul(h, powers[j])
-                new_pos[z] = len(new_elems)
-                new_elems.append(z)
-        new_chars = []
-        for lam in chars:
-            base = lam[anchor]  # phase of y^m under lam
-            for j in range(m):
-                r = (base + j) / m
-                ext = [Fraction(0)] * len(new_elems)
-                for idx, h in enumerate(sub_elems):
-                    ext[idx] = lam[idx]
-                pos = len(sub_elems)
-                for jj in range(1, m):
-                    for idx in range(len(sub_elems)):
-                        ext[pos] = (lam[idx] + jj * r) % 1
-                        pos += 1
-                new_chars.append(ext)
-        sub_elems, sub_pos, chars = new_elems, new_pos, new_chars
+        m = len(powers)
+        anchor = int(np.flatnonzero(elems == q.mul(powers[-1], y))[0])
+        # y^m has order dividing ord(y)/m, so its numerator is a multiple of m
+        roots = np.repeat(rows[:, anchor] // m, m) + np.tile(np.arange(m) * (e // m), len(rows))
+        base = np.repeat(rows, m, axis=0)
+        rows = np.concatenate([(base + j * roots[:, None]) % e for j in range(m)], axis=1)
+        elems = np.concatenate([q.mul_table[elems, p] for p in powers])
+        inside[elems] = True
+        gens.append(int(ab.section[y]))
 
-    # reorder phases to quotient element index, then pull back through the projection
-    out = []
-    for lam in chars:
-        q_phases = [Fraction(0)] * qn
-        for idx, elem in enumerate(sub_elems):
-            q_phases[elem] = lam[idx]
-        phases = tuple(q_phases[ab.projection[x]] for x in range(group.order))
-        out.append(LinearCharacter(group, phases))
-    out.sort(key=lambda c: c.phases)
-    group.__dict__["_linear_characters"] = tuple(out)
-    return out
+    # column of x: the chain position of its image in the quotient
+    phases = rows[:, np.argsort(elems)[np.array(ab.projection)]]
+    phases = np.ascontiguousarray(phases[np.lexsort(phases.T[::-1])])
+    phases.setflags(write=False)
+    keys = np.ascontiguousarray(phases[:, gens])
+    lp = LinearPhases(phases, e, keys, {k.tobytes(): i for i, k in enumerate(keys)})
+    group.__dict__["_linear_phases"] = lp
+    return lp
+
+
+def linear_characters(group: FiniteGroup) -> list[LinearCharacter]:
+    """All of Lin(G), sorted by phase tuple."""
+    return [LinearCharacter(group, i) for i in range(len(linear_phases(group).rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +295,8 @@ def character_table(group: FiniteGroup, seed: int = 0) -> CharacterTable:
     part = conjugacy_classes(group)
     k = len(part.classes)
     sizes = np.array(part.sizes, dtype=np.float64)
-    counts = _class_structure_counts(group, part)
-    # counts[r,s,t] = N_rst * |C_t|
-    struct = counts / sizes[None, None, :]
+    # counts[r,s,t] = N_rst * |C_t|; not kept, since at k classes it takes 8 k^3 bytes
+    struct = _class_structure_counts(group, part) / sizes[None, None, :]
 
     omega = None
     for attempt in range(_EIG_RETRIES):
@@ -444,20 +478,31 @@ def frobenius_residual(view: SubgroupView, f: ClassFunction, g: ClassFunction) -
 
 def is_monomial(group: FiniteGroup, seed: int = 0,
                 max_order_cap: int = MONOMIAL_ORDER_CAP) -> tuple[bool, list[MonomialCertificate]]:
-    """Certify each irreducible as induced from a linear character of a subgroup."""
+    """Certify each irreducible as induced from a linear character of a subgroup
+    (cached per group and seed)."""
     if group.order > max_order_cap:
         raise CapExceededError(
             f"monomiality check refused at order {group.order} > {max_order_cap}"
         )
+    cache = group.__dict__.setdefault("_monomial", {})
+    if seed not in cache:
+        cache[seed] = _monomial_certificates(group, seed, max_order_cap)
+    all_ok, certs = cache[seed]
+    return all_ok, list(certs)
+
+
+def _monomial_certificates(group: FiniteGroup, seed: int, max_order_cap: int
+                           ) -> tuple[bool, tuple[MonomialCertificate, ...]]:
     table = character_table(group, seed)
+    lin = linear_characters(group)
     subs = enumerate_subgroups(group, max_order_cap)
     certs: list[MonomialCertificate] = []
     views: dict[int, SubgroupView] = {}
     all_ok = True
     for i, (chi, d) in enumerate(zip(table.characters, table.dims)):
         if d == 1:
-            lam = _match_linear(group, chi)
-            certs.append(MonomialCertificate(i, 1, True, GroupSubset.full(group), lam))
+            # the table lists Lin(G) first, in the same order
+            certs.append(MonomialCertificate(i, 1, True, GroupSubset.full(group), lin[i]))
             continue
         if group.order % d:
             certs.append(MonomialCertificate(i, d, False, None, None))
@@ -484,14 +529,7 @@ def is_monomial(group: FiniteGroup, seed: int = 0,
         else:
             certs.append(MonomialCertificate(i, d, False, None, None))
             all_ok = False
-    return all_ok, certs
-
-
-def _match_linear(group: FiniteGroup, chi: ClassFunction) -> LinearCharacter:
-    for lam in linear_characters(group):
-        if float(np.abs(lam.as_values() - chi.values).max()) <= 1e-6:
-            return lam
-    raise AssertionError("degree-one character missing from Lin(G)")
+    return all_ok, tuple(certs)
 
 
 def is_hereditarily_monomial(group: FiniteGroup, seed: int = 0,
@@ -502,8 +540,10 @@ def is_hereditarily_monomial(group: FiniteGroup, seed: int = 0,
             f"hereditary monomiality refused at order {group.order} > {max_order_cap}"
         )
     for sub in enumerate_subgroups(group, max_order_cap):
-        view = subgroup_view(group, sub.elements)
-        ok, _ = is_monomial(view.group, seed, max_order_cap)
+        # the whole group is checked as itself, so its cached verdict is reused
+        sub_group = (group if len(sub) == group.order
+                     else subgroup_view(group, sub.elements).group)
+        ok, _ = is_monomial(sub_group, seed, max_order_cap)
         if not ok:
             return False, sub.elements
     return True, None

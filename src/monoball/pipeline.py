@@ -12,12 +12,10 @@ from typing import Optional
 from .bohr import CharSet, linbohr, linbohr_squared, bohr_norm
 from .errors import FalsifiedError
 from .groups import FiniteGroup, GroupSubset, closure, subgroup_view
-from .harmonic import is_hereditarily_monomial
+from .harmonic import MONOMIAL_ORDER_CAP, is_hereditarily_monomial
 from .metric import ball_dimension
 from .setops import growth_profile, power_set, product_set, set_predicates
 from .spectra import LargeSpectrum, large_spectrum, lspec_doubling_cover, lspec_size_check
-
-MONOMIAL_CHECK_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
     if not preds.normal:
         raise ValueError("freiman_ball needs A normal inside the group it generates")
 
-    if work.order <= MONOMIAL_CHECK_CAP:
+    if work.order <= MONOMIAL_ORDER_CAP:
         hered, bad = is_hereditarily_monomial(work)
         ledger.append(LedgerEntry(
             "hypotheses", "generated subgroup hereditarily monomial",
@@ -184,7 +182,7 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
     else:
         ledger.append(LedgerEntry(
             "hypotheses", "generated subgroup hereditarily monomial", "unchecked",
-            f"order {work.order} beyond cap {MONOMIAL_CHECK_CAP}"))
+            f"order {work.order} beyond cap {MONOMIAL_ORDER_CAP}"))
 
     l, k_ratio = find_l(wa)
     ledger.append(LedgerEntry(

@@ -218,7 +218,9 @@ def ruzsa_cover(a: GroupSubset) -> CoveringCertificate:
     xa_ainv = product_set(product_set(x_set, a), a.inverse())
     inclusion_ok = q.is_subset_of(xa_ainv)
     cert = CoveringCertificate(x_set, 1, separation_ok, inclusion_ok)
-    assert len(x_set) * len(a) <= len(q), "separated translates outnumber AA^-1AA^-1"
+    # the disjoint translates xA all lie in (AA^-1AA^-1)A
+    assert len(x_set) * len(a) <= len(product_set(q, a)), \
+        "separated translates outnumber AA^-1AA^-1A"
     return cert
 
 

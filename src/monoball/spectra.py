@@ -3,11 +3,13 @@
 Membership and energy thresholds are exact wherever the character phases allow
 (denominators 1,2,3,4,6 give rational squared magnitudes); everywhere else a
 50-digit working precision stands in, with an inclusive 1e-30 comparison band.
+That precision is set locally around each evaluation, never globally.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -18,6 +20,7 @@ import numpy as np
 from .errors import FalsifiedError
 from .groups import FiniteGroup, GroupSubset, closure
 from .harmonic import (
+    MONOMIAL_ORDER_CAP,
     ClassFunction,
     LinearCharacter,
     character_table,
@@ -25,13 +28,18 @@ from .harmonic import (
     indicator,
     is_monomial,
     linear_characters,
+    linear_phases,
 )
-from .bohr import CharSet, char_span, charset_sum, phase_norm
+from .bohr import CharSet, bohr_norm, char_span, charset_sum
 from .setops import power_set, product_set, set_predicates
 
-mpmath.mp.dps = 50
-_MP_BAND = mpmath.mpf("1e-30")
+_MP_DPS = 50
+with mpmath.workdps(_MP_DPS):
+    _MP_BAND = mpmath.mpf("1e-30")
 _EXACT_DENOMS = {1, 2, 3, 4, 6}
+# 2 cos(2 pi k/12) at every k by which two phases with one of those denominators
+# can differ (as twelfths)
+_TWO_COS_TWELFTHS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
 
 MagSq = Union[Fraction, mpmath.mpf]
 
@@ -47,71 +55,64 @@ class HypothesisRecord:
         return self.status == "holds"
 
 
-def _exact_cos_sin(q: Fraction) -> tuple[Fraction, Fraction, int]:
-    """cos and sin of 2*pi*q for q with denominator 1,2,3,4,6; sin in units of sqrt(3)/2
-    when the denominator is 3 or 6 (returned flag 3), else exact rational (flag 1)."""
-    q = q % 1
-    n, d = q.numerator, q.denominator
-    if d == 1:
-        return Fraction(1), Fraction(0), 1
-    if d == 2:
-        return Fraction(-1), Fraction(0), 1
-    if d == 4:
-        return Fraction(0), Fraction(1) if n == 1 else Fraction(-1), 1
-    if d == 3:
-        return Fraction(-1, 2), Fraction(1) if n == 1 else Fraction(-1), 3
-    if d == 6:
-        cos = Fraction(1, 2) if n in (1, 5) else Fraction(-1, 2)
-        sin = Fraction(1) if n in (1, 2) else Fraction(-1)
-        return cos, sin, 3
-    raise ValueError(f"denominator {d} is not exactly representable")
+def _residue_counts(residues: np.ndarray, weights=None) -> list[tuple[int, int]]:
+    """Distinct phase numerators in order of first appearance, each with its total weight."""
+    uniq, first, inv = np.unique(residues, return_index=True, return_inverse=True)
+    totals = np.bincount(inv, weights=weights, minlength=len(uniq))
+    return [(int(uniq[k]), int(totals[k])) for k in np.argsort(first)]
+
+
+def _reduced_lcm(residues: np.ndarray, e: int) -> np.ndarray:
+    """Per row, the lcm of the reduced denominators of the phases residues / e."""
+    return e // np.gcd(np.gcd.reduce(residues, axis=-1), e)
+
+
+def _mp_angle(p: int, e: int) -> mpmath.mpf:
+    """2 pi p/e at the working precision, from the reduced fraction."""
+    g = math.gcd(p, e)
+    return 2 * mpmath.pi * mpmath.mpf(p // g) / (e // g)
 
 
 class FourierMagnitudes:
-    """|sum_{x in A} gamma(x)|^2 for every degree-one character, cached per (G, A)."""
+    """|sum_{x in A} gamma(x)|^2 for every degree-one character, cached per (G, A).
+    Held by the group, it holds the group weakly, so that no reference cycle keeps
+    a dropped group alive until the cyclic garbage collector runs."""
 
     def __init__(self, group: FiniteGroup, a: GroupSubset):
         if a.group is not group:
             raise ValueError("subset belongs to a different group")
-        self.group = group
-        self.a = a
-        self.chars = linear_characters(group)
+        self._group = weakref.ref(group)
+        self.order = group.order
+        e = linear_phases(group).exponent
+        residues = linear_phases(group).rows[:, np.fromiter(a, dtype=np.int64, count=len(a))]
         self._mag_sq: list[MagSq] = []
-        members = list(a)
-        for lam in self.chars:
-            phase_counts: dict[Fraction, int] = {}
-            for x in members:
-                q = lam.phases[x] % 1
-                phase_counts[q] = phase_counts.get(q, 0) + 1
-            denom_lcm = math.lcm(*(q.denominator for q in phase_counts), 1)
+        for row, denom_lcm in zip(residues, _reduced_lcm(residues, e).tolist()):
+            phase_counts = _residue_counts(row)
             if denom_lcm in _EXACT_DENOMS:
-                re = Fraction(0)
-                im_plain = Fraction(0)
-                im_root3 = Fraction(0)   # coefficient of sqrt(3)/2
-                for q, cnt in phase_counts.items():
-                    cos, sin, unit = _exact_cos_sin(q)
-                    re += cnt * cos
-                    if unit == 1:
-                        im_plain += cnt * sin
-                    else:
-                        im_root3 += cnt * sin
-                # phases with denominators {1,2,4} and {3,6} never mix under one lcm
-                mag = re * re + im_plain * im_plain + im_root3 * im_root3 * Fraction(3, 4)
-                self._mag_sq.append(mag)
+                # phases r/12: |sum_r c_r e^{2 pi i r/12}|^2 = sum_{r,s} c_r c_s cos(2 pi (r-s)/12)
+                twelfths = [(12 * p // e, cnt) for p, cnt in phase_counts]
+                self._mag_sq.append(Fraction(sum(
+                    c * d * _TWO_COS_TWELFTHS[(r - t) % 12]
+                    for r, c in twelfths for t, d in twelfths), 2))
             else:
-                re = mpmath.mpf(0)
-                im = mpmath.mpf(0)
-                for q, cnt in phase_counts.items():
-                    ang = 2 * mpmath.pi * mpmath.mpf(q.numerator) / q.denominator
-                    re += cnt * mpmath.cos(ang)
-                    im += cnt * mpmath.sin(ang)
-                self._mag_sq.append(re * re + im * im)
+                with mpmath.workdps(_MP_DPS):
+                    re = mpmath.mpf(0)
+                    im = mpmath.mpf(0)
+                    for p, cnt in phase_counts:
+                        ang = _mp_angle(p, e)
+                        re += cnt * mpmath.cos(ang)
+                        im += cnt * mpmath.sin(ang)
+                    self._mag_sq.append(re * re + im * im)
+
+    @property
+    def chars(self) -> list[LinearCharacter]:
+        return linear_characters(self._group())
 
     def mag_sq(self, index: int) -> MagSq:
         return self._mag_sq[index]
 
     def transform_abs(self, index: int) -> float:
-        return math.sqrt(max(float(self._mag_sq[index]), 0.0)) / self.group.order
+        return math.sqrt(max(float(self._mag_sq[index]), 0.0)) / self.order
 
     def at_least(self, index: int, threshold: Fraction) -> bool:
         """mag_sq >= threshold; exact when rational, else compared on the
@@ -119,9 +120,10 @@ class FourierMagnitudes:
         m = self._mag_sq[index]
         if isinstance(m, Fraction):
             return m >= threshold
-        n = self.group.order
-        thr_abs = mpmath.sqrt(mpmath.mpf(threshold.numerator) / threshold.denominator) / n
-        return mpmath.sqrt(m) / n >= thr_abs - mpmath.mpf("1e-12")
+        n = self.order
+        with mpmath.workdps(_MP_DPS):
+            thr_abs = mpmath.sqrt(mpmath.mpf(threshold.numerator) / threshold.denominator) / n
+            return mpmath.sqrt(m) / n >= thr_abs - mpmath.mpf("1e-12")
 
 
 def _magnitudes(group: FiniteGroup, a: GroupSubset) -> FourierMagnitudes:
@@ -157,16 +159,11 @@ def _lspec(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
     group = a.group
     mags = _magnitudes(group, a)
     threshold = max(Fraction(0), (1 - eps * eps / 2)) * len(a) ** 2
-    members = []
-    values = []
-    for i, lam in enumerate(mags.chars):
-        if mags.at_least(i, threshold):
-            members.append(lam)
-            values.append(mags.transform_abs(i))
-    ordered = sorted(zip(members, values), key=lambda mv: mv[0].phases)
-    charset = CharSet.build(group, [m for m, _ in ordered])
+    members = [i for i in range(len(mags._mag_sq)) if mags.at_least(i, threshold)]
+    charset = CharSet(group, members)
     assert charset.contains_identity   # hat 1_A(0) = P(A) clears every threshold
-    return LargeSpectrum(a, eps, charset, tuple(v for _, v in ordered), threshold)
+    return LargeSpectrum(a, eps, charset, tuple(mags.transform_abs(i) for i in members),
+                         threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -216,40 +213,31 @@ def spectrum_distance_exact(a: GroupSubset, gamma: LinearCharacter,
     if len(a) == 0:
         raise ValueError("spectrum_distance needs a nonempty set")
     w = spectrum_weight(a)
-    diff = gamma_prime.add(gamma.negate())
-    phase_counts: dict[Fraction, int] = {}
-    for x in range(a.group.order):
-        c = w.counts[x]
-        if c:
-            q = diff.phases[x] % 1
-            phase_counts[q] = phase_counts.get(q, 0) + c
-    denom_lcm = math.lcm(*(q.denominator for q in phase_counts), 1)
+    e = gamma.exponent
+    counts = np.array(w.counts)
+    support = np.flatnonzero(counts)
+    diff = (gamma_prime.row - gamma.row)[support] % e
+    phase_counts = _residue_counts(diff, counts[support])
     total = len(a) ** 2
-    if denom_lcm in _EXACT_DENOMS:
+    if _reduced_lcm(diff, e) in _EXACT_DENOMS:
         # |1 - e^{2 pi i q}|^2 = 2 - 2 cos(2 pi q), rational here
-        acc = Fraction(0)
-        for q, cnt in phase_counts.items():
-            cos, _, _ = _exact_cos_sin(q)
-            acc += cnt * (2 - 2 * cos)
-        rho_sq: MagSq = acc / total
+        acc = sum(cnt * (2 - _TWO_COS_TWELFTHS[12 * p // e]) for p, cnt in phase_counts)
+        rho_sq: MagSq = Fraction(acc, total)
         return SpectrumDistance(math.sqrt(float(rho_sq)), rho_sq, True)
-    acc = mpmath.mpf(0)
-    for q, cnt in phase_counts.items():
-        ang = 2 * mpmath.pi * mpmath.mpf(q.numerator) / q.denominator
-        acc += cnt * (2 - 2 * mpmath.cos(ang))
-    rho_sq = acc / total
-    return SpectrumDistance(float(mpmath.sqrt(rho_sq)), rho_sq, False)
+    with mpmath.workdps(_MP_DPS):
+        acc = mpmath.mpf(0)
+        for p, cnt in phase_counts:
+            acc += cnt * (2 - 2 * mpmath.cos(_mp_angle(p, e)))
+        rho_sq = acc / total
+        return SpectrumDistance(float(mpmath.sqrt(rho_sq)), rho_sq, False)
 
 
 def spectrum_distance_identity_check(a: GroupSubset,
                                      gamma: LinearCharacter) -> dict:
     """rho(0, gamma)^2 against 2(1 - P(A)^-2 |hat 1_A(gamma)|^2); both forms reported."""
     g = a.group
-    trivial = LinearCharacter(g, (Fraction(0),) * g.order)
-    dist = spectrum_distance_exact(a, trivial, gamma)
-    mags = _magnitudes(g, a)
-    i = next(k for k, lam in enumerate(mags.chars) if lam.phases == gamma.phases)
-    hat_sq = float(mags.mag_sq(i)) / g.order ** 2
+    dist = spectrum_distance_exact(a, LinearCharacter(g, 0), gamma)
+    hat_sq = float(_magnitudes(g, a).mag_sq(gamma.index)) / g.order ** 2
     p = len(a) / g.order
     reference = 2 * (1 - hat_sq / p ** 2)
     return {
@@ -268,7 +256,7 @@ def spectrum_distance_identity_check(a: GroupSubset,
 def standing_hypotheses(group: FiniteGroup, s: GroupSubset,
                         a: GroupSubset) -> list[HypothesisRecord]:
     records = []
-    if group.order <= 128:
+    if group.order <= MONOMIAL_ORDER_CAP:
         mono, _ = is_monomial(group)
         records.append(HypothesisRecord(
             "group is monomial", "holds" if mono else "fails"))
@@ -358,15 +346,6 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     # left side: exact (or 50-digit) sum over the large spectrum
     mags = _magnitudes(group, a)
     spec = _lspec(a, eta)
-    lhs_exact: MagSq = Fraction(0)
-    for i, lam in enumerate(mags.chars):
-        if lam in spec.members:
-            lhs_exact = lhs_exact + mags.mag_sq(i) ** k
-    scale = n ** (2 * k)
-    if isinstance(lhs_exact, Fraction):
-        lhs_cmp: MagSq = lhs_exact / scale
-    else:
-        lhs_cmp = lhs_exact / mpmath.mpf(scale)
 
     # middle: half the full-table energy, via the exact counting convolution
     c_k = _counting_convolution_power(a, k)
@@ -374,10 +353,18 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
 
     rhs_exact = Fraction(len(a), n) ** (2 * k) / (2 * Fraction(len(a_k), n))
 
-    if isinstance(lhs_cmp, Fraction):
-        lhs_ge_mid = lhs_cmp >= mid_exact
-    else:
-        lhs_ge_mid = lhs_cmp >= mpmath.mpf(mid_exact.numerator) / mid_exact.denominator - _MP_BAND
+    with mpmath.workdps(_MP_DPS):
+        lhs_exact: MagSq = Fraction(0)
+        for i in spec.members.indices:
+            lhs_exact = lhs_exact + mags.mag_sq(i) ** k
+        scale = n ** (2 * k)
+        if isinstance(lhs_exact, Fraction):
+            lhs_cmp: MagSq = lhs_exact / scale
+            lhs_ge_mid = lhs_cmp >= mid_exact
+        else:
+            lhs_cmp = lhs_exact / mpmath.mpf(scale)
+            lhs_ge_mid = lhs_cmp >= (mpmath.mpf(mid_exact.numerator) / mid_exact.denominator
+                                     - _MP_BAND)
     mid_ge_rhs = mid_exact >= rhs_exact
 
     # independent float route through the full character table
@@ -418,18 +405,14 @@ def chang_cover(s: CharSet, t: CharSet, r: int) -> ChangCover:
     """Greedily absorb elements of S not reachable from Span(X) + T - T."""
     if len(s) == 0 or len(t) == 0:
         raise ValueError("chang_cover needs nonempty character sets")
-    group = s.group
-    chosen: list[LinearCharacter] = []
+    chosen: list[int] = []
     t_diff = charset_sum(t, t.negate())
     covered = t_diff
-    while True:
-        missing = next((c for c in s.chars if c not in covered), None)
-        if missing is None:
-            break
-        chosen.append(missing)
-        covered = charset_sum(char_span(CharSet.build(group, chosen)), t_diff)
-    x = CharSet.build(group, chosen)
-    covering_ok = all(c in covered for c in s.chars)
+    while missing := [i for i in s.indices if i not in covered.indices]:
+        chosen.append(missing[0])
+        covered = charset_sum(char_span(CharSet(s.group, chosen)), t_diff)
+    x = CharSet(s.group, chosen)
+    covering_ok = set(s.indices) <= set(covered.indices)
     return ChangCover(x, r, len(x) <= r, covering_ok)
 
 
@@ -543,7 +526,7 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     spec = _lspec(a, eps)
     lhs = charset_sum(spec.members, spec.members)
     rhs = charset_sum(char_span(cover.x), spec.members)
-    covering_ok = all(c in rhs for c in lhs.chars)
+    covering_ok = set(lhs.indices) <= set(rhs.indices)
     report = DoublingReport(records, eps, d, "covered", found_r, k_eta_d,
                             tuple(window_rows), clipped, tuple(scan_rows),
                             cover.x, covering_ok, None)
@@ -572,21 +555,13 @@ class SpectrumSizeReport:
 
 
 def _inv_two_pi_ball(group: FiniteGroup, members: CharSet) -> GroupSubset:
-    """LinBohr(members, 1/(2 pi)) decided by comparing rational phases against pi."""
-    out = []
-    inv_two_pi = 1 / (2 * mpmath.pi)
-    for x in range(group.order):
-        inside = True
-        for lam in members:
-            r = phase_norm(lam.phases[x])
-            if r == 0:
-                continue
-            if mpmath.mpf(r.numerator) / r.denominator > inv_two_pi:
-                inside = False
-                break
-        if inside:
-            out.append(x)
-    return GroupSubset.from_indices(group, out)
+    """LinBohr(members, 1/(2 pi)), each Bohr norm compared with 1/(2 pi) at the
+    working precision."""
+    rho = bohr_norm(members)
+    with mpmath.workdps(_MP_DPS):
+        inv_two_pi = 1 / (2 * mpmath.pi)
+        far = {r for r in set(rho.values) if mpmath.mpf(r.numerator) / r.denominator > inv_two_pi}
+    return GroupSubset.from_indices(group, [x for x, r in enumerate(rho.values) if r not in far])
 
 
 def lspec_size_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,

@@ -361,6 +361,33 @@ def test_is_monomial_abelian_and_q8():
     assert len(two_dim[0].subgroup) == 4
 
 
+def test_is_monomial_cached_per_group_and_seed(monkeypatch):
+    import monoball.harmonic as harmonic
+    from monoball.groups import GroupSubset
+    from monoball.pipeline import freiman_ball
+    from monoball.setops import normalize_set
+
+    g = heisenberg_group(3)
+    calls = []
+    real = harmonic.character_table
+
+    def counting(group, seed=0):
+        calls.append((group, seed))
+        return real(group, seed)
+
+    monkeypatch.setattr(harmonic, "character_table", counting)
+    a = normalize_set(GroupSubset.from_indices(g, [9, 3]), symmetrize=True,
+                      add_identity=True, conjugation_close=True)
+    freiman_ball(g, a)
+    # hereditary monomiality and both standing-hypothesis records share one run
+    assert [s for grp, s in calls if grp is g] == [0]
+    _, certs = is_monomial(g)
+    certs.clear()                      # callers get a copy of the cached list
+    assert len(is_monomial(g)[1]) == 11
+    is_monomial(g, seed=1)
+    assert [s for grp, s in calls if grp is g] == [0, 1]
+
+
 def test_is_monomial_sl23_false():
     ok, certs = is_monomial(_sl23())
     assert not ok

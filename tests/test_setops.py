@@ -202,6 +202,19 @@ def test_ruzsa_cover_disjointness_oracle():
             assert not translates[i] & translates[j]
 
 
+def test_ruzsa_cover_bound_counts_translates_inside_qa():
+    # the disjoint translates xA lie in QA, Q = AA^-1AA^-1, not in Q itself:
+    # here |Q| = 41 and |QA| = 61
+    g = cyclic_group(360)
+    a = _subset(g, [0, 1, 359, 49, 311])
+    cert = ruzsa_cover(a)
+    q = power_set(product_set(a, a.inverse()), 2)
+    assert len(q) == 41 and len(product_set(q, a)) == 61
+    assert len(q) < len(cert.cover_set) * len(a) <= 61
+    assert cert.separation_ok and cert.inclusion_ok
+    assert appendix_growth_check(a, 4).all_ok
+
+
 def test_appendix_growth_cyclic():
     g = cyclic_group(100)
     a = _subset(g, [99, 0, 1])

@@ -1,5 +1,9 @@
 import cmath
+import gc
 import math
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -482,3 +486,32 @@ def test_size_check_hypothesis_failure_is_descriptive():
     krec = next(r for r in rep.hypotheses if r.name.startswith("k >="))
     assert krec.status == "fails"
     assert rep.lhs is not None
+
+
+def test_import_and_spectra_leave_mpmath_precision_alone():
+    code = (
+        "import mpmath\n"
+        "before = mpmath.mp.dps\n"
+        "import monoball\n"
+        "from fractions import Fraction\n"
+        "g = monoball.cyclic_group(360)\n"
+        "a = monoball.GroupSubset.from_indices(g, [359, 0, 1])\n"
+        "assert len(monoball.large_spectrum(a, Fraction(1, 4)).members) > 1\n"
+        "assert mpmath.mp.dps == before, mpmath.mp.dps\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_dropped_group_is_freed_without_the_cycle_collector():
+    # caches live on the group; none may refer back to it, or every group a
+    # caller drops would stay in memory until a full garbage collection
+    gc.disable()
+    try:
+        g = cyclic_group(64)
+        ref = weakref.ref(g)
+        large_spectrum(_subset(g, [63, 0, 1]), Fraction(1, 4))
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
