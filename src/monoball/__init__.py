@@ -1,6 +1,6 @@
 """monoball: exact computations with metric balls, Bohr sets and large spectra on small finite groups."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     CapExceededError,

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -116,20 +115,6 @@ def _parse_fraction(text: Optional[str], flag: str) -> Optional[Fraction]:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{flag} expects a rational like 1/16, got {text!r}") from exc
-
-
-def _threads_from_env() -> int:
-    """All module code runs single-threaded; the env var caps a pool that never grows."""
-    raw = os.environ.get("MONOBALL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InputError(f"MONOBALL_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise InputError("MONOBALL_THREADS must be >= 1")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +510,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _threads_from_env()
         summary, result, rows, code = _HANDLERS[args.command](args)
         report = {
             "tool": "monoball",
             "version": __version__,
             "command": args.command,
             "seed": args.seed,
-            "threads": threads,
             "result": result,
         }
         emit_report(report, args.format, args.out, csv_rows=rows)

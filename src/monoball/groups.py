@@ -506,15 +506,19 @@ def abelianization(group: FiniteGroup) -> Abelianization:
     reps = np.unique(rep_of)
     parr = np.searchsorted(reps, rep_of)
     proj = tuple(int(i) for i in parr)
-    q_mul = parr[group.mul_table[np.ix_(reps, reps)]]
+    q_mul = parr[group.mul_table[np.ix_(reps, reps)]].astype(np.int32)
     labels = [group.labels[int(r)] for r in reps]
-    quotient = _finish(q_mul, labels, f"{group.name}_ab")
     # projection must be a homomorphism with kernel = commutator subgroup
     if not np.array_equal(parr[group.mul_table], q_mul[parr[:, None], parr[None, :]]):
         raise GroupValidationError("abelianization projection is not a homomorphism")
     kernel = np.flatnonzero(parr == proj[group.identity])
     if set(int(k) for k in kernel) != set(comm.indices()):
         raise GroupValidationError("abelianization kernel differs from commutator subgroup")
+    # so, being onto, it carries the group axioms to q_mul: no table validation
+    q_inv = parr[group.inv_table[reps]].astype(np.int32)
+    q_mul.setflags(write=False)
+    q_inv.setflags(write=False)
+    quotient = FiniteGroup(q_mul, q_inv, proj[group.identity], tuple(labels), f"{group.name}_ab")
     return Abelianization(comm, quotient, proj, tuple(int(r) for r in reps))
 
 

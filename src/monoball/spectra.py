@@ -1,13 +1,14 @@
 """Large spectra, their metric, spectral energy, and spectrum covering results.
 
-Membership and energy thresholds are exact wherever the character phases allow
-(denominators 1,2,3,4,6 give rational squared magnitudes); everywhere else a
-50-digit working precision stands in, with an inclusive 1e-30 comparison band.
-That precision is set locally around each evaluation, never globally.
+Membership and energy verdicts are exact: a squared character-sum magnitude is
+an element of Z[zeta_e], e the exponent of G^ab, whose float64 estimate has a
+proven error bound; comparisons within that bound are decided in Z[zeta_e],
+where a tie counts as >=. mpmath precision is only ever set locally.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from typing import Optional, Union
 
 import mpmath
 import numpy as np
+from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import FalsifiedError
 from .groups import FiniteGroup, GroupSubset, closure
@@ -27,21 +29,14 @@ from .harmonic import (
     fourier_scalar,
     indicator,
     is_monomial,
-    linear_characters,
     linear_phases,
 )
 from .bohr import CharSet, bohr_norm, char_span, charset_sum
 from .setops import power_set, product_set, set_predicates
 
 _MP_DPS = 50
-with mpmath.workdps(_MP_DPS):
-    _MP_BAND = mpmath.mpf("1e-30")
-_EXACT_DENOMS = {1, 2, 3, 4, 6}
-# 2 cos(2 pi k/12) at every k by which two phases with one of those denominators
-# can differ (as twelfths)
-_TWO_COS_TWELFTHS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
 
-MagSq = Union[Fraction, mpmath.mpf]
+MagSq = Union[Fraction, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,75 +50,91 @@ class HypothesisRecord:
         return self.status == "holds"
 
 
-def _residue_counts(residues: np.ndarray, weights=None) -> list[tuple[int, int]]:
-    """Distinct phase numerators in order of first appearance, each with its total weight."""
-    uniq, first, inv = np.unique(residues, return_index=True, return_inverse=True)
-    totals = np.bincount(inv, weights=weights, minlength=len(uniq))
-    return [(int(uniq[k]), int(totals[k])) for k in np.argsort(first)]
+# ---------------------------------------------------------------------------
+# exact comparisons in Z[zeta_e]
 
 
-def _reduced_lcm(residues: np.ndarray, e: int) -> np.ndarray:
-    """Per row, the lcm of the reduced denominators of the phases residues / e."""
-    return e // np.gcd(np.gcd.reduce(residues, axis=-1), e)
+@functools.lru_cache(maxsize=None)
+def _cos_table(e: int) -> np.ndarray:
+    """cos(2 pi k/e) for k = 0..e-1, each within 2^-53; exact at 0, +-1/2 and +-1."""
+    with mpmath.workprec(80):
+        half = [float(mpmath.cospi(mpmath.mpf(2 * k) / e)) for k in range(e // 2 + 1)]
+    table = np.array(half + half[1:(e + 1) // 2][::-1])
+    table.setflags(write=False)
+    return table
 
 
-def _mp_angle(p: int, e: int) -> mpmath.mpf:
-    """2 pi p/e at the working precision, from the reduced fraction."""
-    g = math.gcd(p, e)
-    return 2 * mpmath.pi * mpmath.mpf(p // g) / (e // g)
+def _divmod_monic(poly, div) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of poly by the monic div (constant terms first), exactly."""
+    rem, deg, terms = np.array(poly, dtype=object), len(div) - 1, np.flatnonzero(div)
+    div = np.array(div, dtype=object)[terms]        # cyclotomic divisors are sparse
+    quot = np.zeros(max(len(rem) - deg, 0), dtype=object)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        quot[i - deg] = c = rem[i]
+        if c:
+            rem[i - deg + terms] -= c * div
+    return quot, rem[:deg]
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(e: int) -> tuple[int, ...]:
+    """Phi_e: x^e - 1 divided by Phi_d for each proper divisor d of e."""
+    poly = [-1] + [0] * (e - 1) + [1]
+    for d in (d for d in range(1, e) if e % d == 0):
+        poly = _divmod_monic(poly, _cyclotomic(d))[0]
+    return tuple(poly)
+
+
+def _exact_at_least(coeffs, threshold: Fraction) -> bool:
+    """sum_k coeffs[k] zeta_e^k >= threshold (e = len(coeffs)) for a real element
+    of Z[zeta_e]; a tie counts as >=. The difference is reduced modulo Phi_e: if
+    it is not 0, its enclosure excludes 0 at some precision."""
+    beta = threshold.denominator * _divmod_monic(coeffs, _cyclotomic(len(coeffs)))[1]
+    beta[0] -= threshold.numerator
+    if not any(beta):
+        return True
+    iv = MPIntervalContext()        # private, so mpmath.iv keeps its precision
+    iv.prec = 64
+    while True:
+        value = sum(int(b) * iv.cos(2 * iv.pi * k / len(coeffs)) for k, b in enumerate(beta) if b)
+        if value.a > 0 or value.b < 0:
+            return bool(value.a > 0)
+        iv.prec *= 2
 
 
 class FourierMagnitudes:
     """|sum_{x in A} gamma(x)|^2 for every degree-one character, cached per (G, A).
-    Held by the group, it holds the group weakly, so that no reference cycle keeps
-    a dropped group alive until the cyclic garbage collector runs."""
+
+    For gamma with phase row r over e this is sum_y w(y) zeta_e^{r(y)}, w the
+    counts of `spectrum_weight`. Held by the group, it holds the group weakly, so
+    that no reference cycle keeps a dropped group alive until the cyclic garbage
+    collector runs."""
 
     def __init__(self, group: FiniteGroup, a: GroupSubset):
         if a.group is not group:
             raise ValueError("subset belongs to a different group")
         self._group = weakref.ref(group)
         self.order = group.order
-        e = linear_phases(group).exponent
-        residues = linear_phases(group).rows[:, np.fromiter(a, dtype=np.int64, count=len(a))]
-        self._mag_sq: list[MagSq] = []
-        for row, denom_lcm in zip(residues, _reduced_lcm(residues, e).tolist()):
-            phase_counts = _residue_counts(row)
-            if denom_lcm in _EXACT_DENOMS:
-                # phases r/12: |sum_r c_r e^{2 pi i r/12}|^2 = sum_{r,s} c_r c_s cos(2 pi (r-s)/12)
-                twelfths = [(12 * p // e, cnt) for p, cnt in phase_counts]
-                self._mag_sq.append(Fraction(sum(
-                    c * d * _TWO_COS_TWELFTHS[(r - t) % 12]
-                    for r, c in twelfths for t, d in twelfths), 2))
-            else:
-                with mpmath.workdps(_MP_DPS):
-                    re = mpmath.mpf(0)
-                    im = mpmath.mpf(0)
-                    for p, cnt in phase_counts:
-                        ang = _mp_angle(p, e)
-                        re += cnt * mpmath.cos(ang)
-                        im += cnt * mpmath.sin(ang)
-                    self._mag_sq.append(re * re + im * im)
+        counts = np.array(spectrum_weight(a).counts)
+        self._support = np.flatnonzero(counts)
+        self.weights = counts[self._support]
+        lp = linear_phases(group)
+        self.exponent = lp.exponent
+        self.estimates = _cos_table(lp.exponent)[lp.rows[:, self._support]] @ self.weights
 
-    @property
-    def chars(self) -> list[LinearCharacter]:
-        return linear_characters(self._group())
+    def coefficients(self, index: int) -> np.ndarray:
+        """c with mag_sq(index) = sum_k c_k zeta_e^k."""
+        lp = linear_phases(self._group())
+        return np.bincount(lp.rows[index, self._support], self.weights,
+                           minlength=lp.exponent).astype(np.int64)
 
     def mag_sq(self, index: int) -> MagSq:
-        return self._mag_sq[index]
+        """The exact value when it is rational (then an integer), else the estimate."""
+        rem = _divmod_monic(self.coefficients(index), _cyclotomic(self.exponent))[1]
+        return float(self.estimates[index]) if any(rem[1:]) else Fraction(int(rem[0]))
 
     def transform_abs(self, index: int) -> float:
-        return math.sqrt(max(float(self._mag_sq[index]), 0.0)) / self.order
-
-    def at_least(self, index: int, threshold: Fraction) -> bool:
-        """mag_sq >= threshold; exact when rational, else compared on the
-        transform scale with an inclusive 1e-12 tolerance."""
-        m = self._mag_sq[index]
-        if isinstance(m, Fraction):
-            return m >= threshold
-        n = self.order
-        with mpmath.workdps(_MP_DPS):
-            thr_abs = mpmath.sqrt(mpmath.mpf(threshold.numerator) / threshold.denominator) / n
-            return mpmath.sqrt(m) / n >= thr_abs - mpmath.mpf("1e-12")
+        return math.sqrt(max(float(self.estimates[index]), 0.0)) / self.order
 
 
 def _magnitudes(group: FiniteGroup, a: GroupSubset) -> FourierMagnitudes:
@@ -159,7 +170,15 @@ def _lspec(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
     group = a.group
     mags = _magnitudes(group, a)
     threshold = max(Fraction(0), (1 - eps * eps / 2)) * len(a) ** 2
-    members = [i for i in range(len(mags._mag_sq)) if mags.at_least(i, threshold)]
+    # with u = 2^-53, an estimate errs by at most (|supp w| + 1) u |A|^2 and
+    # float(threshold) by u threshold; beyond twice that the estimate's side is
+    # the exact side, and the rest are decided in Z[zeta_e]
+    t = float(threshold)
+    bound = 2.0 ** -52 * ((len(mags.weights) + 4) * len(a) ** 2 + t)
+    verdict = (mags.estimates - t > bound) | (threshold == 0)   # no square is below 0
+    for i in np.flatnonzero(~verdict & (np.abs(mags.estimates - t) <= bound)):
+        verdict[i] = _exact_at_least(mags.coefficients(i), threshold)
+    members = np.flatnonzero(verdict).tolist()
     charset = CharSet(group, members)
     assert charset.contains_identity   # hat 1_A(0) = P(A) clears every threshold
     return LargeSpectrum(a, eps, charset, tuple(mags.transform_abs(i) for i in members),
@@ -212,24 +231,12 @@ def spectrum_distance_exact(a: GroupSubset, gamma: LinearCharacter,
                             gamma_prime: LinearCharacter) -> SpectrumDistance:
     if len(a) == 0:
         raise ValueError("spectrum_distance needs a nonempty set")
-    w = spectrum_weight(a)
-    e = gamma.exponent
-    counts = np.array(w.counts)
-    support = np.flatnonzero(counts)
-    diff = (gamma_prime.row - gamma.row)[support] % e
-    phase_counts = _residue_counts(diff, counts[support])
-    total = len(a) ** 2
-    if _reduced_lcm(diff, e) in _EXACT_DENOMS:
-        # |1 - e^{2 pi i q}|^2 = 2 - 2 cos(2 pi q), rational here
-        acc = sum(cnt * (2 - _TWO_COS_TWELFTHS[12 * p // e]) for p, cnt in phase_counts)
-        rho_sq: MagSq = Fraction(acc, total)
-        return SpectrumDistance(math.sqrt(float(rho_sq)), rho_sq, True)
-    with mpmath.workdps(_MP_DPS):
-        acc = mpmath.mpf(0)
-        for p, cnt in phase_counts:
-            acc += cnt * (2 - 2 * mpmath.cos(_mp_angle(p, e)))
-        rho_sq = acc / total
-        return SpectrumDistance(float(mpmath.sqrt(rho_sq)), rho_sq, False)
+    # |A|^2 rho^2 = sum_y w(y) |1 - (gamma' - gamma)(y)|^2 = 2 |A|^2 - 2 |sum_A (gamma' - gamma)|^2
+    lp = linear_phases(a.group)
+    diff = int(lp.find((lp.keys[gamma_prime.index] - lp.keys[gamma.index])[None])[0])
+    mag = _magnitudes(a.group, a).mag_sq(diff)
+    rho_sq = 2 - 2 * mag / len(a) ** 2
+    return SpectrumDistance(math.sqrt(max(float(rho_sq), 0.0)), rho_sq, isinstance(mag, Fraction))
 
 
 def spectrum_distance_identity_check(a: GroupSubset,
@@ -288,6 +295,15 @@ def _all_hold(records: list[HypothesisRecord]) -> bool:
 # spectral energy
 
 
+def _cyclic_power(c: np.ndarray, k: int) -> np.ndarray:
+    """c^k in Z[x]/(x^e - 1), e = len(c), in Python integers."""
+    out = base = np.array(c, dtype=object)
+    for _ in range(k - 1):
+        full = np.append(np.convolve(out, base), 0)
+        out = full[:len(c)] + full[len(c):]
+    return out
+
+
 def _counting_convolution_power(a: GroupSubset, k: int) -> list[int]:
     """c_k(x) = number of k-tuples over A multiplying to x, in exact integers."""
     g = a.group
@@ -343,9 +359,10 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     if not _all_hold(records):
         return EnergyReport(records, eta, k, None, None, None, None, None, None, None)
 
-    # left side: exact (or 50-digit) sum over the large spectrum
+    # left side: sum over the large spectrum of |hat 1_A|^2k, an element of Z[zeta_e]
     mags = _magnitudes(group, a)
     spec = _lspec(a, eta)
+    lhs_coeffs = sum(_cyclic_power(mags.coefficients(i), k) for i in spec.members.indices)
 
     # middle: half the full-table energy, via the exact counting convolution
     c_k = _counting_convolution_power(a, k)
@@ -353,18 +370,8 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
 
     rhs_exact = Fraction(len(a), n) ** (2 * k) / (2 * Fraction(len(a_k), n))
 
-    with mpmath.workdps(_MP_DPS):
-        lhs_exact: MagSq = Fraction(0)
-        for i in spec.members.indices:
-            lhs_exact = lhs_exact + mags.mag_sq(i) ** k
-        scale = n ** (2 * k)
-        if isinstance(lhs_exact, Fraction):
-            lhs_cmp: MagSq = lhs_exact / scale
-            lhs_ge_mid = lhs_cmp >= mid_exact
-        else:
-            lhs_cmp = lhs_exact / mpmath.mpf(scale)
-            lhs_ge_mid = lhs_cmp >= (mpmath.mpf(mid_exact.numerator) / mid_exact.denominator
-                                     - _MP_BAND)
+    scale = n ** (2 * k)
+    lhs_ge_mid = _exact_at_least(lhs_coeffs, mid_exact * scale)
     mid_ge_rhs = mid_exact >= rhs_exact
 
     # independent float route through the full character table
@@ -380,7 +387,8 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
             nonlinear_ok = False
     float_residual = abs(float_total / 2 - float(mid_exact))
 
-    report = EnergyReport(records, eta, k, float(lhs_cmp), float(mid_exact),
+    lhs = float(lhs_coeffs.astype(np.float64) @ _cos_table(mags.exponent)) / scale
+    report = EnergyReport(records, eta, k, lhs, float(mid_exact),
                           float(rhs_exact), bool(lhs_ge_mid), bool(mid_ge_rhs),
                           float_residual, nonlinear_ok)
     if not report.all_ok:

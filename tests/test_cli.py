@@ -270,17 +270,6 @@ def test_bad_eps_exit1(tmp_path, capsys):
     assert code == 1 and "--eps" in cap.err
 
 
-def test_threads_env(tmp_path, capsys, monkeypatch):
-    g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
-    out = str(tmp_path / "r.json")
-    monkeypatch.setenv("MONOBALL_THREADS", "3")
-    assert cli.main(["group-info", "--group", g, "--out", out]) == 0
-    assert json.loads(open(out).read())["threads"] == 3
-    monkeypatch.setenv("MONOBALL_THREADS", "zero")
-    assert cli.main(["group-info", "--group", g, "--out", out]) == 1
-    capsys.readouterr()
-
-
 def test_falsified_maps_to_exit3(tmp_path, capsys, monkeypatch):
     g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
 
@@ -303,10 +292,10 @@ def test_csv_fallback_is_key_value(tmp_path, capsys):
     assert any(line.startswith("monomial,") for line in lines)
 
 
-def test_module_entrypoint_subprocess(tmp_path):
+def test_module_entrypoint_subprocess(tmp_path, package_env):
     g = _group_file(tmp_path, {"type": "cyclic", "n": 6})
     proc = subprocess.run([sys.executable, "-m", "monoball.cli",
                            "group-info", "--group", g],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=package_env)
     assert proc.returncode == 0
     assert "order 6" in proc.stdout

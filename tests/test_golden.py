@@ -17,6 +17,9 @@ C360 = {"type": "cyclic", "n": 360}
 NORMAL = {"symmetrize": True, "add_identity": True, "conjugation_close": True}
 HEIS3_GENS = {"indices": [9, 3], "normalize": NORMAL}
 C360_A = {"indices": [359, 0, 1]}
+# the fat set of the spectral-energy fixture on Heis(3)
+HEIS3_FAT = {"indices": [x for x in range(27) if x not in (12, 13, 14, 24, 25, 26)],
+             "s_indices": [0, 9, 3]}
 
 # (run id, command, group spec, set spec or None, extra arguments)
 RUNS = [
@@ -43,6 +46,12 @@ RUNS = [
     ("monomial-heis3", "monomial", HEIS3, None, []),
     ("group-info-c360", "group-info", C360, None, []),
     ("group-info-heis3", "group-info", HEIS3, None, []),
+    ("energy-c16", "energy", {"type": "cyclic", "n": 16},
+     {"indices": [15, 0, 1], "s_indices": [0, 1]}, ["--eps", "19/20", "--k", "4"]),
+    ("energy-heis3-fat", "energy", HEIS3, HEIS3_FAT, ["--eps", "9/10", "--k", "3"]),
+    # |1 + zeta_8 + zeta_8^4|^2 = 1 is exactly the threshold at eps 4/3
+    ("lspec-c8-tie", "lspec", {"type": "cyclic", "n": 8}, {"indices": [0, 1, 4]},
+     ["--eps", "4/3"]),
 ]
 
 # exit code and sha256 of json.dumps(report["result"], indent=2); None when
@@ -65,6 +74,9 @@ GOLDEN = {
     "monomial-heis3": (0, "eafdddca3de5159c09bc6cd4c2fd1d7709b946332d3f9c0b9797a04acc3307a1"),
     "group-info-c360": (0, "6e808ce972652e8571c9dfa2c621ad8f8a8d4ee735ac381123192cda6a579467"),
     "group-info-heis3": (0, "2ae25e00e6af1fff823012739fc0a3b96f842408cca11fe6d967b2bdf8cbc26e"),
+    "energy-c16": (0, "488d806602a704c045578b51ac17bb3d7c6e3ccdbb4a84aaddc4cf39fc66f6a0"),
+    "energy-heis3-fat": (0, "ee4b83a7ebf9b1ef8295ba399c911d0a8fb3b597150c5cc8d395aa52a690aadc"),
+    "lspec-c8-tie": (0, "a2c627d880182ae8165f60768a9baa4e13e33510e30ee96361cbe7acbfb58a30"),
 }
 
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from monoball import groups
 from monoball.errors import CapExceededError, GroupValidationError
 from monoball.groups import (
     GroupSubset,
@@ -21,6 +22,7 @@ from monoball.groups import (
     subgroup_view,
     table_group,
 )
+from monoball.harmonic import linear_phases
 
 
 def _s3():
@@ -187,6 +189,30 @@ def test_abelianization_of_s3():
             assert ab.projection[g.mul(x, y)] == ab.quotient.mul(
                 ab.projection[x], ab.projection[y]
             )
+
+
+def test_abelianization_quotient_matches_validated_table():
+    for g in (_s3(), heisenberg_group(3), dihedral_group(16), cyclic_group(12),
+              product_group([cyclic_group(2), heisenberg_group(3)])):
+        q = abelianization(g).quotient
+        identity, inv = groups._validate_table(np.array(q.mul_table), q.name)
+        assert q.identity == identity
+        assert np.array_equal(q.inv_table, inv)
+        assert q.mul_table.dtype == q.inv_table.dtype == np.int32
+        assert not q.mul_table.flags.writeable and not q.inv_table.flags.writeable
+
+
+def test_cyclic_linear_phases_validate_one_table(monkeypatch):
+    calls = []
+    real = groups._validate_table
+
+    def counting(mul, name):
+        calls.append(name)
+        return real(mul, name)
+
+    monkeypatch.setattr(groups, "_validate_table", counting)
+    linear_phases(cyclic_group(512))
+    assert calls == ["cyclic(512)"]
 
 
 def test_closure_generates_whole_group():

@@ -6,9 +6,12 @@ import sys
 import weakref
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from monoball import spectra
 from monoball.bohr import CharSet, charset_sum
 from monoball.groups import (
     GroupSubset,
@@ -18,7 +21,7 @@ from monoball.groups import (
     permutation_group,
     quaternion_group,
 )
-from monoball.harmonic import LinearCharacter, linear_characters
+from monoball.harmonic import LinearCharacter, linear_characters, linear_phases
 from monoball.setops import normalize_set, power_set, product_set
 from monoball.spectra import (
     _magnitudes,
@@ -78,7 +81,7 @@ def test_lspec_cyclic12_exact_magnitudes():
     g = cyclic_group(12)
     a = _subset(g, [0, 4, 8])
     mags = _magnitudes(g, a)
-    by_freq = {_char_freq(g, lam): i for i, lam in enumerate(mags.chars)}
+    by_freq = {_char_freq(g, lam): i for i, lam in enumerate(linear_characters(g))}
     for k in range(12):
         m = mags.mag_sq(by_freq[k])
         assert isinstance(m, Fraction)
@@ -153,6 +156,87 @@ def test_lspec_linear_energy_bounded_nonabelian():
     mags = _magnitudes(g, a)
     total = sum(float(mags.mag_sq(i)) for i in range(9)) / 27 ** 2
     assert total <= len(a) / 27 + 1e-9
+
+
+@st.composite
+def _cyclic_cases(draw):
+    n = draw(st.integers(1, 64))
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    q = draw(st.integers(1, 60))
+    p = draw(st.integers(1, q * 141 // 100))   # eps = p/q <= 1.41 < sqrt(2)
+    return n, sorted(ids), Fraction(p, q)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_cyclic_cases())
+def test_lspec_matches_100_digit_oracle(case):
+    n, ids, eps = case
+    g = cyclic_group(n)
+    spec = large_spectrum(_subset(g, ids), eps)
+    lp = linear_phases(g)
+    members = set(spec.members.indices)
+    with mpmath.workdps(100):
+        thr = mpmath.mpf(spec.threshold_sq.numerator) / spec.threshold_sq.denominator
+        for i, row in enumerate(lp.rows):
+            value = abs(sum(mpmath.expjpi(mpmath.mpf(2 * int(row[x])) / lp.exponent)
+                            for x in ids)) ** 2
+            if abs(value - thr) > mpmath.mpf("1e-60"):
+                assert (i in members) == (value > thr), (i, value, thr)
+            if i in members:
+                v = spec.values[spec.members.indices.index(i)]
+                assert v == pytest.approx(float(mpmath.sqrt(value)) / n, rel=1e-12, abs=1e-15)
+
+
+def test_lspec_ties_are_members(monkeypatch):
+    verdicts = []
+    real = spectra._exact_at_least
+
+    def recording(coeffs, threshold):
+        verdicts.append(real(coeffs, threshold))
+        return verdicts[-1]
+
+    monkeypatch.setattr(spectra, "_exact_at_least", recording)
+    g = cyclic_group(8)
+    a = _subset(g, [0, 1, 4])
+    # |1 + zeta_8^k + zeta_8^4k|^2 is 1 at every odd k and at k = 4: the threshold
+    spec = large_spectrum(a, Fraction(4, 3))
+    assert spec.threshold_sq == 1
+    assert len(spec.members) == 8
+    assert len(verdicts) >= 1 and all(verdicts)     # the ties were decided exactly
+    spec = large_spectrum(a, Fraction(13, 10))
+    assert sorted(_char_freq(g, c) for c in spec.members) == [0, 2, 6]
+    # the tie value is rational, so it is exact though the phases are eighths
+    mags = _magnitudes(g, a)
+    odd = next(i for i, lam in enumerate(linear_characters(g)) if _char_freq(g, lam) == 1)
+    assert mags.mag_sq(odd) == Fraction(1) and isinstance(mags.mag_sq(odd), Fraction)
+    d = spectrum_distance_exact(a, _cyc_char(g, 0), _cyc_char(g, 1))
+    assert d.exact and d.rho_sq == Fraction(16, 9)
+    # on C16 the float estimates of two of the ties fall just below the threshold
+    g = cyclic_group(16)
+    a = _subset(g, [0, 9, 13])
+    spec = large_spectrum(a, Fraction(4, 3))
+    low = [i for i, est in enumerate(_magnitudes(g, a).estimates) if 1 - 1e-12 < est < 1]
+    assert low and set(low) <= set(spec.members.indices)
+
+
+def test_exact_comparison_separates_near_ties():
+    prec = mpmath.iv.prec
+    root2 = [0, 1, 0, 0, 0, 0, 0, 1]       # zeta_8 + zeta_8^-1 = sqrt(2)
+    below = Fraction("1.41421356237309504880168872420969807856967187537694")
+    above = below + Fraction(1, 10 ** 50)
+    assert spectra._exact_at_least(root2, below)
+    assert not spectra._exact_at_least(root2, above)
+    assert spectra._exact_at_least([2, 0, 0, 0, 0, 0, 0, 0], Fraction(2))
+    assert not spectra._exact_at_least([0, 1, 0, 0, 0, 0, 0, 1], Fraction(3, 2))
+    assert mpmath.iv.prec == prec
+
+
+def test_cyclotomic_polynomials():
+    assert spectra._cyclotomic(1) == (-1, 1)
+    assert spectra._cyclotomic(8) == (1, 0, 0, 0, 1)
+    assert spectra._cyclotomic(12) == (1, 0, -1, 0, 1)
+    phi105 = spectra._cyclotomic(105)
+    assert len(phi105) == 49 and phi105[7] == phi105[41] == -2
 
 
 def test_large_spectrum_rejects_bad_radius():
@@ -488,7 +572,7 @@ def test_size_check_hypothesis_failure_is_descriptive():
     assert rep.lhs is not None
 
 
-def test_import_and_spectra_leave_mpmath_precision_alone():
+def test_import_and_spectra_leave_mpmath_precision_alone(package_env):
     code = (
         "import mpmath\n"
         "before = mpmath.mp.dps\n"
@@ -499,7 +583,8 @@ def test_import_and_spectra_leave_mpmath_precision_alone():
         "assert len(monoball.large_spectrum(a, Fraction(1, 4)).members) > 1\n"
         "assert mpmath.mp.dps == before, mpmath.mp.dps\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env)
     assert proc.returncode == 0, proc.stderr
 
 
