@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -106,27 +105,27 @@ class FourierMagnitudes:
     """|sum_{x in A} gamma(x)|^2 for every degree-one character, cached per (G, A).
 
     For gamma with phase row r over e this is sum_y w(y) zeta_e^{r(y)}, w the
-    counts of `spectrum_weight`. Held by the group, it holds the group weakly, so
-    that no reference cycle keeps a dropped group alive until the cyclic garbage
-    collector runs."""
+    counts of `spectrum_weight`. Held by the group, it holds no reference back, so
+    that no cycle keeps a dropped group alive until the cyclic collector runs."""
 
     def __init__(self, group: FiniteGroup, a: GroupSubset):
         if a.group is not group:
             raise ValueError("subset belongs to a different group")
-        self._group = weakref.ref(group)
         self.order = group.order
         counts = np.array(spectrum_weight(a).counts)
         self._support = np.flatnonzero(counts)
         self.weights = counts[self._support]
         lp = linear_phases(group)
-        self.exponent = lp.exponent
+        self._rows, self.exponent = lp.rows, lp.exponent
         self.estimates = _cos_table(lp.exponent)[lp.rows[:, self._support]] @ self.weights
+        # with u = 2^-53 an estimate errs by at most (|supp w| + 1) u |A|^2: u per
+        # table entry and |supp w| u from the product; doubled, and 3 more for slack
+        self.error = 2.0 ** -52 * (len(self.weights) + 4) * len(a) ** 2
 
     def coefficients(self, index: int) -> np.ndarray:
         """c with mag_sq(index) = sum_k c_k zeta_e^k."""
-        lp = linear_phases(self._group())
-        return np.bincount(lp.rows[index, self._support], self.weights,
-                           minlength=lp.exponent).astype(np.int64)
+        return np.bincount(self._rows[index, self._support], self.weights,
+                           minlength=self.exponent).astype(np.int64)
 
     def mag_sq(self, index: int) -> MagSq:
         """The exact value when it is rational (then an integer), else the estimate."""
@@ -170,11 +169,10 @@ def _lspec(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
     group = a.group
     mags = _magnitudes(group, a)
     threshold = max(Fraction(0), (1 - eps * eps / 2)) * len(a) ** 2
-    # with u = 2^-53, an estimate errs by at most (|supp w| + 1) u |A|^2 and
-    # float(threshold) by u threshold; beyond twice that the estimate's side is
-    # the exact side, and the rest are decided in Z[zeta_e]
+    # float(threshold) errs by at most 2^-53 threshold; beyond both errors the
+    # estimate's side is the exact side, and the rest are decided in Z[zeta_e]
     t = float(threshold)
-    bound = 2.0 ** -52 * ((len(mags.weights) + 4) * len(a) ** 2 + t)
+    bound = mags.error + 2.0 ** -52 * t
     verdict = (mags.estimates - t > bound) | (threshold == 0)   # no square is below 0
     for i in np.flatnonzero(~verdict & (np.abs(mags.estimates - t) <= bound)):
         verdict[i] = _exact_at_least(mags.coefficients(i), threshold)
@@ -244,9 +242,10 @@ def spectrum_distance_identity_check(a: GroupSubset,
     """rho(0, gamma)^2 against 2(1 - P(A)^-2 |hat 1_A(gamma)|^2); both forms reported."""
     g = a.group
     dist = spectrum_distance_exact(a, LinearCharacter(g, 0), gamma)
-    hat_sq = float(_magnitudes(g, a).mag_sq(gamma.index)) / g.order ** 2
+    # summed directly over A, not through the autocorrelation counts behind rho
+    hat = np.exp(2j * np.pi * gamma.row[list(a.indices())] / gamma.exponent).sum() / g.order
     p = len(a) / g.order
-    reference = 2 * (1 - hat_sq / p ** 2)
+    reference = 2 * (1 - abs(hat) ** 2 / p ** 2)
     return {
         "rho": dist.rho,
         "rho_squared": float(dist.rho_sq),
@@ -307,18 +306,13 @@ def _cyclic_power(c: np.ndarray, k: int) -> np.ndarray:
 def _counting_convolution_power(a: GroupSubset, k: int) -> list[int]:
     """c_k(x) = number of k-tuples over A multiplying to x, in exact integers."""
     g = a.group
-    members = list(a)
-    counts = [0] * g.order
+    steps = g.mul_table[:, list(a.indices())].ravel()      # y s for y in G, s in A
+    counts = np.zeros(g.order, dtype=object)
     counts[g.identity] = 1
     for _ in range(k):
-        nxt = [0] * g.order
-        for y, c in enumerate(counts):
-            if c:
-                row = g.mul_table[y]
-                for s in members:
-                    nxt[int(row[s])] += c
-        counts = nxt
-    return counts
+        counts, prev = np.zeros(g.order, dtype=object), counts
+        np.add.at(counts, steps, np.repeat(prev, len(a)))
+    return counts.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,20 +353,30 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     if not _all_hold(records):
         return EnergyReport(records, eta, k, None, None, None, None, None, None, None)
 
-    # left side: sum over the large spectrum of |hat 1_A|^2k, an element of Z[zeta_e]
-    mags = _magnitudes(group, a)
-    spec = _lspec(a, eta)
-    lhs_coeffs = sum(_cyclic_power(mags.coefficients(i), k) for i in spec.members.indices)
-
     # middle: half the full-table energy, via the exact counting convolution
     c_k = _counting_convolution_power(a, k)
     mid_exact = Fraction(sum(c * c for c in c_k), 2 * n ** (2 * k - 1))
-
     rhs_exact = Fraction(len(a), n) ** (2 * k) / (2 * Fraction(len(a_k), n))
-
-    scale = n ** (2 * k)
-    lhs_ge_mid = _exact_at_least(lhs_coeffs, mid_exact * scale)
     mid_ge_rhs = mid_exact >= rhs_exact
+
+    # left side: the sum over the large spectrum of |hat 1_A|^2k, in units of
+    # |A|^2k. Each x = estimate / |A|^2 <= 1 lies within r of its value, so the
+    # product of k copies lies within k (1 + r)^k (r + u) <= 2k (r + u) of its
+    # power, u = 2^-53; fsum and float(mid) add u of each side. Beyond that the
+    # estimate decides.
+    mags = _magnitudes(group, a)
+    members = _lspec(a, eta).members.indices
+    sq = len(a) ** 2
+    x = mags.estimates[list(members)] / sq
+    lhs_units = math.fsum(np.prod(np.tile(x, (k, 1)), axis=0))
+    mid_units = float(mid_exact * n ** (2 * k) / sq ** k)
+    r = mags.error / sq + 2.0 ** -52
+    bound = 2 * len(x) * k * (r + 2.0 ** -53) + 2.0 ** -52 * (lhs_units + mid_units)
+    if abs(lhs_units - mid_units) > bound:
+        lhs_ge_mid = lhs_units > mid_units
+    else:                           # near a tie: compare in Z[zeta_e]
+        lhs_coeffs = sum(_cyclic_power(mags.coefficients(i), k) for i in members)
+        lhs_ge_mid = _exact_at_least(lhs_coeffs, mid_exact * n ** (2 * k))
 
     # independent float route through the full character table
     table = character_table(group)
@@ -387,7 +391,7 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
             nonlinear_ok = False
     float_residual = abs(float_total / 2 - float(mid_exact))
 
-    lhs = float(lhs_coeffs.astype(np.float64) @ _cos_table(mags.exponent)) / scale
+    lhs = lhs_units * float(Fraction(sq, n * n) ** k)
     report = EnergyReport(records, eta, k, lhs, float(mid_exact),
                           float(rhs_exact), bool(lhs_ge_mid), bool(mid_ge_rhs),
                           float_residual, nonlinear_ok)

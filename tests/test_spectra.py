@@ -319,6 +319,18 @@ def test_spectrum_distance_identity_formula():
                 math.sqrt(max(rep["reference_squared"], 0.0)))
 
 
+def test_spectrum_distance_identity_check_sees_a_wrong_magnitude(monkeypatch):
+    g = cyclic_group(16)
+    a = _subset(g, [14, 15, 0, 1, 2])
+    gamma = _cyc_char(g, 3)
+    real = spectra.FourierMagnitudes.mag_sq
+    monkeypatch.setattr(spectra.FourierMagnitudes, "mag_sq",
+                        lambda self, i: real(self, i) + 1)
+    # rho runs through the magnitudes, the reference sums over A directly
+    rep = spectrum_distance_identity_check(a, gamma)
+    assert rep["residual"] == pytest.approx(2 / 25)
+
+
 # ---------------------------------------------------------------------------
 # standing hypotheses
 
@@ -385,6 +397,27 @@ def test_energy_cyclic16_interval():
     assert rep.lhs >= rep.mid >= rep.rhs
     assert rep.float_route_residual < 1e-9
     assert rep.nonlinear_scan_ok
+
+
+def test_energy_exact_fallback_agrees_with_the_float_filter(monkeypatch):
+    g = cyclic_group(16)
+    s, a = _subset(g, [0, 1]), _subset(g, [15, 0, 1])
+    thresholds = []
+    real = spectra._exact_at_least
+
+    def recording(coeffs, threshold):
+        thresholds.append(threshold)
+        return real(coeffs, threshold)
+
+    monkeypatch.setattr(spectra, "_exact_at_least", recording)
+    filtered = spectral_energy_check(g, s, a, Fraction(19, 20), 4)
+    assert thresholds == []                 # far from a tie: the estimates decide
+    # an unbounded estimate error sends every comparison to Z[zeta_e]
+    monkeypatch.setattr(_magnitudes(g, a), "error", math.inf)
+    exact = spectral_energy_check(g, s, a, Fraction(19, 20), 4)
+    assert Fraction(exact.mid) * 16 ** 8 == pytest.approx(float(thresholds[-1]))
+    assert exact.lhs_ge_mid and filtered.lhs_ge_mid
+    assert exact.lhs == filtered.lhs
 
 
 def test_energy_heisenberg_fat_set():
