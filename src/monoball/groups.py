@@ -70,6 +70,13 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+def _index_mask(indices: np.ndarray, n: int) -> int:
+    """The bitmask with bit i set for each i in `indices`, all in 0..n-1."""
+    bits = np.zeros(n, dtype=bool)
+    bits[indices] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 @dataclass(frozen=True)
 class GroupSubset:
     """Subset of a group's elements stored as a bitmask over indices."""
@@ -79,14 +86,12 @@ class GroupSubset:
 
     @classmethod
     def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "GroupSubset":
-        mask = 0
         n = group.order
-        for i in indices:
-            i = int(i)
-            if not 0 <= i < n:
-                raise ValueError(f"element index {i} out of range for order {n}")
-            mask |= 1 << i
-        return cls(group, mask)
+        idx = [int(i) for i in indices]
+        bad = [i for i in idx if not 0 <= i < n]
+        if bad:
+            raise ValueError(f"element index {bad[0]} out of range for order {n}")
+        return cls(group, _index_mask(np.array(idx, dtype=np.int64), n))
 
     @classmethod
     def full(cls, group: FiniteGroup) -> "GroupSubset":
@@ -125,11 +130,8 @@ class GroupSubset:
         return self.mask & ~other.mask == 0
 
     def inverse(self) -> "GroupSubset":
-        inv = self.group.inv_table
-        m = 0
-        for i in self:
-            m |= 1 << int(inv[i])
-        return GroupSubset(self.group, m)
+        idx = np.fromiter(self, dtype=np.int64, count=len(self))
+        return GroupSubset(self.group, _index_mask(self.group.inv_table[idx], self.group.order))
 
     def bool_array(self) -> np.ndarray:
         arr = np.zeros(self.group.order, dtype=bool)
@@ -487,7 +489,7 @@ def closure(group: FiniteGroup, seeds: Iterable[int]) -> GroupSubset:
         fresh = cand[~members[cand]]
         members[fresh] = True
         frontier = fresh
-    return GroupSubset.from_indices(group, np.flatnonzero(members))
+    return GroupSubset(group, _index_mask(np.flatnonzero(members), n))
 
 
 def commutator_subgroup(group: FiniteGroup) -> GroupSubset:
@@ -538,29 +540,19 @@ def enumerate_subgroups(group: FiniteGroup,
     queue = list(known)
     while queue:
         m = queue.pop()
-        m_idx = _mask_indices(m)
+        m_idx = GroupSubset(group, m).indices()
         for c in cyclics:
             if c & ~m == 0:
                 continue
-            jm = closure(group, m_idx + _mask_indices(c)).mask
+            jm = closure(group, m_idx + GroupSubset(group, c).indices()).mask
             if jm not in known:
                 known.add(jm)
                 queue.append(jm)
-    ordered = sorted(known, key=lambda m: (m.bit_count(), _mask_indices(m)))
-    out = tuple(
-        Subgroup(GroupSubset(group, m), group.order // m.bit_count()) for m in ordered
-    )
+    ordered = sorted((GroupSubset(group, m) for m in known),
+                     key=lambda h: (len(h), h.indices()))
+    out = tuple(Subgroup(h, group.order // len(h)) for h in ordered)
     group.__dict__["_subgroups"] = out
     return out
-
-
-def _mask_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
 
 
 def subgroup_view(group: FiniteGroup, elements: GroupSubset) -> SubgroupView:

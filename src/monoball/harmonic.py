@@ -34,6 +34,7 @@ MONOMIAL_ORDER_CAP = 128
 _DIM_RESIDUAL = 1e-6
 _ORTHO_TOL = 1e-8
 _CLASS_TOL = 1e-9
+_SPEC_RAD_TOL = 1e-9     # slack on a float spectral radius against a threshold
 _EIG_RETRIES = 8
 
 
@@ -576,7 +577,7 @@ def high_value_linearity_check(group: FiniteGroup, s: GroupSubset, a: GroupSubse
     consistent = True
     for i, (chi, d) in enumerate(zip(table.characters, table.dims)):
         mu = fourier_scalar(f, chi, allow_general=True)
-        exceeds = 2 * mu.spec_rad > float(threshold) + 1e-9
+        exceeds = 2 * mu.spec_rad > float(threshold) + _SPEC_RAD_TOL
         rows.append(LinearityScanRow(i, d, mu.spec_rad, exceeds))
         if exceeds and d > 1:
             consistent = False

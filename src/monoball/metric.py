@@ -142,40 +142,38 @@ def validate_norm(rho: PseudoMetricNorm) -> NormReport:
     if not zero_at_identity:
         witnesses["zero_at_identity"] = g.identity
 
-    symmetric = True
-    for x in range(g.order):
-        if not _eq(vals[x], vals[g.inv(x)]):
-            symmetric = False
-            witnesses["symmetric"] = x
-            break
-
-    class_invariant = True
-    conj = g.conj_table
-    for x in range(g.order):
-        for y in np.unique(conj[:, x]):
-            if not _eq(vals[x], vals[int(y)]):
-                class_invariant = False
-                witnesses["class_invariant"] = (x, int(y))
-                break
-        if not class_invariant:
-            break
-
-    subadditive = True
     if rho.is_rational:
-        denom = math.lcm(*(Fraction(v).denominator for v in vals))
-        scaled = np.array([int(Fraction(v) * denom) for v in vals], dtype=np.int64)
-        lhs = scaled[g.mul_table]
-        rhs = scaled[:, None] + scaled[None, :]
-        bad = lhs > rhs
+        denom = math.lcm(*(x.denominator for x in vals))
+        v = np.array([x.numerator * (denom // x.denominator) for x in vals], dtype=np.int64)
+        tol = 0
     else:
-        fvals = np.array([float(v) for v in vals])
-        lhs = fvals[g.mul_table]
-        rhs = fvals[:, None] + fvals[None, :]
-        bad = lhs > rhs + _FLOAT_TOL
-    if bad.any():
-        subadditive = False
+        v = np.array([float(v) for v in vals])
+        tol = _FLOAT_TOL
+
+    off = np.flatnonzero(np.abs(v[g.inv_table] - v) > tol)
+    symmetric = off.size == 0
+    if not symmetric:
+        witnesses["symmetric"] = int(off[0])
+
+    lhs = v[g.mul_table]
+    bad = lhs > v[:, None] + v[None, :] + tol
+    subadditive = not bad.any()
+    if not subadditive:
         x, y = map(int, np.argwhere(bad)[0])
         witnesses["subadditive"] = (x, y)
+    del bad
+
+    # (ab, ba) runs over the pairs (g x g^-1, x) with a = g, b = x g^-1, so rho
+    # is a class function exactly when rho(ab) = rho(ba) for all a, b
+    diff = lhs - lhs.T
+    np.abs(diff, out=diff)
+    moved = diff > tol
+    class_invariant = not moved.any()
+    if not class_invariant:
+        x = int(g.mul_table[moved].min())
+        orbit = np.unique(g.conj_table[:, x])
+        y = int(orbit[np.abs(v[orbit] - v[x]) > tol][0])
+        witnesses["class_invariant"] = (x, y)
 
     valid = zero_at_identity and symmetric and class_invariant and subadditive
     return NormReport(valid, zero_at_identity, symmetric, class_invariant, subadditive,

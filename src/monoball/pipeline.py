@@ -14,7 +14,7 @@ from .errors import FalsifiedError
 from .groups import FiniteGroup, GroupSubset, closure, subgroup_view
 from .harmonic import MONOMIAL_ORDER_CAP, is_hereditarily_monomial
 from .metric import ball_dimension
-from .setops import growth_profile, power_set, product_set, set_predicates
+from .setops import growth_profile, power_chain, power_set, product_set, set_predicates
 from .spectra import LargeSpectrum, large_spectrum, lspec_doubling_cover, lspec_size_check
 
 
@@ -99,20 +99,14 @@ def find_l(a: GroupSubset) -> tuple[int, Fraction]:
         raise ValueError("find_l needs the identity inside A")
     if a.inverse().mask != a.mask:
         raise ValueError("find_l needs a symmetric A")
-    sizes = [1]
-    cur = GroupSubset.identity_only(g)
+    size = power_chain(a).size
     l = 1
-    while True:
-        while len(sizes) < l + 2:
-            cur = product_set(cur, a)
-            sizes.append(len(cur))
-        if sizes[l + 1] ** 2 < 2 * sizes[l - 1] ** 2:
-            break
+    while size(l + 1) ** 2 >= 2 * size(l - 1) ** 2:
         l += 1
     # the two working consequences, exact
-    assert sizes[l + 1] ** 2 < 2 * sizes[l] ** 2
-    assert sizes[l] ** 2 < 2 * sizes[l - 1] ** 2
-    return l, Fraction(sizes[l], sizes[l - 1])
+    assert size(l + 1) ** 2 < 2 * size(l) ** 2
+    assert size(l) ** 2 < 2 * size(l - 1) ** 2
+    return l, Fraction(size(l), size(l - 1))
 
 
 def prop81_check(a: GroupSubset, l: int, eps: Fraction) -> Prop81Report:
@@ -135,11 +129,6 @@ def prop81_check(a: GroupSubset, l: int, eps: Fraction) -> Prop81Report:
     if not contained:
         raise FalsifiedError("difference set escaped the spectrum Bohr set", report)
     return report
-
-
-def _fit_dimension(a: GroupSubset, n_max: int) -> float:
-    _, fitted = growth_profile(a, n_max)
-    return fitted.d
 
 
 def freiman_ball(group: FiniteGroup, a: GroupSubset,
@@ -190,9 +179,9 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
         f"l = {l}, K = {k_ratio}"))
 
     d_fit = (config.dimension_estimate_d if config.dimension_estimate_d is not None
-             else _fit_dimension(wa, config.n_max))
+             else growth_profile(wa, config.n_max)[1].d)
     a_l = power_set(wa, l)
-    d_prime = _fit_dimension(a_l, config.n_max)
+    d_prime = growth_profile(a_l, config.n_max)[1].d
     d_eff = max(d_prime, 1.0)
     ledger.append(LedgerEntry(
         "fit", "P((A^l)^n) <= n^d' P(A^l) over the measured window", "holds",

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupSubset
+from .groups import FiniteGroup, GroupSubset, _index_mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,23 +68,84 @@ def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
         raise ValueError("product_set: operands live in different groups")
     ai = np.fromiter(a, dtype=np.int64, count=len(a))
     bi = np.fromiter(b, dtype=np.int64, count=len(b))
-    if ai.size == 0 or bi.size == 0:
-        return GroupSubset(a.group, 0)
-    prods = np.unique(a.group.mul_table[np.ix_(ai, bi)])
-    mask = 0
-    for p in prods:
-        mask |= 1 << int(p)
-    return GroupSubset(a.group, mask)
+    return GroupSubset(a.group, _index_mask(a.group.mul_table[np.ix_(ai, bi)], a.group.order))
+
+
+class PowerChain:
+    """The powers A^0, A^1, ... of one set as bitmasks, built lazily up to the
+    first repeat; from there on A^n cycles with `period` from `start`.
+
+    It holds the multiplication table and integers, never the group, so the
+    group can cache it without a reference cycle."""
+
+    def __init__(self, mul_table: np.ndarray, identity: int, a: np.ndarray):
+        self._mul = mul_table
+        self._a = a
+        self._masks = [1 << identity]
+        self._first_seen = {self._masks[0]: 0}
+        self.start: Optional[int] = None
+        self.period: Optional[int] = None
+        # with the identity in A, A^{n+1} = A^n ∪ F·A for F the elements new
+        # in A^n: `_last` is F, else A^n itself
+        self._last = np.array([identity])
+        self._members = None
+        if identity in a:
+            self._members = np.zeros(len(mul_table), dtype=bool)
+            self._members[identity] = True
+
+    def _extend(self) -> bool:
+        """Append the next power; False once the cycle is known."""
+        if self.period is not None:
+            return False
+        prods = np.unique(self._mul[np.ix_(self._last, self._a)])
+        if self._members is None:
+            mask = _index_mask(prods, len(self._mul))
+        else:
+            prods = prods[~self._members[prods]]
+            self._members[prods] = True
+            mask = self._masks[-1] | _index_mask(prods, len(self._mul))
+        self._last = prods
+        n = len(self._masks)
+        first = self._first_seen.setdefault(mask, n)
+        if first < n:
+            self.start, self.period = first, n - first
+            self._first_seen = self._members = self._last = None
+            return False
+        self._masks.append(mask)
+        return True
+
+    def mask(self, n: int) -> int:
+        """The bitmask of A^n, n >= 0."""
+        while len(self._masks) <= n and self._extend():
+            pass
+        if n >= len(self._masks):
+            n = self.start + (n - self.start) % self.period
+        return self._masks[n]
+
+    def size(self, n: int) -> int:
+        return self.mask(n).bit_count()
+
+    def cycle(self) -> tuple[int, int]:
+        """(start, period): A^{n + period} = A^n exactly when n >= start."""
+        while self._extend():
+            pass
+        return self.start, self.period
+
+
+def power_chain(a: GroupSubset) -> PowerChain:
+    """The power chain of A, cached per set on its group."""
+    cache = a.group.__dict__.setdefault("_power_chains", {})
+    if a.mask not in cache:
+        idx = np.fromiter(a, dtype=np.int64, count=len(a))
+        cache[a.mask] = PowerChain(a.group.mul_table, a.group.identity, idx)
+    return cache[a.mask]
 
 
 def power_set(a: GroupSubset, n: int) -> GroupSubset:
     """A^n for n >= 0; A^0 is the identity singleton."""
     if n < 0:
         raise ValueError("power_set: n must be >= 0")
-    acc = GroupSubset.identity_only(a.group)
-    for _ in range(n):
-        acc = product_set(acc, a)
-    return acc
+    return GroupSubset(a.group, power_chain(a).mask(n))
 
 
 def growth_profile(a: GroupSubset, n_max: int) -> tuple[GrowthProfile, FittedGrowth]:
@@ -92,30 +153,12 @@ def growth_profile(a: GroupSubset, n_max: int) -> tuple[GrowthProfile, FittedGro
         raise ValueError("growth_profile: A must be non-empty")
     if n_max < 1:
         raise ValueError("growth_profile: n_max must be >= 1")
-    monotone = a.group.identity in a
-    sizes = [1]
-    saturated_at = None
-    cur = a
-    prev_mask = 0
-    frontier = a
-    for n in range(1, n_max + 2):
-        sizes.append(len(cur))
-        if saturated_at is None and n >= 2 and sizes[n] == sizes[n - 1] and cur.mask == prev_mask:
-            saturated_at = n - 1
-        if saturated_at is not None:
-            # A^n = A^{n+1} forces all later powers equal
-            sizes.extend([sizes[n]] * (n_max + 1 - n))
-            break
-        prev_mask = cur.mask
-        if monotone:
-            # A^{n+1} = A^n ∪ F·A with F the fresh elements of A^n
-            grown = product_set(frontier, a)
-            nxt = cur | grown
-            frontier = GroupSubset(a.group, nxt.mask & ~cur.mask)
-            cur = nxt
-        else:
-            cur = product_set(cur, a)
-    profile = GrowthProfile(len(a), tuple(sizes[: n_max + 1]), saturated_at)
+    chain = power_chain(a)
+    # reading A^{n_max + 1} closes any cycle of period 1 that starts by n_max
+    chain.mask(n_max + 1)
+    saturated = chain.period == 1 and chain.start <= n_max
+    profile = GrowthProfile(len(a), tuple(chain.size(n) for n in range(n_max + 1)),
+                            max(chain.start, 1) if saturated else None)
 
     best_d, best_n = 0.0, None
     for n in range(2, n_max + 1):
@@ -160,10 +203,9 @@ def set_predicates(a: GroupSubset) -> SetPredicates:
     if normal_translate != normal_classes:
         raise AssertionError("normality checks disagree; conjugation table corrupt")
 
-    a2 = product_set(a, a)
-    a3 = product_set(a2, a)
-    doubling = Fraction(len(a2), len(a)) if len(a) else Fraction(0)
-    tripling = Fraction(len(a3), len(a)) if len(a) else Fraction(0)
+    chain = power_chain(a)
+    doubling = Fraction(chain.size(2), len(a)) if len(a) else Fraction(0)
+    tripling = Fraction(chain.size(3), len(a)) if len(a) else Fraction(0)
     return SetPredicates(symmetric, contains_identity, normal_translate,
                          doubling, tripling, witnesses)
 
@@ -194,7 +236,7 @@ def ruzsa_cover(a: GroupSubset) -> CoveringCertificate:
         raise ValueError("ruzsa_cover: A must be non-empty")
     g = a.group
     d = product_set(a, a.inverse())
-    q = product_set(d, d)
+    q = power_set(d, 2)
     chosen: list[int] = []
     covered = 0
     for x in q:
@@ -225,11 +267,8 @@ def ruzsa_cover(a: GroupSubset) -> CoveringCertificate:
 
 
 def _left_translate(g: FiniteGroup, x: int, a: GroupSubset) -> GroupSubset:
-    mask = 0
-    row = g.mul_table[x]
-    for i in a:
-        mask |= 1 << int(row[i])
-    return GroupSubset(g, mask)
+    idx = np.fromiter(a, dtype=np.int64, count=len(a))
+    return GroupSubset(g, _index_mask(g.mul_table[x, idx], g.order))
 
 
 def appendix_growth_check(a: GroupSubset, n_max: int) -> AppendixGrowthReport:
@@ -239,25 +278,17 @@ def appendix_growth_check(a: GroupSubset, n_max: int) -> AppendixGrowthReport:
         raise ValueError("appendix_growth_check: n_max must be >= 2")
     cert = ruzsa_cover(a)
     d = product_set(a, a.inverse())
-    x = cert.cover_set
-
-    a3 = power_set(a, 3)
-    tripling = Fraction(len(a3), len(a))
+    tripling = Fraction(len(power_set(a, 3)), len(a))
 
     rows = []
-    d_n = d
-    x_pow = GroupSubset.identity_only(a.group)  # X^{n-1} for the current n
-    a_n = a
     cover_sizes = [1]
     all_ok = cert.separation_ok and cert.inclusion_ok
     for n in range(2, n_max + 1):
-        d_n = product_set(d_n, d)
-        a_n = product_set(a_n, a)
-        x_pow = product_set(x_pow, x)
-        cover_sizes.append(len(x_pow))
-        bound_set = product_set(x_pow, d)
-        ok = d_n.is_subset_of(bound_set)
-        rows.append(AppendixGrowthRow(n, len(a_n), len(d_n), len(x_pow) * len(d), ok))
+        d_n, cover_pow = power_set(d, n), power_set(cert.cover_set, n - 1)
+        cover_sizes.append(len(cover_pow))
+        ok = d_n.is_subset_of(product_set(cover_pow, d))
+        rows.append(AppendixGrowthRow(n, len(power_set(a, n)), len(d_n),
+                                      len(cover_pow) * len(d), ok))
         all_ok = all_ok and ok
     return AppendixGrowthReport(tripling, cert, tuple(cover_sizes), tuple(rows), all_ok)
 

@@ -22,6 +22,7 @@ from .errors import FalsifiedError
 from .groups import FiniteGroup, GroupSubset, closure
 from .harmonic import (
     MONOMIAL_ORDER_CAP,
+    _SPEC_RAD_TOL,
     ClassFunction,
     LinearCharacter,
     character_table,
@@ -31,7 +32,8 @@ from .harmonic import (
     linear_phases,
 )
 from .bohr import CharSet, bohr_norm, char_span, charset_sum
-from .setops import power_set, product_set, set_predicates
+from .metric import _FLOAT_TOL
+from .setops import power_chain, power_set, product_set, set_predicates
 
 _MP_DPS = 50
 
@@ -387,7 +389,7 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     for chi, d in zip(table.characters, table.dims):
         mu = fourier_scalar(f, chi, allow_general=True)
         float_total += d * d * mu.spec_rad ** (2 * k)
-        if d > 1 and mu.spec_rad > threshold + 1e-9:
+        if d > 1 and mu.spec_rad > threshold + _SPEC_RAD_TOL:
             nonlinear_ok = False
     float_residual = abs(float_total / 2 - float(mid_exact))
 
@@ -455,28 +457,6 @@ class DoublingReport:
     eps_inverse: Optional[Fraction]
 
 
-def _power_cycle(a: GroupSubset) -> tuple[int, int, list[int]]:
-    """Detect the eventual cycle of the power sequence A^0, A^1, ...; returns
-    (cycle start, period, sizes up to the first repeat)."""
-    seen: dict[int, int] = {}
-    sizes = []
-    cur = GroupSubset.identity_only(a.group)
-    n = 0
-    while cur.mask not in seen:
-        seen[cur.mask] = n
-        sizes.append(len(cur))
-        cur = product_set(cur, a)
-        n += 1
-    start = seen[cur.mask]
-    return start, n - start, sizes
-
-
-def _power_size(k: int, start: int, period: int, sizes: list[int]) -> int:
-    if k < len(sizes):
-        return sizes[k]
-    return sizes[start + (k - start) % period]
-
-
 def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
                          eps: Fraction, d: float) -> DoublingReport:
     eps = Fraction(eps)
@@ -486,7 +466,8 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
         raise ValueError("lspec_doubling_cover needs d >= 1")
     records = standing_hypotheses(group, s, a)
 
-    start, period, sizes = _power_cycle(a)
+    chain = power_chain(a)
+    start, period = chain.cycle()
     k_lo = math.ceil(64 * d * math.log(32 * d))
     eps_f = float(eps)
     k_hi = math.floor(128 * d * math.log(32 * d / eps_f ** 2) / eps_f ** 2)
@@ -498,8 +479,8 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     checked.update(range(k_lo, min(k_hi, k_lo + period - 1) + 1))
     ok_all = True
     for k in sorted(checked):
-        size_k = _power_size(k, start, period, sizes)
-        ok = math.log(size_k / len(a)) <= d * math.log(k) + 1e-12
+        size_k = chain.size(k)
+        ok = math.log(size_k / len(a)) <= d * math.log(k) + _FLOAT_TOL
         window_rows.append(WindowRow(k, size_k, ok))
         ok_all = ok_all and ok
     if k_lo > k_hi:
@@ -588,9 +569,8 @@ def lspec_size_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
         "k >= 16 eps^-2 d log(8 eps^-2 d)",
         "holds" if k >= k_min - 1e-9 else "fails",
         f"k = {k}, needs >= {k_min:.3f}"))
-    start, period, sizes = _power_cycle(a)
-    size_k = _power_size(k, start, period, sizes)
-    growth_ok = math.log(size_k / len(a)) <= d * math.log(k) + 1e-12
+    size_k = power_chain(a).size(k)
+    growth_ok = math.log(size_k / len(a)) <= d * math.log(k) + _FLOAT_TOL
     records.append(HypothesisRecord("P(A^k) <= k^d P(A)",
                                     "holds" if growth_ok else "fails",
                                     f"|A^k| = {size_k}"))
@@ -599,7 +579,7 @@ def lspec_size_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     ball = _inv_two_pi_ball(group, spec.members)
     lhs = Fraction(len(ball), group.order)
     rhs_log = math.log(8) + d * math.log(k) + math.log(len(a) / group.order)
-    ok = math.log(float(lhs)) <= rhs_log + 1e-12
+    ok = math.log(float(lhs)) <= rhs_log + _FLOAT_TOL
 
     report = SpectrumSizeReport(records, eps, k, d, lhs, rhs_log, ok,
                                 len(ball), len(spec.members))

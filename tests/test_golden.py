@@ -14,6 +14,7 @@ from monoball import cli
 
 HEIS3 = {"type": "heisenberg", "p": 3}
 C360 = {"type": "cyclic", "n": 360}
+C12 = {"type": "cyclic", "n": 12}
 NORMAL = {"symmetrize": True, "add_identity": True, "conjugation_close": True}
 HEIS3_GENS = {"indices": [9, 3], "normalize": NORMAL}
 C360_A = {"indices": [359, 0, 1]}
@@ -52,6 +53,12 @@ RUNS = [
     # |1 + zeta_8 + zeta_8^4|^2 = 1 is exactly the threshold at eps 4/3
     ("lspec-c8-tie", "lspec", {"type": "cyclic", "n": 8}, {"indices": [0, 1, 4]},
      ["--eps", "4/3"]),
+    # power chains: monotone (A^30 = G), no identity (A^11 = G), a pure cycle
+    ("growth-c60", "growth", {"type": "cyclic", "n": 60}, {"indices": [59, 0, 1]},
+     ["--nmax", "40"]),
+    ("growth-c12-no-identity", "growth", C12, {"indices": [2, 3]}, ["--nmax", "14"]),
+    ("growth-c12-cycle", "growth", C12, {"indices": [1]}, ["--nmax", "14"]),
+    ("appendix-c360", "appendix", C360, {"indices": [0, 1, 359, 49, 311]}, ["--nmax", "6"]),
 ]
 
 # exit code and sha256 of json.dumps(report["result"], indent=2); None when
@@ -77,6 +84,11 @@ GOLDEN = {
     "energy-c16": (0, "488d806602a704c045578b51ac17bb3d7c6e3ccdbb4a84aaddc4cf39fc66f6a0"),
     "energy-heis3-fat": (0, "ee4b83a7ebf9b1ef8295ba399c911d0a8fb3b597150c5cc8d395aa52a690aadc"),
     "lspec-c8-tie": (0, "a2c627d880182ae8165f60768a9baa4e13e33510e30ee96361cbe7acbfb58a30"),
+    "growth-c60": (0, "511eb3675f69f38ee2abd2bfbd0afd762b9682173f125afedb1dea253bbbdfb1"),
+    "growth-c12-no-identity":
+        (0, "9db5ee5155adb3b6cf6ce464fba4c1fb833b7265e27e30ebe1e9dfd167357c45"),
+    "growth-c12-cycle": (0, "466a7197738f813e19f66ff3da930ecb33c8356d3d2103048339b1b8c5c6d079"),
+    "appendix-c360": (0, "899be483d3dd40fdae34c076bdb10fabd6267f7a21c6d26358316e347a9d132f"),
 }
 
 

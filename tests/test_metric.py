@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from monoball.errors import FalsifiedError, HypothesisError
@@ -77,6 +78,44 @@ def test_validate_norm_class_invariance_witness():
     vals[1] = Fraction(2)  # r and r^3 are conjugate; give them different values
     rep = validate_norm(PseudoMetricNorm(g, tuple(vals)))
     assert not rep.class_invariant
+    assert rep.witnesses["class_invariant"] == (1, 3)
+
+
+def _loop_symmetry_and_class_witnesses(rho, tol):
+    """Reference: the first x with rho(x) != rho(x^-1), and the first x with a
+    conjugate y of other value, the smallest such y."""
+    g, v = rho.group, rho.values
+    out = {}
+    sym = [x for x in range(g.order) if abs(v[x] - v[g.inv(x)]) > tol]
+    if sym:
+        out["symmetric"] = sym[0]
+    for x in range(g.order):
+        ys = [int(y) for y in np.unique(g.conj_table[:, x]) if abs(v[x] - v[int(y)]) > tol]
+        if ys:
+            out["class_invariant"] = (x, ys[0])
+            break
+    return out
+
+
+@pytest.mark.parametrize("group", [dihedral_group(12), heisenberg_group(3),
+                                   cyclic_group(10)], ids=["D12", "Heis3", "C10"])
+def test_validate_norm_symmetry_and_class_match_loops(group):
+    rng = np.random.default_rng(7)
+    base = word_norm(group, GroupSubset.full(group)).values
+    for trial in range(40):
+        vals = list(base)
+        for x in rng.choice(group.order, size=trial % 4, replace=False):
+            vals[x] = Fraction(int(rng.integers(0, 6)), int(rng.integers(1, 4)))
+        if trial % 2:
+            # floats: moves below the tolerance are no moves
+            vals = [float(v) + (1e-13 if i % 3 else 0.0) for i, v in enumerate(vals)]
+        rho = PseudoMetricNorm(group, tuple(vals))
+        rep = validate_norm(rho)
+        want = _loop_symmetry_and_class_witnesses(rho, 1e-12 if trial % 2 else 0)
+        got = {k: w for k, w in rep.witnesses.items() if k in ("symmetric", "class_invariant")}
+        assert got == want
+        assert rep.symmetric == ("symmetric" not in want)
+        assert rep.class_invariant == ("class_invariant" not in want)
 
 
 def test_ball_membership_exact():

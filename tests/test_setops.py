@@ -16,6 +16,7 @@ from monoball.setops import (
     bfs_power_sizes,
     growth_profile,
     normalize_set,
+    power_chain,
     power_set,
     product_set,
     ruzsa_cover,
@@ -116,6 +117,23 @@ def test_growth_without_identity():
     prof2, _ = growth_profile(_subset(g, [2, 3]), 6)
     sizes = [len(power_set(_subset(g, [2, 3]), n)) for n in range(7)]
     assert prof2.sizes == tuple(sizes)
+    # A^11 = A^12 = G: saturation at n_max itself shows only at A^{n_max + 1}
+    assert growth_profile(_subset(cyclic_group(12), [2, 3]), 11)[0].saturated_at == 11
+    assert growth_profile(_subset(cyclic_group(12), [2, 3]), 10)[0].saturated_at is None
+
+
+def test_power_chain_cycle_and_sizes():
+    c12 = power_chain(_subset(cyclic_group(12), [1]))
+    assert c12.cycle() == (0, 12)
+    assert c12.mask(25) == 1 << 1
+    no_identity = power_chain(_subset(cyclic_group(12), [2, 3]))
+    assert no_identity.size(100) == 12 and no_identity.cycle() == (11, 1)
+    assert power_chain(_subset(cyclic_group(100), [99, 0, 1])).cycle() == (50, 1)
+    g = heisenberg_group(5)
+    a = normalize_set(_subset(g, [25, 5]), symmetrize=True, add_identity=True)
+    chain = power_chain(a)
+    assert tuple(chain.size(n) for n in range(13)) == bfs_power_sizes(a, 12)
+    assert power_chain(GroupSubset(g, a.mask)) is chain
 
 
 def test_growth_sizes_non_decreasing():

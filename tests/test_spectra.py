@@ -22,7 +22,8 @@ from monoball.groups import (
     quaternion_group,
 )
 from monoball.harmonic import LinearCharacter, linear_characters, linear_phases
-from monoball.setops import normalize_set, power_set, product_set
+from monoball.pipeline import find_l
+from monoball.setops import growth_profile, normalize_set, power_set, product_set
 from monoball.spectra import (
     _magnitudes,
     chang_cover,
@@ -626,10 +627,16 @@ def test_dropped_group_is_freed_without_the_cycle_collector():
     # caller drops would stay in memory until a full garbage collection
     gc.disable()
     try:
-        g = cyclic_group(64)
+        # above the monomiality cap: the monomiality caches of smaller groups
+        # still refer back to their group
+        g = cyclic_group(256)
         ref = weakref.ref(g)
-        large_spectrum(_subset(g, [63, 0, 1]), Fraction(1, 4))
-        del g
+        a = _subset(g, [255, 0, 1])
+        large_spectrum(a, Fraction(1, 4))
+        find_l(a)
+        growth_profile(a, 12)
+        lspec_doubling_cover(g, a, a, Fraction(1, 16), 1)
+        del g, a
         assert ref() is None
     finally:
         gc.enable()
