@@ -6,6 +6,7 @@ decision and every set identity here is exact, never tolerance-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -112,18 +113,22 @@ def phase_norm(q: Fraction) -> Fraction:
 
 
 def bohr_norm(charset: CharSet) -> PseudoMetricNorm:
-    """rho(x) = max over the characters of phase_norm(gamma(x)), read off the phase rows."""
+    """rho(x) = max over the characters of phase_norm(gamma(x)), read off the phase
+    rows as d/e, e the exponent of G^ab. Validated once per character set; the
+    group caches the values only, so no reference cycle keeps it alive."""
     group = charset.group
-    lp = linear_phases(group)
-    e = lp.exponent
-    rows = lp.rows[list(charset.indices)]
-    dist = np.minimum(rows, e - rows).max(axis=0, initial=0)
-    vals = tuple(Fraction(d, e) for d in dist.tolist())
-    rho = PseudoMetricNorm(group, vals, "bohr")
-    report = validate_norm(rho)
-    if not report.valid:
-        raise AssertionError(f"bohr norm failed validation: {report.witnesses}")
-    return rho
+    cache = group.__dict__.setdefault("_bohr_norms", {})
+    if charset.indices not in cache:
+        lp = linear_phases(group)
+        e = lp.exponent
+        rows = lp.rows[list(charset.indices)]
+        dist = np.minimum(rows, e - rows).max(axis=0, initial=0)
+        vals = tuple(Fraction(d, e) for d in dist.tolist())
+        report = validate_norm(PseudoMetricNorm(group, vals, "bohr"))
+        if not report.valid:
+            raise AssertionError(f"bohr norm failed validation: {report.witnesses}")
+        cache[charset.indices] = vals
+    return PseudoMetricNorm(group, cache[charset.indices], "bohr")
 
 
 def linbohr(charset: CharSet, delta) -> GroupSubset:
@@ -133,14 +138,12 @@ def linbohr(charset: CharSet, delta) -> GroupSubset:
 
 
 def linbohr_squared(charset: CharSet, delta_sq: Fraction) -> GroupSubset:
-    """{x : rho(x)^2 <= delta_sq}: exact membership for irrational radii sqrt(delta_sq)."""
+    """{x : rho(x)^2 <= delta_sq}, exact for irrational radii sqrt(delta_sq): for
+    rho(x) = d/e, d^2 <= delta_sq e^2 exactly when d <= isqrt(floor(delta_sq e^2))."""
     if delta_sq < 0:
         raise ValueError("linbohr_squared needs delta_sq >= 0")
-    rho = bohr_norm(charset)
-    num, den = delta_sq.numerator, delta_sq.denominator
-    members = [x for x, r in enumerate(rho.values)
-               if r.numerator ** 2 * den <= num * r.denominator ** 2]
-    return GroupSubset.from_indices(charset.group, members)
+    e = linear_phases(charset.group).exponent
+    return linbohr(charset, Fraction(math.isqrt(math.floor(delta_sq * e * e)), e))
 
 
 # ---------------------------------------------------------------------------

@@ -502,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report file path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--cap", type=int, default=MONOMIAL_ORDER_CAP,
-                   help="order cap for subgroup searches")
+                   help="order cap for the subgroup search of the monomial command")
     return p
 
 
@@ -525,7 +525,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapExceededError as exc:
-        print(f"error: {exc} (raise --cap to allow a larger search)", file=sys.stderr)
+        advice = " (raise --cap to allow a larger search)" if args.command == "monomial" else ""
+        print(f"error: {exc}{advice}", file=sys.stderr)
         return 1
     except (GroupValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -10,10 +11,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import FalsifiedError, HypothesisError
-from .groups import FiniteGroup, GroupSubset, closure
+from .groups import FiniteGroup, GroupSubset, _index_mask, closure
 
 Scalar = Union[Fraction, float, int]
 _FLOAT_TOL = 1e-12
+_GRID_STEPS = 10  # bourgain_radius tests 2 * _GRID_STEPS dilations
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,9 +30,19 @@ class PseudoMetricNorm:
         if len(self.values) != self.group.order:
             raise ValueError("norm needs one value per group element")
 
-    @property
+    @functools.cached_property
     def is_rational(self) -> bool:
         return all(isinstance(v, (Fraction, int)) for v in self.values)
+
+    @functools.cached_property
+    def scaled(self) -> tuple[np.ndarray, int]:
+        """(v, D) with values[x] = v[x] / D: int64 numerators over the least
+        common denominator for a rational norm, float64 with D = 1 otherwise."""
+        if not self.is_rational:
+            return np.array([float(x) for x in self.values]), 1
+        denom = math.lcm(*(x.denominator for x in self.values))
+        return np.array([x.numerator * (denom // x.denominator) for x in self.values],
+                        dtype=np.int64), denom
 
     def breakpoints(self) -> tuple[Scalar, ...]:
         return tuple(sorted(set(self.values)))
@@ -135,20 +147,13 @@ def subgroup_indicator_norm(group: FiniteGroup, h: GroupSubset) -> PseudoMetricN
 
 def validate_norm(rho: PseudoMetricNorm) -> NormReport:
     g = rho.group
-    vals = rho.values
+    v, _ = rho.scaled
+    tol = 0 if rho.is_rational else _FLOAT_TOL
     witnesses: dict = {}
 
-    zero_at_identity = _eq(vals[g.identity], 0) and all(_le(0, v) for v in vals)
+    zero_at_identity = bool(abs(v[g.identity]) <= tol and (v + tol >= 0).all())
     if not zero_at_identity:
         witnesses["zero_at_identity"] = g.identity
-
-    if rho.is_rational:
-        denom = math.lcm(*(x.denominator for x in vals))
-        v = np.array([x.numerator * (denom // x.denominator) for x in vals], dtype=np.int64)
-        tol = 0
-    else:
-        v = np.array([float(v) for v in vals])
-        tol = _FLOAT_TOL
 
     off = np.flatnonzero(np.abs(v[g.inv_table] - v) > tol)
     symmetric = off.size == 0
@@ -185,9 +190,14 @@ def validate_norm(rho: PseudoMetricNorm) -> NormReport:
 
 
 def ball(rho: PseudoMetricNorm, delta: Scalar) -> GroupSubset:
-    """{x : rho(x) <= delta}; exact membership for rational data."""
-    members = [x for x in range(rho.group.order) if _le(rho.values[x], delta)]
-    return GroupSubset.from_indices(rho.group, members)
+    """{x : rho(x) <= delta}: one integer threshold on the scaled norm for
+    rational data, within _FLOAT_TOL once a float appears."""
+    v, denom = rho.scaled
+    if rho.is_rational and isinstance(delta, (Fraction, int)):
+        inside = v <= math.floor(delta * denom)
+    else:
+        inside = v / denom <= float(delta) + _FLOAT_TOL
+    return GroupSubset(rho.group, _index_mask(np.flatnonzero(inside), rho.group.order))
 
 
 def ball_axioms_check(rho: PseudoMetricNorm) -> BallAxiomsReport:
@@ -225,16 +235,13 @@ def ball_axioms_check(rho: PseudoMetricNorm) -> BallAxiomsReport:
             break
 
     normal_ok = True
-    conj = g.conj_table
     for bp, b in balls.items():
-        mask = b.mask
-        for x in b:
-            orbit = np.unique(conj[:, x])
-            if any(not ((mask >> int(y)) & 1) for y in orbit):
-                normal_ok = False
-                witnesses["normal"] = (bp, x)
-                break
-        if not normal_ok:
+        members = np.array(b.indices(), dtype=np.int64)
+        # column j: every conjugate of members[j] lies in the ball
+        closed = b.bool_array()[g.conj_table[:, members]].all(axis=0)
+        if not closed.all():
+            normal_ok = False
+            witnesses["normal"] = (bp, int(members[np.argmin(closed)]))
             break
 
     return BallAxiomsReport(symmetric_ok, nesting_ok, subadditive_ok, normal_ok, witnesses)
@@ -270,8 +277,7 @@ def ball_dimension(rho: PseudoMetricNorm, delta: Scalar) -> tuple[float, Optiona
 # regular radii
 
 
-def bourgain_radius(rho: PseudoMetricNorm, delta: Scalar, d: float,
-                    grid_steps: int = 10) -> BourgainCertificate:
+def bourgain_radius(rho: PseudoMetricNorm, delta: Scalar, d: float) -> BourgainCertificate:
     """A lambda in (1,2] at which the ball measure is stable under small dilations."""
     if not delta > 0:
         raise ValueError("bourgain_radius needs delta > 0")
@@ -304,7 +310,7 @@ def bourgain_radius(rho: PseudoMetricNorm, delta: Scalar, d: float,
         candidates = [two]  # measure is flat on (delta, 2*delta]; tie-break at 2
 
     step = 1.0 / (60 * d) if d > 0 else 1.0 / 60
-    etas = [k * step for k in range(-grid_steps, grid_steps + 1) if k != 0]
+    etas = [k * step for k in range(-_GRID_STEPS, _GRID_STEPS + 1) if k != 0]
 
     best_margin = -math.inf
     best_cert: Optional[BourgainCertificate] = None

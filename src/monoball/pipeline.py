@@ -23,7 +23,6 @@ class PipelineConfig:
     constant_c: float = 1.0
     n_max: int = 12
     epsilon_override: Optional[Fraction] = None
-    dimension_estimate_d: Optional[float] = None
 
     def __post_init__(self):
         if self.constant_c <= 0:
@@ -178,8 +177,7 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
         "find_l", "P(A^{l+1}) < sqrt(2) P(A^{l-1})", "holds",
         f"l = {l}, K = {k_ratio}"))
 
-    d_fit = (config.dimension_estimate_d if config.dimension_estimate_d is not None
-             else growth_profile(wa, config.n_max)[1].d)
+    d_fit = growth_profile(wa, config.n_max)[1].d
     a_l = power_set(wa, l)
     d_prime = growth_profile(a_l, config.n_max)[1].d
     d_eff = max(d_prime, 1.0)

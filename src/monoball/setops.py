@@ -182,24 +182,16 @@ def set_predicates(a: GroupSubset) -> SetPredicates:
     if not contains_identity:
         witnesses["contains_identity"] = g.identity
 
-    # route one: xA = Ax for every x
-    normal_translate = True
+    # route one: xA = Ax for every x; row x holds xA and Ax, sorted
     arr = np.fromiter(a, dtype=np.int64, count=len(a))
-    for x in range(g.order):
-        left = np.sort(g.mul_table[x, arr])
-        right = np.sort(g.mul_table[arr, x])
-        if not np.array_equal(left, right):
-            normal_translate = False
-            witnesses["normal"] = x
-            break
+    left = np.sort(g.mul_table[:, arr], axis=1)
+    right = np.sort(g.mul_table[arr].T, axis=1)
+    moved = np.flatnonzero((left != right).any(axis=1))
+    normal_translate = not moved.size
+    if moved.size:
+        witnesses["normal"] = int(moved[0])
     # route two: union of conjugacy classes
-    conj = g.conj_table
-    normal_classes = True
-    for x in a:
-        orbit = np.unique(conj[:, x])
-        if any(int(y) not in a for y in orbit):
-            normal_classes = False
-            break
+    normal_classes = bool(a.bool_array()[g.conj_table[:, arr]].all())
     if normal_translate != normal_classes:
         raise AssertionError("normality checks disagree; conjugation table corrupt")
 

@@ -31,7 +31,7 @@ from .harmonic import (
     is_monomial,
     linear_phases,
 )
-from .bohr import CharSet, bohr_norm, char_span, charset_sum
+from .bohr import CharSet, char_span, charset_sum, linbohr
 from .metric import _FLOAT_TOL
 from .setops import power_chain, power_set, product_set, set_predicates
 
@@ -548,13 +548,12 @@ class SpectrumSizeReport:
 
 
 def _inv_two_pi_ball(group: FiniteGroup, members: CharSet) -> GroupSubset:
-    """LinBohr(members, 1/(2 pi)), each Bohr norm compared with 1/(2 pi) at the
-    working precision."""
-    rho = bohr_norm(members)
+    """LinBohr(members, 1/(2 pi)): Bohr norms are d/e with d an integer, and
+    e/(2 pi) is irrational, so this is the ball of radius floor(e/(2 pi))/e."""
+    e = linear_phases(group).exponent
     with mpmath.workdps(_MP_DPS):
-        inv_two_pi = 1 / (2 * mpmath.pi)
-        far = {r for r in set(rho.values) if mpmath.mpf(r.numerator) / r.denominator > inv_two_pi}
-    return GroupSubset.from_indices(group, [x for x, r in enumerate(rho.values) if r not in far])
+        threshold = int(mpmath.floor(e / (2 * mpmath.pi)))
+    return linbohr(members, Fraction(threshold, e))
 
 
 def lspec_size_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,

@@ -1,11 +1,20 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
+from monoball import bohr, pipeline
 from monoball.errors import CapExceededError, HypothesisError
-from monoball.groups import GroupSubset, cyclic_group, dihedral_group, heisenberg_group
-from monoball.harmonic import LinearCharacter, linear_characters
+from monoball.groups import (
+    GroupSubset,
+    cyclic_group,
+    dihedral_group,
+    heisenberg_group,
+    product_group,
+)
+from monoball.harmonic import LinearCharacter, linear_characters, linear_phases
 from monoball.bohr import (
     CharSet,
     bohr_norm,
@@ -20,6 +29,7 @@ from monoball.bohr import (
 )
 from monoball.metric import ball_dimension, validate_norm
 from monoball.setops import set_predicates
+from monoball.spectra import _inv_two_pi_ball
 
 
 def _lin_by_phase(group, phase_at_one):
@@ -112,6 +122,59 @@ def test_linbohr_squared_agrees_on_rational_radii():
     s = CharSet.build(g, [canon])
     for delta in (Fraction(1, 10), Fraction(1, 5), Fraction(2, 7)):
         assert linbohr_squared(s, delta ** 2).mask == linbohr(s, delta).mask
+
+
+def _random_charsets():
+    """Random character sets of cyclic groups of order <= 256, Heis(3) and C2 x Heis(3)."""
+    rng = np.random.default_rng(5)
+    groups = [cyclic_group(n) for n in (7, 36, 97, 210, 256)]
+    groups += [heisenberg_group(3), product_group([cyclic_group(2), heisenberg_group(3)])]
+    for g in groups:
+        n_lin = len(linear_phases(g).rows)
+        for size in (1, 2, 3, 4):
+            yield CharSet(g, rng.choice(n_lin, size=min(size, n_lin), replace=False))
+
+
+def test_linbohr_squared_matches_the_squared_rule_at_nonsquare_radii():
+    radii_sq = (Fraction(1, 50), Fraction(2, 9), 8 * Fraction(1, 16) ** 2 * Fraction(3, 2),
+                32 * Fraction(1, 128) ** 2 * Fraction(5, 4))
+    for s in _random_charsets():
+        rho = bohr_norm(s)
+        for delta_sq in radii_sq:
+            num, den = delta_sq.numerator, delta_sq.denominator
+            # reference: compare rho(x)^2 with delta_sq in exact rationals
+            want = [x for x, r in enumerate(rho.values)
+                    if r.numerator ** 2 * den <= num * r.denominator ** 2]
+            assert linbohr_squared(s, delta_sq).indices() == tuple(want)
+
+
+def test_inv_two_pi_ball_matches_a_50_digit_comparison():
+    for s in _random_charsets():
+        with mpmath.workdps(50):
+            inv_two_pi = 1 / (2 * mpmath.pi)
+            want = [x for x, r in enumerate(bohr_norm(s).values)
+                    if mpmath.mpf(r.numerator) / r.denominator <= inv_two_pi]
+        assert _inv_two_pi_ball(s.group, s).indices() == tuple(want)
+
+
+def test_freiman_ball_validates_each_bohr_norm_once(monkeypatch):
+    validated, seen = [], set()
+    validate, norm = bohr.validate_norm, bohr.bohr_norm
+
+    def counting_validate(rho):
+        validated.append(rho.values)
+        return validate(rho)
+
+    def recording_norm(charset):
+        seen.add(charset.indices)
+        return norm(charset)
+
+    monkeypatch.setattr(bohr, "validate_norm", counting_validate)
+    monkeypatch.setattr(bohr, "bohr_norm", recording_norm)
+    monkeypatch.setattr(pipeline, "bohr_norm", recording_norm)
+    g = cyclic_group(256)
+    pipeline.freiman_ball(g, GroupSubset.from_indices(g, [255, 0, 1]))
+    assert seen and len(validated) == len(seen)
 
 
 def test_char_span_examples():

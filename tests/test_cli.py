@@ -262,6 +262,16 @@ def test_cap_exceeded_exit1_with_advice(tmp_path, capsys):
     assert "raise --cap" in cap.err
 
 
+def test_cap_advice_only_where_cap_applies(tmp_path, capsys):
+    # the character-table cap is fixed; --cap moves only the monomial search
+    g = _group_file(tmp_path, {"type": "cyclic", "n": 300})
+    code = cli.main(["chartable", "--group", g, "--cap", "1000"])
+    cap = capsys.readouterr()
+    assert code == 1
+    assert "refused at order 300 > 256" in cap.err
+    assert "--cap" not in cap.err
+
+
 def test_bad_eps_exit1(tmp_path, capsys):
     g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
     s = _set_file(tmp_path, [0, 4, 8])

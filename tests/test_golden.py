@@ -59,6 +59,13 @@ RUNS = [
     ("growth-c12-no-identity", "growth", C12, {"indices": [2, 3]}, ["--nmax", "14"]),
     ("growth-c12-cycle", "growth", C12, {"indices": [1]}, ["--nmax", "14"]),
     ("appendix-c360", "appendix", C360, {"indices": [0, 1, 359, 49, 311]}, ["--nmax", "6"]),
+    # nontrivial Bohr thresholds: 768/7 is not an integer, and the metric-dim
+    # ball of C2 x Heis(3) doubles below the whole group
+    ("bohr-c768", "bohr", {"type": "cyclic", "n": 768}, {"indices": [5, 96, 301]},
+     ["--delta", "1/7"]),
+    ("metric-dim-c2xheis3", "metric-dim",
+     {"type": "product", "factors": [{"type": "cyclic", "n": 2}, HEIS3]},
+     {"indices": [1, 5]}, ["--delta", "1/4"]),
 ]
 
 # exit code and sha256 of json.dumps(report["result"], indent=2); None when
@@ -89,6 +96,9 @@ GOLDEN = {
         (0, "9db5ee5155adb3b6cf6ce464fba4c1fb833b7265e27e30ebe1e9dfd167357c45"),
     "growth-c12-cycle": (0, "466a7197738f813e19f66ff3da930ecb33c8356d3d2103048339b1b8c5c6d079"),
     "appendix-c360": (0, "899be483d3dd40fdae34c076bdb10fabd6267f7a21c6d26358316e347a9d132f"),
+    "bohr-c768": (0, "06e259bbd19c0840d3129bd90683514f77f1650ac724c3ce9ed4e1dabe43a771"),
+    "metric-dim-c2xheis3":
+        (0, "52b42e9fe581a80b80effd8424c2954912016b39668c23fb2920b45b22590270"),
 }
 
 

@@ -160,6 +160,16 @@ def test_ball_axioms_catch_subadditivity_break():
     assert "subadditive" in rep.witnesses
 
 
+def test_ball_axioms_normal_witness():
+    g = dihedral_group(8)
+    vals = [Fraction(1)] * 8
+    vals[g.identity] = Fraction(0)
+    vals[1] = Fraction(2)  # B(1) holds r^3 but not its conjugate r
+    rep = ball_axioms_check(PseudoMetricNorm(g, tuple(vals)))
+    assert not rep.normal_ok
+    assert rep.witnesses["normal"] == (1, 3)
+
+
 def test_ball_dimension_zero_norm():
     d, witness = ball_dimension(zero_norm(cyclic_group(10)), Fraction(1))
     assert d == 0.0 and witness is None

@@ -161,6 +161,26 @@ def test_predicates_transpositions_s3():
     assert rep.symmetric and rep.normal and rep.contains_identity
 
 
+def _first_moved(a):
+    """Reference: the first x with xA != Ax, or None when A is normal."""
+    g = a.group
+    for x in range(g.order):
+        if sorted(g.mul(x, y) for y in a) != sorted(g.mul(y, x) for y in a):
+            return x
+    return None
+
+
+@pytest.mark.parametrize("group", [dihedral_group(8), heisenberg_group(3)], ids=["D8", "Heis3"])
+def test_predicates_normal_witness_matches_loop(group):
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 3, 5, 8):
+        a = _subset(group, rng.choice(group.order, size=size, replace=False).tolist())
+        for s in (a, normalize_set(a, conjugation_close=True)):
+            rep = set_predicates(s)
+            assert rep.witnesses.get("normal") == _first_moved(s)
+            assert rep.normal == (_first_moved(s) is None)
+
+
 def test_predicates_witnesses():
     g = cyclic_group(10)
     rep = set_predicates(_subset(g, [1]))
@@ -171,7 +191,7 @@ def test_predicates_witnesses():
     d = dihedral_group(8)
     rep2 = set_predicates(_subset(d, [0, 1]))
     assert not rep2.normal
-    assert "normal" in rep2.witnesses
+    assert rep2.witnesses["normal"] == _first_moved(_subset(d, [0, 1]))
     assert rep2.doubling == Fraction(3, 2)
 
 

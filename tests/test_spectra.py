@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoball import spectra
-from monoball.bohr import CharSet, charset_sum
+from monoball.bohr import CharSet, charset_sum, linbohr, linbohr_squared
 from monoball.groups import (
     GroupSubset,
     cyclic_group,
@@ -632,11 +632,14 @@ def test_dropped_group_is_freed_without_the_cycle_collector():
         g = cyclic_group(256)
         ref = weakref.ref(g)
         a = _subset(g, [255, 0, 1])
-        large_spectrum(a, Fraction(1, 4))
+        members = large_spectrum(a, Fraction(1, 4)).members
         find_l(a)
         growth_profile(a, 12)
         lspec_doubling_cover(g, a, a, Fraction(1, 16), 1)
-        del g, a
+        linbohr(members, Fraction(1, 16))
+        linbohr_squared(members, Fraction(2, 9))
+        lspec_size_check(g, a, a, Fraction(1, 4), 2, 1.0)
+        del g, a, members
         assert ref() is None
     finally:
         gc.enable()
