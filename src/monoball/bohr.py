@@ -114,8 +114,9 @@ def phase_norm(q: Fraction) -> Fraction:
 
 def bohr_norm(charset: CharSet) -> PseudoMetricNorm:
     """rho(x) = max over the characters of phase_norm(gamma(x)), read off the phase
-    rows as d/e, e the exponent of G^ab. Validated once per character set; the
-    group caches the values only, so no reference cycle keeps it alive."""
+    rows as d/e, e the exponent of G^ab. Validated and scaled once per character
+    set; the group caches the values and the scaled form only, so no reference
+    cycle keeps it alive."""
     group = charset.group
     cache = group.__dict__.setdefault("_bohr_norms", {})
     if charset.indices not in cache:
@@ -123,12 +124,16 @@ def bohr_norm(charset: CharSet) -> PseudoMetricNorm:
         e = lp.exponent
         rows = lp.rows[list(charset.indices)]
         dist = np.minimum(rows, e - rows).max(axis=0, initial=0)
-        vals = tuple(Fraction(d, e) for d in dist.tolist())
-        report = validate_norm(PseudoMetricNorm(group, vals, "bohr"))
+        norm = PseudoMetricNorm(group, tuple(Fraction(d, e) for d in dist.tolist()), "bohr")
+        report = validate_norm(norm)
         if not report.valid:
             raise AssertionError(f"bohr norm failed validation: {report.witnesses}")
-        cache[charset.indices] = vals
-    return PseudoMetricNorm(group, cache[charset.indices], "bohr")
+        norm.scaled[0].setflags(write=False)
+        cache[charset.indices] = norm.values, norm.scaled
+    values, scaled = cache[charset.indices]
+    norm = PseudoMetricNorm(group, values, "bohr")
+    norm.__dict__["scaled"] = scaled      # a cached property, set to the shared form
+    return norm
 
 
 def linbohr(charset: CharSet, delta) -> GroupSubset:

@@ -20,8 +20,8 @@ from typing import Any, Optional
 from . import __version__
 from .bohr import CharSet, bohr_norm, linbohr
 from .errors import CapExceededError, FalsifiedError, GroupValidationError, HypothesisError
-from .groups import FiniteGroup, GroupSubset, build_group, conjugacy_classes
-from .harmonic import MONOMIAL_ORDER_CAP, character_table, is_monomial, linear_characters
+from .groups import SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, build_group, conjugacy_classes
+from .harmonic import character_table, is_monomial, linear_characters
 from .metric import ball_dimension
 from .pipeline import PipelineConfig, freiman_ball
 from .setops import appendix_growth_check, growth_profile, normalize_set
@@ -33,6 +33,13 @@ COMMANDS = ("group-info", "growth", "chartable", "monomial", "bohr", "lspec",
 
 class InputError(Exception):
     """Maps to exit 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments exit 1: argparse's exit 2 means a failed hypothesis here."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +231,7 @@ def _cmd_growth(args) -> tuple[str, dict, Optional[list], int]:
 
 def _cmd_chartable(args) -> tuple[str, dict, Optional[list], int]:
     g = _group_from_file(args.group)
-    table = character_table(g, seed=args.seed)
+    table = character_table(g)
     part = conjugacy_classes(g)
     reps = [c[0] for c in part.classes]
     entries = []
@@ -248,7 +255,7 @@ def _cmd_chartable(args) -> tuple[str, dict, Optional[list], int]:
 
 def _cmd_monomial(args) -> tuple[str, dict, Optional[list], int]:
     g = _group_from_file(args.group)
-    ok, certs = is_monomial(g, seed=args.seed, max_order_cap=args.cap)
+    ok, certs = is_monomial(g, max_order_cap=args.cap)
     cert_rows = []
     for c in certs:
         cert_rows.append({
@@ -486,8 +493,7 @@ _HANDLERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="monoball",
-                                description="finite-group Bohr set and spectrum experiments")
+    p = _Parser(prog="monoball", description="finite-group Bohr set and spectrum experiments")
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--group", help="path to a group spec JSON file")
     p.add_argument("--set", help="path to a set spec JSON file")
@@ -496,26 +502,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="convolution power / fold count")
     p.add_argument("--d", type=float, default=1.0, help="dimension parameter")
     p.add_argument("--nmax", type=int, help="largest power to examine")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized decompositions")
     p.add_argument("--constant-c", type=float, default=1.0, dest="constant_c",
                    help="constant in the radius formula")
     p.add_argument("--out", help="report file path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--cap", type=int, default=MONOMIAL_ORDER_CAP,
+    p.add_argument("--cap", type=int, default=SUBGROUP_ORDER_CAP,
                    help="order cap for the subgroup search of the monomial command")
     return p
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         summary, result, rows, code = _HANDLERS[args.command](args)
         report = {
             "tool": "monoball",
             "version": __version__,
             "command": args.command,
-            "seed": args.seed,
             "result": result,
         }
         emit_report(report, args.format, args.out, csv_rows=rows)

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import CapExceededError, GroupValidationError
 
 FULL_ASSOCIATIVITY_LIMIT = 512
-SUBGROUP_CAP_DEFAULT = 128
+SUBGROUP_ORDER_CAP = 128    # also the cap of every monomiality search
 PERMUTATION_CLOSURE_CAP = 4096
 _ASSOC_SAMPLE = 100_000
 
@@ -148,16 +148,12 @@ class GroupSubset:
 
 @dataclass(frozen=True, eq=False)
 class ConjugacyPartition:
-    group: FiniteGroup
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
 
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
-
-    def class_subsets(self) -> tuple[GroupSubset, ...]:
-        return tuple(GroupSubset.from_indices(self.group, c) for c in self.classes)
 
     def representatives(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.classes)
@@ -446,10 +442,6 @@ def build_group(spec: dict) -> FiniteGroup:
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
-    return _conjugacy_cached(group)
-
-
-def _conjugacy_cached(group: FiniteGroup) -> ConjugacyPartition:
     cached = group.__dict__.get("_conjugacy")
     if cached is not None:
         return cached
@@ -466,7 +458,7 @@ def _conjugacy_cached(group: FiniteGroup) -> ConjugacyPartition:
         for y in orbit:
             class_of[int(y)] = cid
         classes.append(tuple(int(y) for y in orbit))
-    part = ConjugacyPartition(group, tuple(classes), tuple(class_of))
+    part = ConjugacyPartition(tuple(classes), tuple(class_of))
     group.__dict__["_conjugacy"] = part
     return part
 
@@ -525,52 +517,61 @@ def abelianization(group: FiniteGroup) -> Abelianization:
 
 
 def enumerate_subgroups(group: FiniteGroup,
-                        max_order_cap: int = SUBGROUP_CAP_DEFAULT) -> tuple[Subgroup, ...]:
-    """All subgroups: cyclic seeds closed under pairwise join, to a fixpoint."""
+                        max_order_cap: int = SUBGROUP_ORDER_CAP) -> tuple[Subgroup, ...]:
+    """All subgroups, ordered by (size, indices): cyclic seeds closed under
+    pairwise join, to a fixpoint. The group caches the masks only."""
     if group.order > max_order_cap:
         raise CapExceededError(
             f"subgroup enumeration refused at order {group.order} > cap {max_order_cap}; "
             "pass a larger max_order_cap to override"
         )
-    cached = group.__dict__.get("_subgroups")
-    if cached is not None:
-        return cached
-    cyclics = sorted({closure(group, [g]).mask for g in range(group.order)})
-    known = {1 << group.identity} | set(cyclics)
-    queue = list(known)
-    while queue:
-        m = queue.pop()
-        m_idx = GroupSubset(group, m).indices()
-        for c in cyclics:
-            if c & ~m == 0:
-                continue
-            jm = closure(group, m_idx + GroupSubset(group, c).indices()).mask
-            if jm not in known:
-                known.add(jm)
-                queue.append(jm)
-    ordered = sorted((GroupSubset(group, m) for m in known),
-                     key=lambda h: (len(h), h.indices()))
-    out = tuple(Subgroup(h, group.order // len(h)) for h in ordered)
-    group.__dict__["_subgroups"] = out
-    return out
+    masks = group.__dict__.get("_subgroups")
+    if masks is None:
+        cyclics = sorted({closure(group, [g]).mask for g in range(group.order)})
+        known = {1 << group.identity} | set(cyclics)
+        queue = list(known)
+        while queue:
+            m = queue.pop()
+            m_idx = GroupSubset(group, m).indices()
+            for c in cyclics:
+                if c & ~m == 0:
+                    continue
+                jm = closure(group, m_idx + GroupSubset(group, c).indices()).mask
+                if jm not in known:
+                    known.add(jm)
+                    queue.append(jm)
+        masks = tuple(sorted(known,
+                             key=lambda m: (m.bit_count(), GroupSubset(group, m).indices())))
+        group.__dict__["_subgroups"] = masks
+    return tuple(Subgroup(GroupSubset(group, m), group.order // m.bit_count()) for m in masks)
 
 
 def subgroup_view(group: FiniteGroup, elements: GroupSubset) -> SubgroupView:
-    """Rebuild a subgroup as a standalone group with maps to the parent indices."""
-    idx = list(elements.indices())
-    pos = {e: i for i, e in enumerate(idx)}
-    if group.identity not in pos:
+    """Rebuild a subgroup as a standalone group with maps to the parent indices.
+    Only closure is checked: a closed subset of a finite group is a subgroup,
+    and the table inherits associativity. The view inherits the parent's cached
+    lattice inside it, in the same order, since the index map is increasing."""
+    if group.identity not in elements:
         raise GroupValidationError("subgroup view: identity missing")
+    idx = np.array(elements.indices(), dtype=np.int64)
     k = len(idx)
-    sub_mul = np.zeros((k, k), dtype=np.int64)
-    for i, a in enumerate(idx):
-        for j, b in enumerate(idx):
-            p = group.mul(a, b)
-            if p not in pos:
-                raise GroupValidationError(
-                    f"subgroup view: not closed, {group.labels[a]}*{group.labels[b]} escapes"
-                )
-            sub_mul[i, j] = pos[p]
-    labels = [group.labels[e] for e in idx]
-    sub = _finish(sub_mul, labels, f"{group.name}|sub{k}")
-    return SubgroupView(group, sub, tuple(idx), pos)
+    pos = np.full(group.order, -1, dtype=np.int32)
+    pos[idx] = np.arange(k)
+    sub_mul = pos[group.mul_table[np.ix_(idx, idx)]]
+    if (sub_mul < 0).any():
+        i, j = np.argwhere(sub_mul < 0)[0]
+        raise GroupValidationError(
+            f"subgroup view: not closed, {group.labels[idx[i]]}*{group.labels[idx[j]]} escapes"
+        )
+    sub_inv = pos[group.inv_table[idx]]
+    sub_mul.setflags(write=False)
+    sub_inv.setflags(write=False)
+    labels = tuple(group.labels[e] for e in idx)
+    sub = FiniteGroup(sub_mul, sub_inv, int(pos[group.identity]), labels, f"{group.name}|sub{k}")
+    lattice = group.__dict__.get("_subgroups")
+    if lattice is not None:
+        sub.__dict__["_subgroups"] = tuple(
+            _index_mask(pos[list(GroupSubset(group, m))], k)
+            for m in lattice if m & ~elements.mask == 0)
+    to_parent = tuple(idx.tolist())
+    return SubgroupView(group, sub, to_parent, {e: i for i, e in enumerate(to_parent)})

@@ -7,7 +7,6 @@ transform at an irreducible is just |mu|.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +17,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .groups import (
+    SUBGROUP_ORDER_CAP,
     ConjugacyPartition,
     FiniteGroup,
     GroupSubset,
@@ -30,7 +30,6 @@ from .groups import (
 )
 
 TABLE_ORDER_CAP = 256
-MONOMIAL_ORDER_CAP = 128
 _DIM_RESIDUAL = 1e-6
 _ORTHO_TOL = 1e-8
 _CLASS_TOL = 1e-9
@@ -102,9 +101,6 @@ class LinearCharacter:
         e = self.exponent
         return tuple(Fraction(p, e) for p in self.row.tolist())
 
-    def value(self, x: int) -> complex:
-        return cmath.exp(2j * math.pi * (int(self.row[x]) / self.exponent))
-
     def as_values(self) -> np.ndarray:
         return np.exp(2j * np.pi * (self.row / self.exponent))
 
@@ -141,7 +137,6 @@ class CharacterTable:
     partition: ConjugacyPartition
     characters: tuple[ClassFunction, ...]
     dims: tuple[int, ...]
-    seed: int
 
     @property
     def size(self) -> int:
@@ -284,16 +279,30 @@ def _class_structure_counts(group: FiniteGroup, part: ConjugacyPartition) -> np.
     return counts
 
 
-def character_table(group: FiniteGroup, seed: int = 0) -> CharacterTable:
+def character_table(group: FiniteGroup) -> CharacterTable:
+    """The irreducible characters: Lin(G) first, in its order, then the rest
+    sorted by (degree, rounded values). The group caches the dims and the
+    values on the classes, never the table, which refers back to it."""
     if group.order > TABLE_ORDER_CAP:
         raise CapExceededError(
             f"character table refused at order {group.order} > {TABLE_ORDER_CAP}"
         )
-    cache = group.__dict__.setdefault("_char_tables", {})
-    if seed in cache:
-        return cache[seed]
-
     part = conjugacy_classes(group)
+    cached = group.__dict__.get("_char_table")
+    if cached is None:
+        cached = _class_values(group, part)
+        group.__dict__["_char_table"] = cached
+    dims, values = cached
+    class_of = np.asarray(part.class_of)
+    characters = tuple(ClassFunction(group, row[class_of]) for row in values)
+    return CharacterTable(group, part, characters, dims)
+
+
+def _class_values(group: FiniteGroup, part: ConjugacyPartition
+                  ) -> tuple[tuple[int, ...], np.ndarray]:
+    """(dims, values[i, c]): the degree-one rows are Lin(G) at the class
+    representatives; Burnside's method, the eigenvectors of random combinations
+    of the class matrices drawn from fixed seeds, gives the others."""
     k = len(part.classes)
     sizes = np.array(part.sizes, dtype=np.float64)
     # counts[r,s,t] = N_rst * |C_t|; not kept, since at k classes it takes 8 k^3 bytes
@@ -301,7 +310,7 @@ def character_table(group: FiniteGroup, seed: int = 0) -> CharacterTable:
 
     omega = None
     for attempt in range(_EIG_RETRIES):
-        rng = np.random.default_rng(seed + attempt)
+        rng = np.random.default_rng(attempt)
         coef = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         combo = np.tensordot(coef, struct, axes=(0, 0))
         eigvals, eigvecs = np.linalg.eig(combo)
@@ -312,10 +321,10 @@ def character_table(group: FiniteGroup, seed: int = 0) -> CharacterTable:
             omega = eigvecs / eigvecs[0, :]
             break
     if omega is None:
-        raise ArithmeticError("class-matrix eigenvalues kept colliding after 8 seeds")
+        raise ArithmeticError("class-matrix eigenvalues kept colliding after 8 draws")
 
     n = group.order
-    raw = []
+    linear, rest = [], []
     for col in range(k):
         v = omega[:, col]
         denom = float(np.sum(np.abs(v) ** 2 / sizes))
@@ -323,56 +332,32 @@ def character_table(group: FiniteGroup, seed: int = 0) -> CharacterTable:
         d_int = round(d)
         if abs(d - d_int) >= _DIM_RESIDUAL or d_int < 1:
             raise ArithmeticError(f"character dimension {d} does not round to an integer")
-        chi_on_classes = d_int * v / sizes
-        raw.append((d_int, chi_on_classes))
+        (linear if d_int == 1 else rest).append((d_int, d_int * v / sizes))
 
-    if sum(d * d for d, _ in raw) != n:
+    if len(linear) + sum(d * d for d, _ in rest) != n:
         raise ArithmeticError("sum of squared dimensions misses the group order")
 
-    lin = linear_characters(group)
-    reps = part.representatives()
-    used = [False] * len(raw)
-    ordered: list[tuple[int, np.ndarray]] = []
-    for lam in lin:
-        target = np.array([lam.value(g) for g in reps])
-        best, best_err = None, None
-        for i, (d, vals) in enumerate(raw):
-            if used[i] or d != 1:
-                continue
-            err = float(np.abs(vals - target).max())
-            if best is None or err < best_err:
-                best, best_err = i, err
-        if best is None or best_err > _DIM_RESIDUAL:
-            raise ArithmeticError("a linear character is missing from the recovered table")
-        used[best] = True
-        ordered.append((1, target))  # exact phases replace the float row
-    rest = [raw[i] for i in range(len(raw)) if not used[i]]
+    lp = linear_phases(group)
+    lin = np.exp(2j * np.pi * (lp.rows[:, list(part.representatives())] / lp.exponent))
+    # the float degree-one rows are Lin(G) one to one exactly when their
+    # class-weighted inner products with Lin(G) form a permutation matrix
+    if len(linear) != len(lin):
+        raise ArithmeticError(
+            f"{len(linear)} degree-one rows recovered, but |Lin(G)| = {len(lin)}")
+    match = (np.conj(lin) * sizes) @ np.array([vals for _, vals in linear]).T / n
+    perm = np.eye(len(lin))[np.argmax(np.abs(match), axis=1)]
+    if (perm.sum(axis=0) != 1).any() or float(np.abs(match - perm).max()) > _DIM_RESIDUAL:
+        raise ArithmeticError("a linear character is missing from the recovered table")
     rest.sort(key=lambda item: (
         item[0],
         tuple((round(z.real, 9), round(z.imag, 9)) for z in item[1]),
     ))
-    ordered.extend(rest)
-
-    class_of = np.asarray(part.class_of)
-    characters = []
-    dims = []
-    for d, vals_on_classes in ordered:
-        characters.append(ClassFunction(group, np.asarray(vals_on_classes)[class_of]))
-        dims.append(d)
-    table = CharacterTable(group, part, tuple(characters), tuple(dims), seed)
-
-    gram = _char_gram(table)
+    values = np.vstack([lin] + [vals for _, vals in rest])
+    gram = (np.conj(values) * sizes) @ values.T / n
     if float(np.abs(gram - np.eye(k)).max()) > _ORTHO_TOL:
         raise ArithmeticError("character rows are not orthonormal")
-    cache[seed] = table
-    return table
-
-
-def _char_gram(table: CharacterTable) -> np.ndarray:
-    sizes = np.array(table.partition.sizes, dtype=np.float64)
-    reps = list(table.partition.representatives())
-    rows = np.stack([c.values[reps] for c in table.characters])
-    return (np.conj(rows) * sizes) @ rows.T / table.group.order
+    values.setflags(write=False)
+    return (1,) * len(lin) + tuple(d for d, _ in rest), values
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +410,10 @@ def fourier_scalar(f: ClassFunction, gamma: ClassFunction,
     return FourierScalar(gamma, d, mu)
 
 
-def plancherel_check(f: ClassFunction, g: ClassFunction, seed: int = 0) -> float:
+def plancherel_check(f: ClassFunction, g: ClassFunction) -> float:
     if f.group is not g.group:
         raise ValueError("plancherel_check needs a common group")
-    table = character_table(f.group, seed)
+    table = character_table(f.group)
     lhs = inner(f, g)
     rhs = 0
     for chi, d in zip(table.characters, table.dims):
@@ -477,42 +462,43 @@ def frobenius_residual(view: SubgroupView, f: ClassFunction, g: ClassFunction) -
 # monomiality
 
 
-def is_monomial(group: FiniteGroup, seed: int = 0,
-                max_order_cap: int = MONOMIAL_ORDER_CAP) -> tuple[bool, list[MonomialCertificate]]:
-    """Certify each irreducible as induced from a linear character of a subgroup
-    (cached per group and seed)."""
+def is_monomial(group: FiniteGroup, max_order_cap: int = SUBGROUP_ORDER_CAP
+                ) -> tuple[bool, list[MonomialCertificate]]:
+    """Certify each irreducible as induced from a linear character of a subgroup.
+    The search runs once per group. Its cache never refers back to the group:
+    it holds subgroup masks, the inducing characters of degree one as indices
+    into Lin(G), and the others as characters of the subgroup's standalone view."""
     if group.order > max_order_cap:
         raise CapExceededError(
             f"monomiality check refused at order {group.order} > {max_order_cap}"
         )
-    cache = group.__dict__.setdefault("_monomial", {})
-    if seed not in cache:
-        cache[seed] = _monomial_certificates(group, seed, max_order_cap)
-    all_ok, certs = cache[seed]
-    return all_ok, list(certs)
+    found = group.__dict__.get("_monomial")
+    if found is None:
+        found = _monomial_certificates(group, max_order_cap)
+        group.__dict__["_monomial"] = found
+    certs = [MonomialCertificate(i, d, mask is not None,
+                                 None if mask is None else GroupSubset(group, mask),
+                                 LinearCharacter(group, lam) if d == 1 else lam)
+             for i, d, mask, lam in found]
+    return all(c.matched for c in certs), certs
 
 
-def _monomial_certificates(group: FiniteGroup, seed: int, max_order_cap: int
-                           ) -> tuple[bool, tuple[MonomialCertificate, ...]]:
-    table = character_table(group, seed)
-    lin = linear_characters(group)
+def _monomial_certificates(group: FiniteGroup, max_order_cap: int) -> tuple[tuple, ...]:
+    """(character, degree, subgroup mask, inducing character) per irreducible,
+    the last an index into Lin(G) at degree one; mask and character are None
+    where no inducing pair exists."""
+    table = character_table(group)
     subs = enumerate_subgroups(group, max_order_cap)
-    certs: list[MonomialCertificate] = []
     views: dict[int, SubgroupView] = {}
-    all_ok = True
+    found = []
     for i, (chi, d) in enumerate(zip(table.characters, table.dims)):
         if d == 1:
             # the table lists Lin(G) first, in the same order
-            certs.append(MonomialCertificate(i, 1, True, GroupSubset.full(group), lin[i]))
+            found.append((i, 1, (1 << group.order) - 1, i))
             continue
-        if group.order % d:
-            certs.append(MonomialCertificate(i, d, False, None, None))
-            all_ok = False
-            continue
-        target_order = group.order // d
-        found = None
+        hit = (None, None)
         for sub in subs:
-            if len(sub) != target_order:
+            if len(sub) * d != group.order:
                 continue
             key = sub.elements.mask
             if key not in views:
@@ -521,30 +507,26 @@ def _monomial_certificates(group: FiniteGroup, seed: int, max_order_cap: int
             for lam in linear_characters(view.group):
                 induced = induce_class_function(view, lam.as_class_function())
                 if float(np.abs(induced.values - chi.values).max()) <= 1e-8:
-                    found = (sub.elements, lam)
+                    hit = (key, lam)
                     break
-            if found:
+            if hit[0] is not None:
                 break
-        if found:
-            certs.append(MonomialCertificate(i, d, True, found[0], found[1]))
-        else:
-            certs.append(MonomialCertificate(i, d, False, None, None))
-            all_ok = False
-    return all_ok, tuple(certs)
+        found.append((i, d) + hit)
+    return tuple(found)
 
 
-def is_hereditarily_monomial(group: FiniteGroup, seed: int = 0,
-                             max_order_cap: int = MONOMIAL_ORDER_CAP
-                             ) -> tuple[bool, Optional[GroupSubset]]:
-    if group.order > max_order_cap:
+def is_hereditarily_monomial(group: FiniteGroup) -> tuple[bool, Optional[GroupSubset]]:
+    """Whether every subgroup is monomial, with the first that is not. Each
+    subgroup's view inherits the group's lattice, so it is enumerated once."""
+    if group.order > SUBGROUP_ORDER_CAP:
         raise CapExceededError(
-            f"hereditary monomiality refused at order {group.order} > {max_order_cap}"
+            f"hereditary monomiality refused at order {group.order} > {SUBGROUP_ORDER_CAP}"
         )
-    for sub in enumerate_subgroups(group, max_order_cap):
+    for sub in enumerate_subgroups(group):
         # the whole group is checked as itself, so its cached verdict is reused
         sub_group = (group if len(sub) == group.order
                      else subgroup_view(group, sub.elements).group)
-        ok, _ = is_monomial(sub_group, seed, max_order_cap)
+        ok, _ = is_monomial(sub_group)
         if not ok:
             return False, sub.elements
     return True, None
@@ -554,8 +536,8 @@ def is_hereditarily_monomial(group: FiniteGroup, seed: int = 0,
 # the high-value linearity scan
 
 
-def high_value_linearity_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
-                               seed: int = 0) -> LinearityScanReport:
+def high_value_linearity_check(group: FiniteGroup, s: GroupSubset,
+                               a: GroupSubset) -> LinearityScanReport:
     """Scan for irreducibles whose indicator transform is larger than half P(S A)."""
     from .setops import product_set, set_predicates
 
@@ -571,7 +553,7 @@ def high_value_linearity_check(group: FiniteGroup, s: GroupSubset, a: GroupSubse
         violations.append("A is not a union of conjugacy classes")
 
     threshold = Fraction(len(product_set(s, a)), group.order)
-    table = character_table(group, seed)
+    table = character_table(group)
     f = indicator(group, a)
     rows = []
     consistent = True

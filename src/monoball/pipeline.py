@@ -11,11 +11,12 @@ from typing import Optional
 
 from .bohr import CharSet, linbohr, linbohr_squared, bohr_norm
 from .errors import FalsifiedError
-from .groups import FiniteGroup, GroupSubset, closure, subgroup_view
-from .harmonic import MONOMIAL_ORDER_CAP, is_hereditarily_monomial
+from .groups import SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, closure, subgroup_view
+from .harmonic import is_hereditarily_monomial
 from .metric import ball_dimension
 from .setops import growth_profile, power_chain, power_set, product_set, set_predicates
-from .spectra import LargeSpectrum, large_spectrum, lspec_doubling_cover, lspec_size_check
+from .spectra import (LargeSpectrum, _k_min, large_spectrum, lspec_doubling_cover,
+                      lspec_size_check)
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
     if not preds.normal:
         raise ValueError("freiman_ball needs A normal inside the group it generates")
 
-    if work.order <= MONOMIAL_ORDER_CAP:
+    if work.order <= SUBGROUP_ORDER_CAP:
         hered, bad = is_hereditarily_monomial(work)
         ledger.append(LedgerEntry(
             "hypotheses", "generated subgroup hereditarily monomial",
@@ -170,7 +171,7 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
     else:
         ledger.append(LedgerEntry(
             "hypotheses", "generated subgroup hereditarily monomial", "unchecked",
-            f"order {work.order} beyond cap {MONOMIAL_ORDER_CAP}"))
+            f"order {work.order} beyond cap {SUBGROUP_ORDER_CAP}"))
 
     l, k_ratio = find_l(wa)
     ledger.append(LedgerEntry(
@@ -246,8 +247,7 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
     size_functional = d_for_form * math.log(2 * d_for_form)
 
     # size stage: the clipped spectrum-ball bound at the smallest admissible k
-    eps_f = float(eps)
-    k_size = math.ceil(16 * d_eff * math.log(8 * d_eff / eps_f ** 2) / eps_f ** 2)
+    k_size = math.ceil(_k_min(eps, d_eff))
     size_rep = lspec_size_check(work, wa, a_l, eps, k_size, d_eff)
     for rec in size_rep.hypotheses:
         ledger.append(LedgerEntry("size", rec.name, rec.status, rec.detail))

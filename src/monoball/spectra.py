@@ -19,9 +19,8 @@ import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import FalsifiedError
-from .groups import FiniteGroup, GroupSubset, closure
+from .groups import SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, closure
 from .harmonic import (
-    MONOMIAL_ORDER_CAP,
     _SPEC_RAD_TOL,
     ClassFunction,
     LinearCharacter,
@@ -264,7 +263,7 @@ def spectrum_distance_identity_check(a: GroupSubset,
 def standing_hypotheses(group: FiniteGroup, s: GroupSubset,
                         a: GroupSubset) -> list[HypothesisRecord]:
     records = []
-    if group.order <= MONOMIAL_ORDER_CAP:
+    if group.order <= SUBGROUP_ORDER_CAP:
         mono, _ = is_monomial(group)
         records.append(HypothesisRecord(
             "group is monomial", "holds" if mono else "fails"))
@@ -493,8 +492,7 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
             f"window [{k_lo}, {k_hi}], power cycle from {start} period {period}" + (
                 " (clipped)" if clipped else "")))
 
-    eta = eps / 2  # the smallest radius the argument touches
-    k_eta_d = math.ceil(16 * d * math.log(8 * d / float(eta) ** 2) / float(eta) ** 2)
+    k_eta_d = math.ceil(_k_min(eps / 2, d))  # eps/2: the smallest radius touched
 
     half = _lspec(a, eps / 2)
     scan_rows = []
@@ -556,17 +554,23 @@ def _inv_two_pi_ball(group: FiniteGroup, members: CharSet) -> GroupSubset:
     return linbohr(members, Fraction(threshold, e))
 
 
+def _k_min(eps: Fraction, d: float) -> float:
+    """16 eps^-2 d log(8 eps^-2 d), the least admissible power k at radius eps.
+    The pipeline passes its ceiling, so that k passes `k >= _k_min` exactly."""
+    eps_f = float(eps)
+    return 16 * d * math.log(8 * d / eps_f ** 2) / eps_f ** 2
+
+
 def lspec_size_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
                      eps: Fraction, k: int, d: float) -> SpectrumSizeReport:
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("lspec_size_check needs eps in (0, 1]")
     records = standing_hypotheses(group, s, a)
-    eps_f = float(eps)
-    k_min = 16 * d * math.log(8 * d / eps_f ** 2) / eps_f ** 2
+    k_min = _k_min(eps, d)
     records.append(HypothesisRecord(
         "k >= 16 eps^-2 d log(8 eps^-2 d)",
-        "holds" if k >= k_min - 1e-9 else "fails",
+        "holds" if k >= k_min else "fails",
         f"k = {k}, needs >= {k_min:.3f}"))
     size_k = power_chain(a).size(k)
     growth_ok = math.log(size_k / len(a)) <= d * math.log(k) + _FLOAT_TOL

@@ -177,6 +177,15 @@ def test_freiman_ball_validates_each_bohr_norm_once(monkeypatch):
     assert seen and len(validated) == len(seen)
 
 
+def test_bohr_norm_shares_one_scaled_form():
+    g = cyclic_group(36)
+    charset = CharSet.build(g, [_lin_by_phase(g, Fraction(1, 36))])
+    first, second = bohr_norm(charset), bohr_norm(charset)
+    assert first is not second
+    assert first.scaled[0] is second.scaled[0]
+    assert not first.scaled[0].flags.writeable
+
+
 def test_char_span_examples():
     g = cyclic_group(12)
     assert len(char_span(CharSet.empty(g))) == 1

@@ -246,6 +246,21 @@ def test_missing_flags_exit1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_argument_errors_exit1(tmp_path, capsys):
+    # exit 2 would read as a failed hypothesis
+    g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
+    for argv, message in ((["group-info", "--group", g, "--seed", "0"],
+                           "unrecognized arguments: --seed 0"),
+                          (["freiman", "--k", "abc"], "invalid int value: 'abc'"),
+                          (["nonsense"], "invalid choice: 'nonsense'")):
+        assert cli.main(argv) == 1
+        assert message in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+
+
 def test_bad_indices_exit1(tmp_path, capsys):
     g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
     s = _set_file(tmp_path, [0, 200])

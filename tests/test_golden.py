@@ -15,6 +15,7 @@ from monoball import cli
 HEIS3 = {"type": "heisenberg", "p": 3}
 C360 = {"type": "cyclic", "n": 360}
 C12 = {"type": "cyclic", "n": 12}
+S4 = {"type": "permutation", "degree": 4, "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}
 NORMAL = {"symmetrize": True, "add_identity": True, "conjugation_close": True}
 HEIS3_GENS = {"indices": [9, 3], "normalize": NORMAL}
 C360_A = {"indices": [359, 0, 1]}
@@ -66,6 +67,13 @@ RUNS = [
     ("metric-dim-c2xheis3", "metric-dim",
      {"type": "product", "factors": [{"type": "cyclic", "n": 2}, HEIS3]},
      {"indices": [1, 5]}, ["--delta", "1/4"]),
+    # character tables with irrational and zero entries, and S4, which is
+    # monomial through a subgroup that is not normal
+    ("chartable-q8", "chartable", {"type": "quaternion8"}, None, []),
+    ("chartable-d16", "chartable", {"type": "dihedral", "order": 16}, None, []),
+    ("chartable-heis3", "chartable", HEIS3, None, []),
+    ("chartable-s4", "chartable", S4, None, []),
+    ("monomial-s4", "monomial", S4, None, []),
 ]
 
 # exit code and sha256 of json.dumps(report["result"], indent=2); None when
@@ -99,6 +107,11 @@ GOLDEN = {
     "bohr-c768": (0, "06e259bbd19c0840d3129bd90683514f77f1650ac724c3ce9ed4e1dabe43a771"),
     "metric-dim-c2xheis3":
         (0, "52b42e9fe581a80b80effd8424c2954912016b39668c23fb2920b45b22590270"),
+    "chartable-q8": (0, "5ffe078a3b2cd61a114cda59a5481f2fe4cd0f9faacd045e3d79978834a370ce"),
+    "chartable-d16": (0, "95d42054a8c03ae1ba9bbcb4519175e3bc9391386c71b1e9ab3a2201e6c57755"),
+    "chartable-heis3": (0, "c45f260040c157f9e496f57fdd320a68d066372231cdb5112fc2454c54392c2e"),
+    "chartable-s4": (0, "35e79a6182d537bee0490d147967fa1146110adbbd265221b6e3f332f6200e76"),
+    "monomial-s4": (0, "b5864d7c42fe5967249c0dca610674e8b32047f0a10b9bb499061df09e65cddd"),
 }
 
 

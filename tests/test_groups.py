@@ -334,6 +334,39 @@ def test_subgroup_view_roundtrip():
         subgroup_view(g, not_closed)
 
 
+def _s4():
+    return permutation_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
+
+
+def _sl23():
+    pts = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+    pidx = {p: i for i, p in enumerate(pts)}
+
+    def mat_perm(m):
+        return [pidx[((m[0][0] * a + m[0][1] * b) % 3, (m[1][0] * a + m[1][1] * b) % 3)]
+                for a, b in pts]
+
+    return permutation_group(8, [mat_perm([[1, 1], [0, 1]]), mat_perm([[1, 0], [1, 1]])])
+
+
+def test_subgroup_views_are_groups_with_their_own_lattice():
+    # views skip table validation and inherit the parent's lattice; check both
+    # on the five freiman fixtures, S4 and SL(2,3)
+    heis3 = heisenberg_group(3)
+    fixtures = [heis3, dihedral_group(16), cyclic_group(128),
+                product_group([cyclic_group(2), heis3]),
+                product_group([cyclic_group(3), dihedral_group(8)]), _s4(), _sl23()]
+    for g in fixtures:
+        for sub in enumerate_subgroups(g):
+            view = subgroup_view(g, sub.elements).group
+            identity, inv = groups._validate_table(view.mul_table, view.name)
+            assert identity == view.identity
+            assert np.array_equal(inv, view.inv_table)
+            rebuilt = table_group(view.mul_table.tolist())
+            assert ([s.elements.mask for s in enumerate_subgroups(view)]
+                    == [s.elements.mask for s in enumerate_subgroups(rebuilt)])
+
+
 def test_conj_table_agrees_with_scalar_conj():
     g = dihedral_group(16)
     rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from monoball.groups import (
     dihedral_group,
     heisenberg_group,
     permutation_group,
+    product_group,
     quaternion_group,
     subgroup_view,
 )
@@ -138,16 +140,17 @@ def test_character_table_orthogonality():
         assert np.abs(col - want).max() < 1e-8
 
 
-def test_character_table_identity_positive_and_seeded():
+def test_character_table_identity_positive_and_deterministic():
     g = dihedral_group(12)
-    t0 = character_table(g, seed=0)
-    t5 = character_table(g, seed=5)
-    for t in (t0, t5):
-        for c, d in zip(t.characters, t.dims):
-            assert abs(c.values[g.identity] - d) < 1e-9
-            assert d >= 1
-    for c0, c5 in zip(t0.characters, t5.characters):
-        assert np.abs(c0.values - c5.values).max() < 1e-7
+    t = character_table(g)
+    for c, d in zip(t.characters, t.dims):
+        assert abs(c.values[g.identity] - d) < 1e-9
+        assert d >= 1
+    # a fresh group computes its table again, to the same bits
+    fresh = character_table(dihedral_group(12))
+    assert fresh.dims == t.dims
+    for c0, c1 in zip(t.characters, fresh.characters):
+        assert np.array_equal(c0.values, c1.values)
 
 
 def test_character_table_linear_rows_match_lin():
@@ -157,6 +160,19 @@ def test_character_table_linear_rows_match_lin():
     for i, lam in enumerate(lin):
         assert t.dims[i] == 1
         assert np.abs(t.characters[i].values - lam.as_values()).max() < 1e-12
+
+
+def test_character_table_rejects_degree_one_rows_that_miss_lin(monkeypatch):
+    import monoball.harmonic as harmonic
+
+    g = dihedral_group(8)
+    lp = harmonic.linear_phases(g)
+    rows = lp.rows.copy()
+    rows[1] = rows[2]              # one character twice, another one missing
+    monkeypatch.setattr(harmonic, "linear_phases",
+                        lambda group: dataclasses.replace(lp, rows=rows))
+    with pytest.raises(ArithmeticError, match="missing"):
+        character_table(g)
 
 
 def test_character_table_cap():
@@ -361,7 +377,7 @@ def test_is_monomial_abelian_and_q8():
     assert len(two_dim[0].subgroup) == 4
 
 
-def test_is_monomial_cached_per_group_and_seed(monkeypatch):
+def test_is_monomial_cached_per_group(monkeypatch):
     import monoball.harmonic as harmonic
     from monoball.groups import GroupSubset
     from monoball.pipeline import freiman_ball
@@ -371,21 +387,20 @@ def test_is_monomial_cached_per_group_and_seed(monkeypatch):
     calls = []
     real = harmonic.character_table
 
-    def counting(group, seed=0):
-        calls.append((group, seed))
-        return real(group, seed)
+    def counting(group):
+        calls.append(group)
+        return real(group)
 
     monkeypatch.setattr(harmonic, "character_table", counting)
     a = normalize_set(GroupSubset.from_indices(g, [9, 3]), symmetrize=True,
                       add_identity=True, conjugation_close=True)
     freiman_ball(g, a)
     # hereditary monomiality and both standing-hypothesis records share one run
-    assert [s for grp, s in calls if grp is g] == [0]
+    assert sum(grp is g for grp in calls) == 1
     _, certs = is_monomial(g)
     certs.clear()                      # callers get a copy of the cached list
     assert len(is_monomial(g)[1]) == 11
-    is_monomial(g, seed=1)
-    assert [s for grp, s in calls if grp is g] == [0, 1]
+    assert sum(grp is g for grp in calls) == 1
 
 
 def test_is_monomial_sl23_false():
@@ -402,6 +417,24 @@ def test_hereditarily_monomial():
     ok, witness = is_hereditarily_monomial(_sl23())
     assert not ok
     assert len(witness) == 24  # the whole group is the failing subgroup
+
+
+def test_hereditary_search_enumerates_one_lattice(monkeypatch):
+    import monoball.harmonic as harmonic
+
+    computed = []
+    real = harmonic.enumerate_subgroups
+
+    def counting(group, *args):
+        if "_subgroups" not in group.__dict__:
+            computed.append(group.order)
+        return real(group, *args)
+
+    monkeypatch.setattr(harmonic, "enumerate_subgroups", counting)
+    g = product_group([cyclic_group(2), heisenberg_group(3)])
+    assert is_hereditarily_monomial(g)[0]
+    # every subgroup's view, and every view of a view, inherits the lattice
+    assert computed == [54]
 
 
 def test_monomial_cap():

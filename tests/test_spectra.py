@@ -19,10 +19,17 @@ from monoball.groups import (
     dihedral_group,
     heisenberg_group,
     permutation_group,
+    product_group,
     quaternion_group,
 )
-from monoball.harmonic import LinearCharacter, linear_characters, linear_phases
-from monoball.pipeline import find_l
+from monoball.harmonic import (
+    LinearCharacter,
+    character_table,
+    is_monomial,
+    linear_characters,
+    linear_phases,
+)
+from monoball.pipeline import find_l, freiman_ball
 from monoball.setops import growth_profile, normalize_set, power_set, product_set
 from monoball.spectra import (
     _magnitudes,
@@ -627,8 +634,6 @@ def test_dropped_group_is_freed_without_the_cycle_collector():
     # caller drops would stay in memory until a full garbage collection
     gc.disable()
     try:
-        # above the monomiality cap: the monomiality caches of smaller groups
-        # still refer back to their group
         g = cyclic_group(256)
         ref = weakref.ref(g)
         a = _subset(g, [255, 0, 1])
@@ -641,5 +646,26 @@ def test_dropped_group_is_freed_without_the_cycle_collector():
         lspec_size_check(g, a, a, Fraction(1, 4), 2, 1.0)
         del g, a, members
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_dropped_small_group_is_freed_without_the_cycle_collector():
+    # at order <= 128 a run also caches the subgroup lattice, the character
+    # table and the monomiality certificates
+    gc.disable()
+    try:
+        for build, gens in ((lambda: heisenberg_group(3), [9, 3]),
+                            (lambda: product_group([cyclic_group(2), heisenberg_group(3)]),
+                             [27, 9, 3])):
+            g = build()
+            ref = weakref.ref(g)
+            a = normalize_set(_subset(g, gens), symmetrize=True, add_identity=True,
+                              conjugation_close=True)
+            freiman_ball(g, a)
+            character_table(g)
+            is_monomial(g)
+            del g, a
+            assert ref() is None
     finally:
         gc.enable()
