@@ -179,11 +179,19 @@ class SubgroupView:
 
 
 @dataclass(frozen=True, eq=False)
-class Abelianization:
-    commutator: GroupSubset
+class Quotient:
+    """G/N with the projection G -> G/N and the least element of each coset."""
+
+    kernel: GroupSubset
     quotient: FiniteGroup
     projection: tuple[int, ...]
     section: tuple[int, ...]
+
+
+class Abelianization(Quotient):
+    @property
+    def commutator(self) -> GroupSubset:
+        return self.kernel
 
 
 # ---------------------------------------------------------------------------
@@ -492,34 +500,79 @@ def commutator_subgroup(group: FiniteGroup) -> GroupSubset:
     return closure(group, np.unique(comms))
 
 
-def abelianization(group: FiniteGroup) -> Abelianization:
-    comm = commutator_subgroup(group)
-    n_idx = np.array(comm.indices(), dtype=np.int64)
-    cosets = group.mul_table[:, n_idx]
-    rep_of = cosets.min(axis=1)
+def quotient(group: FiniteGroup, normal: GroupSubset) -> Quotient:
+    """G/N for a normal subgroup N, each coset named by its least element. The
+    projection must be a homomorphism with kernel N; being onto, it carries the
+    group axioms to the coset table, so that table is not validated again."""
+    n_idx = np.array(normal.indices(), dtype=np.int64)
+    rep_of = group.mul_table[:, n_idx].min(axis=1)
     reps = np.unique(rep_of)
     parr = np.searchsorted(reps, rep_of)
-    proj = tuple(int(i) for i in parr)
     q_mul = parr[group.mul_table[np.ix_(reps, reps)]].astype(np.int32)
-    labels = [group.labels[int(r)] for r in reps]
-    # projection must be a homomorphism with kernel = commutator subgroup
     if not np.array_equal(parr[group.mul_table], q_mul[parr[:, None], parr[None, :]]):
-        raise GroupValidationError("abelianization projection is not a homomorphism")
-    kernel = np.flatnonzero(parr == proj[group.identity])
-    if set(int(k) for k in kernel) != set(comm.indices()):
-        raise GroupValidationError("abelianization kernel differs from commutator subgroup")
-    # so, being onto, it carries the group axioms to q_mul: no table validation
+        raise GroupValidationError(f"{group.name}: quotient projection is not a homomorphism")
+    identity = int(parr[group.identity])
+    if _index_mask(np.flatnonzero(parr == identity), group.order) != normal.mask:
+        raise GroupValidationError(f"{group.name}: quotient kernel differs from the subgroup")
     q_inv = parr[group.inv_table[reps]].astype(np.int32)
     q_mul.setflags(write=False)
     q_inv.setflags(write=False)
-    quotient = FiniteGroup(q_mul, q_inv, proj[group.identity], tuple(labels), f"{group.name}_ab")
-    return Abelianization(comm, quotient, proj, tuple(int(r) for r in reps))
+    labels = tuple(group.labels[int(r)] for r in reps)
+    q = FiniteGroup(q_mul, q_inv, identity, labels, f"{group.name}/{len(normal)}")
+    return Quotient(normal, q, tuple(parr.tolist()), tuple(reps.tolist()))
+
+
+def abelianization(group: FiniteGroup) -> Abelianization:
+    return Abelianization(**vars(quotient(group, commutator_subgroup(group))))
+
+
+def _prime_base(k: int) -> int:
+    """p if k is a power p^v (v >= 1) of a prime p, else 0."""
+    if k < 2:
+        return 0
+    p = next(d for d in range(2, k + 1) if k % d == 0)
+    while k % p == 0:
+        k //= p
+    return p if k == 1 else 0
+
+
+def _cyclic_bits(group: FiniteGroup) -> np.ndarray:
+    """bits[x, y]: whether y is a power of x, from one table of powers."""
+    n, elems = group.order, np.arange(group.order)
+    bits = np.zeros((n, n), dtype=bool)
+    power = np.full(n, group.identity)
+    for _ in range(max(group.element_orders)):
+        bits[elems, power] = True
+        power = group.mul_table[power, elems]
+    return bits
+
+
+def is_supersolvable(group: FiniteGroup) -> bool:
+    """Whether G has a normal series with cyclic factors. An abelian group has;
+    otherwise G/<x> is tested for any x of prime order with <x> normal, and
+    without one G has not: a minimal normal subgroup of a supersolvable group
+    has prime order, and every quotient of one is supersolvable. The group
+    caches the verdict as a bool, which never refers back to it."""
+    cached = group.__dict__.get("_supersolvable")
+    if cached is None:
+        g = group
+        while not g.is_abelian:
+            orders, bits = g.element_orders, _cyclic_bits(g)
+            normal = next((x for x in range(g.order) if _prime_base(orders[x]) == orders[x]
+                           and bits[x, g.conj_table[:, x]].all()), None)
+            if normal is None:
+                break
+            cyclic = GroupSubset(g, _index_mask(np.flatnonzero(bits[normal]), g.order))
+            g = quotient(g, cyclic).quotient
+        cached = group.__dict__["_supersolvable"] = g.is_abelian
+    return cached
 
 
 def enumerate_subgroups(group: FiniteGroup,
                         max_order_cap: int = SUBGROUP_ORDER_CAP) -> tuple[Subgroup, ...]:
-    """All subgroups, ordered by (size, indices): cyclic seeds closed under
-    pairwise join, to a fixpoint. The group caches the masks only."""
+    """All subgroups, ordered by (size, indices): the cyclic subgroups of
+    prime-power order closed under join with each other, to a fixpoint. The
+    group caches the masks only."""
     if group.order > max_order_cap:
         raise CapExceededError(
             f"subgroup enumeration refused at order {group.order} > cap {max_order_cap}; "
@@ -527,14 +580,17 @@ def enumerate_subgroups(group: FiniteGroup,
         )
     masks = group.__dict__.get("_subgroups")
     if masks is None:
-        cyclics = sorted({closure(group, [g]).mask for g in range(group.order)})
+        # <x> is the join of the cyclic subgroups of its prime-power parts
+        orders, bits = group.element_orders, _cyclic_bits(group)
+        cyclics = sorted({_index_mask(np.flatnonzero(bits[x]), group.order)
+                          for x in range(group.order) if _prime_base(orders[x])})
         known = {1 << group.identity} | set(cyclics)
-        queue = list(known)
+        queue = list(cyclics)
         while queue:
             m = queue.pop()
             m_idx = GroupSubset(group, m).indices()
             for c in cyclics:
-                if c & ~m == 0:
+                if c & ~m == 0 or m | c in known:   # a known subgroup is its own join
                     continue
                 jm = closure(group, m_idx + GroupSubset(group, c).indices()).mask
                 if jm not in known:

@@ -26,6 +26,7 @@ from .groups import (
     conjugacy_classes,
     closure,
     enumerate_subgroups,
+    is_supersolvable,
     subgroup_view,
 )
 
@@ -516,12 +517,23 @@ def _monomial_certificates(group: FiniteGroup, max_order_cap: int) -> tuple[tupl
 
 
 def is_hereditarily_monomial(group: FiniteGroup) -> tuple[bool, Optional[GroupSubset]]:
-    """Whether every subgroup is monomial, with the first that is not. Each
-    subgroup's view inherits the group's lattice, so it is enumerated once."""
+    """Whether every subgroup is monomial, with the first that is not. A
+    supersolvable group is, by theorem: it is an M-group and so is each of its
+    subgroups, which are supersolvable too (Isaacs, Character Theory of Finite
+    Groups, Thm 6.22). Any other group is searched subgroup by subgroup."""
     if group.order > SUBGROUP_ORDER_CAP:
         raise CapExceededError(
             f"hereditary monomiality refused at order {group.order} > {SUBGROUP_ORDER_CAP}"
         )
+    if is_supersolvable(group):
+        return True, None
+    return _hereditary_search(group)
+
+
+def _hereditary_search(group: FiniteGroup) -> tuple[bool, Optional[GroupSubset]]:
+    """The search behind `is_hereditarily_monomial`: `is_monomial` on every
+    subgroup. Each subgroup's view inherits the group's lattice, so it is
+    enumerated once."""
     for sub in enumerate_subgroups(group):
         # the whole group is checked as itself, so its cached verdict is reused
         sub_group = (group if len(sub) == group.order

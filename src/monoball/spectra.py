@@ -19,7 +19,7 @@ import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import FalsifiedError
-from .groups import SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, closure
+from .groups import SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, closure, is_supersolvable
 from .harmonic import (
     _SPEC_RAD_TOL,
     ClassFunction,
@@ -65,15 +65,24 @@ def _cos_table(e: int) -> np.ndarray:
 
 
 def _divmod_monic(poly, div) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient and remainder of poly by the monic div (constant terms first), exactly."""
+    """Quotient and remainder of poly by the monic div (constant terms first),
+    exactly. The remainder keeps the length of poly, zero from len(div) - 1 on.
+    A 2-D poly is divided row by row, all rows in one pass."""
     rem, deg, terms = np.array(poly, dtype=object), len(div) - 1, np.flatnonzero(div)
     div = np.array(div, dtype=object)[terms]        # cyclotomic divisors are sparse
-    quot = np.zeros(max(len(rem) - deg, 0), dtype=object)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        quot[i - deg] = c = rem[i]
-        if c:
-            rem[i - deg + terms] -= c * div
-    return quot, rem[:deg]
+    quot = np.zeros(rem.shape[:-1] + (max(rem.shape[-1] - deg, 0),), dtype=object)
+    used = np.flatnonzero((rem != 0).reshape(-1, rem.shape[-1]).any(axis=0))
+    for i in range(used[-1] if used.size else -1, deg - 1, -1):
+        quot[..., i - deg] = c = rem[..., i]
+        if np.any(c != 0):
+            rem[..., i - deg + terms] -= np.multiply.outer(c, div)
+    return quot, rem
+
+
+def _reduce(coeffs) -> np.ndarray:
+    """Each row c of coeffs, of length e, modulo Phi_e: the canonical form of
+    sum_k c_k zeta_e^k, as a row of the same length."""
+    return _divmod_monic(coeffs, _cyclotomic(np.shape(coeffs)[-1]))[1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,7 +98,7 @@ def _exact_at_least(coeffs, threshold: Fraction) -> bool:
     """sum_k coeffs[k] zeta_e^k >= threshold (e = len(coeffs)) for a real element
     of Z[zeta_e]; a tie counts as >=. The difference is reduced modulo Phi_e: if
     it is not 0, its enclosure excludes 0 at some precision."""
-    beta = threshold.denominator * _divmod_monic(coeffs, _cyclotomic(len(coeffs)))[1]
+    beta = threshold.denominator * _reduce(coeffs)
     beta[0] -= threshold.numerator
     if not any(beta):
         return True
@@ -123,14 +132,17 @@ class FourierMagnitudes:
         # table entry and |supp w| u from the product; doubled, and 3 more for slack
         self.error = 2.0 ** -52 * (len(self.weights) + 4) * len(a) ** 2
 
-    def coefficients(self, index: int) -> np.ndarray:
-        """c with mag_sq(index) = sum_k c_k zeta_e^k."""
-        return np.bincount(self._rows[index, self._support], self.weights,
-                           minlength=self.exponent).astype(np.int64)
+    def coefficients(self, indices) -> np.ndarray:
+        """Row j is c with mag_sq(indices[j]) = sum_k c_k zeta_e^k."""
+        e, k = self.exponent, len(indices)
+        cols = self._rows[np.asarray(indices, dtype=np.int64)][:, self._support]
+        cols += e * np.arange(k)[:, None]
+        return np.bincount(cols.ravel(), np.tile(self.weights, k),
+                           minlength=k * e).astype(np.int64).reshape(k, e)
 
     def mag_sq(self, index: int) -> MagSq:
         """The exact value when it is rational (then an integer), else the estimate."""
-        rem = _divmod_monic(self.coefficients(index), _cyclotomic(self.exponent))[1]
+        rem = _reduce(self.coefficients([index]))[0]
         return float(self.estimates[index]) if any(rem[1:]) else Fraction(int(rem[0]))
 
     def transform_abs(self, index: int) -> float:
@@ -175,8 +187,15 @@ def _lspec(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
     t = float(threshold)
     bound = mags.error + 2.0 ** -52 * t
     verdict = (mags.estimates - t > bound) | (threshold == 0)   # no square is below 0
-    for i in np.flatnonzero(~verdict & (np.abs(mags.estimates - t) <= bound)):
-        verdict[i] = _exact_at_least(mags.coefficients(i), threshold)
+    near = np.flatnonzero(~verdict & (np.abs(mags.estimates - t) <= bound))
+    # reduction mod Phi_e is linear, so one pass reduces every near tie; the
+    # reduced row is canonical, so equal values are decided once
+    decided: dict[tuple, bool] = {}
+    for i, reduced in zip(near, _reduce(mags.coefficients(near))):
+        key = tuple(reduced)
+        if key not in decided:
+            decided[key] = _exact_at_least(reduced, threshold)
+        verdict[i] = decided[key]
     members = np.flatnonzero(verdict).tolist()
     charset = CharSet(group, members)
     assert charset.contains_identity   # hat 1_A(0) = P(A) clears every threshold
@@ -264,7 +283,8 @@ def standing_hypotheses(group: FiniteGroup, s: GroupSubset,
                         a: GroupSubset) -> list[HypothesisRecord]:
     records = []
     if group.order <= SUBGROUP_ORDER_CAP:
-        mono, _ = is_monomial(group)
+        # a supersolvable group is an M-group (Isaacs, Thm 6.22): no search
+        mono = is_supersolvable(group) or is_monomial(group)[0]
         records.append(HypothesisRecord(
             "group is monomial", "holds" if mono else "fails"))
     else:
@@ -376,7 +396,7 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     if abs(lhs_units - mid_units) > bound:
         lhs_ge_mid = lhs_units > mid_units
     else:                           # near a tie: compare in Z[zeta_e]
-        lhs_coeffs = sum(_cyclic_power(mags.coefficients(i), k) for i in members)
+        lhs_coeffs = sum(_cyclic_power(c, k) for c in mags.coefficients(members))
         lhs_ge_mid = _exact_at_least(lhs_coeffs, mid_exact * n ** (2 * k))
 
     # independent float route through the full character table

@@ -74,6 +74,8 @@ RUNS = [
     ("chartable-heis3", "chartable", HEIS3, None, []),
     ("chartable-s4", "chartable", S4, None, []),
     ("monomial-s4", "monomial", S4, None, []),
+    # S4 is not supersolvable, so its hypotheses go to the brute-force search
+    ("freiman-s4", "freiman", S4, {"indices": [1], "normalize": NORMAL}, []),
 ]
 
 # exit code and sha256 of json.dumps(report["result"], indent=2); None when
@@ -112,6 +114,7 @@ GOLDEN = {
     "chartable-heis3": (0, "c45f260040c157f9e496f57fdd320a68d066372231cdb5112fc2454c54392c2e"),
     "chartable-s4": (0, "35e79a6182d537bee0490d147967fa1146110adbbd265221b6e3f332f6200e76"),
     "monomial-s4": (0, "b5864d7c42fe5967249c0dca610674e8b32047f0a10b9bb499061df09e65cddd"),
+    "freiman-s4": (0, "ea1af5991b30d901253a4ce0387a87165c7eaf5304521ae7701c1e0d40638cd6"),
 }
 
 

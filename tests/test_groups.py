@@ -16,9 +16,11 @@ from monoball.groups import (
     dihedral_group,
     enumerate_subgroups,
     heisenberg_group,
+    is_supersolvable,
     permutation_group,
     product_group,
     quaternion_group,
+    quotient,
     subgroup_view,
     table_group,
 )
@@ -165,6 +167,23 @@ def test_subgroup_counts_frozen():
     assert len(enumerate_subgroups(dihedral_group(8))) == 10
 
 
+def test_subgroup_lattice_joins_prime_power_cyclics(monkeypatch):
+    calls = []
+    real = groups.closure
+
+    def counting(group, seeds):
+        calls.append(group.order)
+        return real(group, seeds)
+
+    monkeypatch.setattr(groups, "closure", counting)
+    subs = enumerate_subgroups(product_group([cyclic_group(2), heisenberg_group(3)]))
+    assert len(subs) == 38
+    # one closure per element and per join made 935 calls
+    assert len(calls) < 935 / 2
+    calls.clear()
+    assert len(enumerate_subgroups(cyclic_group(128))) == 8 and calls == []
+
+
 def test_subgroup_index_in_parent():
     for s in enumerate_subgroups(_s3()):
         assert s.index_in_parent * len(s) == 6
@@ -200,6 +219,41 @@ def test_abelianization_quotient_matches_validated_table():
         assert np.array_equal(q.inv_table, inv)
         assert q.mul_table.dtype == q.inv_table.dtype == np.int32
         assert not q.mul_table.flags.writeable and not q.inv_table.flags.writeable
+
+
+def test_quotient_by_a_normal_subgroup():
+    g = dihedral_group(8)
+    center = closure(g, [2])                    # {r0, r2}
+    q = quotient(g, center)
+    assert q.quotient.order == 4 and q.kernel is center
+    identity, inv = groups._validate_table(np.array(q.quotient.mul_table), q.quotient.name)
+    assert q.quotient.identity == identity and np.array_equal(q.quotient.inv_table, inv)
+    for x in range(8):
+        assert q.section[q.projection[x]] == min(x, g.mul(x, 2))
+        for y in range(8):
+            assert q.projection[g.mul(x, y)] == q.quotient.mul(q.projection[x], q.projection[y])
+    # a subgroup that is not normal, and a normal subset that is not a subgroup
+    with pytest.raises(GroupValidationError, match="not a homomorphism"):
+        quotient(g, closure(g, [4]))
+    with pytest.raises(GroupValidationError, match="kernel"):
+        quotient(g, GroupSubset.from_indices(g, [2]))
+
+
+def test_supersolvable_steps_through_quotients(monkeypatch):
+    seen = []
+    real = groups.quotient
+
+    def recording(group, normal):
+        seen.append((group.order, len(normal)))
+        return real(group, normal)
+
+    monkeypatch.setattr(groups, "quotient", recording)
+    assert is_supersolvable(cyclic_group(12)) and seen == []
+    # Heis(3): its center has prime order, and the quotient is abelian
+    assert is_supersolvable(heisenberg_group(3)) and seen == [(27, 3)]
+    seen.clear()
+    # SL(2,3) / {+-1} is A4, where no element of prime order spans a normal subgroup
+    assert not is_supersolvable(_sl23()) and seen == [(24, 2)]
 
 
 def test_cyclic_linear_phases_validate_one_table(monkeypatch):

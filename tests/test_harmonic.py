@@ -57,6 +57,22 @@ def _sl23():
     return permutation_group(8, [mat_perm([[1, 1], [0, 1]]), mat_perm([[1, 0], [1, 1]])])
 
 
+def _s4():
+    return permutation_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
+
+
+def _a4():
+    return permutation_group(4, [[1, 2, 0, 3], [0, 2, 3, 1]])
+
+
+def _fixtures():
+    """The five pipeline fixture groups, each with the seeds of its set A."""
+    return [(heisenberg_group(3), [9, 3]), (dihedral_group(16), [1]),
+            (cyclic_group(128), [127, 1]),
+            (product_group([cyclic_group(2), heisenberg_group(3)]), [27, 9, 3]),
+            (product_group([cyclic_group(3), dihedral_group(8)]), [8, 1, 4])]
+
+
 def _random_class_function(g, rng):
     vals = np.zeros(g.order, dtype=complex)
     for cls in conjugacy_classes(g).classes:
@@ -383,7 +399,8 @@ def test_is_monomial_cached_per_group(monkeypatch):
     from monoball.pipeline import freiman_ball
     from monoball.setops import normalize_set
 
-    g = heisenberg_group(3)
+    # S4 is not supersolvable, so only the search decides its monomiality
+    g = _s4()
     calls = []
     real = harmonic.character_table
 
@@ -392,14 +409,14 @@ def test_is_monomial_cached_per_group(monkeypatch):
         return real(group)
 
     monkeypatch.setattr(harmonic, "character_table", counting)
-    a = normalize_set(GroupSubset.from_indices(g, [9, 3]), symmetrize=True,
+    a = normalize_set(GroupSubset.from_indices(g, [1]), symmetrize=True,
                       add_identity=True, conjugation_close=True)
     freiman_ball(g, a)
     # hereditary monomiality and both standing-hypothesis records share one run
     assert sum(grp is g for grp in calls) == 1
     _, certs = is_monomial(g)
     certs.clear()                      # callers get a copy of the cached list
-    assert len(is_monomial(g)[1]) == 11
+    assert len(is_monomial(g)[1]) == 5
     assert sum(grp is g for grp in calls) == 1
 
 
@@ -421,20 +438,54 @@ def test_hereditarily_monomial():
 
 def test_hereditary_search_enumerates_one_lattice(monkeypatch):
     import monoball.harmonic as harmonic
+    from monoball.pipeline import freiman_ball
+    from monoball.setops import normalize_set
 
-    computed = []
-    real = harmonic.enumerate_subgroups
+    computed, tables = [], []
+    real_subgroups, real_values = harmonic.enumerate_subgroups, harmonic._class_values
 
     def counting(group, *args):
         if "_subgroups" not in group.__dict__:
             computed.append(group.order)
-        return real(group, *args)
+        return real_subgroups(group, *args)
+
+    def counting_tables(group, part):
+        tables.append(group.order)
+        return real_values(group, part)
 
     monkeypatch.setattr(harmonic, "enumerate_subgroups", counting)
-    g = product_group([cyclic_group(2), heisenberg_group(3)])
-    assert is_hereditarily_monomial(g)[0]
+    monkeypatch.setattr(harmonic, "_class_values", counting_tables)
+    assert is_hereditarily_monomial(_s4())[0]
     # every subgroup's view, and every view of a view, inherits the lattice
-    assert computed == [54]
+    assert computed == [24]
+    # the five pipeline fixtures are supersolvable: no lattice, no table
+    computed.clear()
+    tables.clear()
+    for g, ids in _fixtures():
+        a = normalize_set(GroupSubset.from_indices(g, ids), symmetrize=True,
+                          add_identity=True, conjugation_close=True)
+        freiman_ball(g, a)
+    assert computed == [] and tables == []
+
+
+def test_supersolvable_certificate_agrees_with_the_search():
+    from monoball.groups import is_supersolvable
+    from monoball.harmonic import _hereditary_search
+
+    named = [(f"fixture {i}", g) for i, (g, _) in enumerate(_fixtures())] + [
+        ("Q8", quaternion_group()), ("D8", dihedral_group(8)), ("D10", dihedral_group(10)),
+        ("D16", dihedral_group(16)), ("S3", _s3()), ("C12", cyclic_group(12)),
+        ("C24", cyclic_group(24)), ("S4", _s4()), ("A4", _a4()), ("SL(2,3)", _sl23())]
+    verdicts = {name: is_supersolvable(g) for name, g in named}
+    assert sorted(name for name, ok in verdicts.items() if not ok) == ["A4", "S4", "SL(2,3)"]
+    for name, g in named:
+        # the certificate is cached as a bool, which holds no reference to g
+        assert g.__dict__["_supersolvable"] is verdicts[name]
+        searched, witness = _hereditary_search(g)
+        assert searched or not verdicts[name], name
+        # the search itself: S4 and A4 pass, SL(2,3) fails as a whole
+        assert searched == (name != "SL(2,3)"), name
+        assert is_hereditarily_monomial(g) == (searched, witness)
 
 
 def test_monomial_cap():

@@ -247,6 +247,42 @@ def test_cyclotomic_polynomials():
     assert len(phi105) == 49 and phi105[7] == phi105[41] == -2
 
 
+def test_batched_reduction_matches_the_row_by_row_one():
+    rng = np.random.default_rng(5)
+    # Phi_105 is the first cyclotomic polynomial with a coefficient outside {0, +-1}
+    for e in (8, 12, 105, 360, 768):
+        phi = spectra._cyclotomic(e)
+        rows = rng.integers(-40, 41, size=(5, e))
+        rows[0] = 0
+        quot, rem = spectra._divmod_monic(rows, phi)
+        assert np.array_equal(spectra._reduce(rows), rem)
+        for row, q, r in zip(rows, quot, rem):
+            q1, r1 = spectra._divmod_monic(row, phi)
+            assert q1.tolist() == q.tolist() and r1.tolist() == r.tolist()
+            # row = q Phi_e + r exactly, with deg r < deg Phi_e
+            assert not any(r[len(phi) - 1:])
+            back = [0] * e
+            for i, c in enumerate(phi):
+                for j, b in enumerate(q.tolist()):
+                    back[i + j] += c * b
+            assert [b + x for b, x in zip(back, r.tolist())] == row.tolist()
+
+
+def test_lspec_decides_each_near_tie_value_once(monkeypatch):
+    calls = []
+    real = spectra._exact_at_least
+
+    def recording(coeffs, threshold):
+        calls.append(threshold)
+        return real(coeffs, threshold)
+
+    monkeypatch.setattr(spectra, "_exact_at_least", recording)
+    g = cyclic_group(768)
+    # |1 + zeta^96k + zeta^384k|^2 is the threshold 1 at 480 characters
+    spec = large_spectrum(_subset(g, [0, 96, 384]), Fraction(4, 3))
+    assert len(spec.members) == 768 and calls == [1]
+
+
 def test_large_spectrum_rejects_bad_radius():
     g = cyclic_group(12)
     a = _subset(g, [0, 4, 8])
