@@ -10,10 +10,8 @@ import numpy as np
 
 from .errors import CapExceededError, GroupValidationError
 
-FULL_ASSOCIATIVITY_LIMIT = 512
 SUBGROUP_ORDER_CAP = 128    # also the cap of every monomiality search
 PERMUTATION_CLOSURE_CAP = 4096
-_ASSOC_SAMPLE = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,6 +205,29 @@ def _first_bad_row(table: np.ndarray) -> Optional[int]:
     return int(np.flatnonzero(~rows_ok)[0])
 
 
+def _generating_set(mul: np.ndarray, identity: int) -> list[int]:
+    """Elements s1, s2, ... whose words ((s1*s2)*s3)... from the identity reach
+    every element: a search by right multiplication that takes the least
+    unreached element whenever it stalls. What a stalled search has reached does
+    not depend on the order of the search. In a group it is the subgroup that
+    s1, s2, ... generate, which each new element at least doubles."""
+    reached = [False] * mul.shape[0]
+    reached[identity] = True
+    gens, columns, todo = [], [], [identity]
+    while True:
+        while todo:
+            x = todo.pop()
+            for col in columns:
+                if not reached[col[x]]:
+                    reached[col[x]] = True
+                    todo.append(col[x])
+        if all(reached):
+            return gens
+        gens.append(reached.index(False))
+        columns.append(mul[:, gens[-1]].tolist())
+        todo = [x for x, hit in enumerate(reached) if hit]   # every word times the new one
+
+
 def _validate_table(mul: np.ndarray, name: str) -> tuple[int, np.ndarray]:
     """Check group axioms; return (identity, inv_table) or raise with a witness."""
     n = mul.shape[0]
@@ -227,43 +248,26 @@ def _validate_table(mul: np.ndarray, name: str) -> tuple[int, np.ndarray]:
         raise GroupValidationError(f"{name}: column {c} is not a permutation (not a Latin square)")
 
     want = np.arange(n)
-    identity = None
-    for e in range(n):
-        if np.array_equal(mul[e], want) and np.array_equal(mul[:, e], want):
-            identity = e
-            break
-    if identity is None:
+    # a two-sided identity e has e*0 = 0, and the Latin column 0 leaves one such e
+    identity = int(np.flatnonzero(mul[:, 0] == 0)[0])
+    if not (np.array_equal(mul[identity], want) and np.array_equal(mul[:, identity], want)):
         raise GroupValidationError(f"{name}: no two-sided identity element")
+    inv = np.argmax(mul == identity, axis=1).astype(mul.dtype)
 
-    inv = np.empty(n, dtype=mul.dtype)
-    for x in range(n):
-        hits = np.flatnonzero(mul[x] == identity)
-        inv[x] = hits[0]
-
-    if n <= FULL_ASSOCIATIVITY_LIMIT:
-        chunk = max(1, (1 << 22) // (n * n))
+    # Light's test: the a with (x*a)*y = x*(a*y) for all x, y are closed under
+    # products and include the identity, so checking a generating set suffices;
+    # chunks of 2^16 entries stay in cache (2^22 took five times as long at 4096)
+    chunk = max(1, (1 << 16) // n)
+    for s in _generating_set(mul, identity):
         for start in range(0, n, chunk):
-            xs = np.arange(start, min(start + chunk, n))
-            lhs = mul[mul[xs], :]          # (c, n, n): (x y) z
-            rhs = mul[xs][:, mul]          # (c, n, n): x (y z)
+            lhs = mul[mul[start:start + chunk, s]]          # (x s) y
+            rhs = mul[start:start + chunk, mul[s]]          # x (s y)
             if not np.array_equal(lhs, rhs):
-                x, y, z = np.argwhere(lhs != rhs)[0]
-                x = int(xs[x])
+                x, y = np.argwhere(lhs != rhs)[0]
                 raise GroupValidationError(
-                    f"{name}: associativity fails at ({x},{int(y)},{int(z)}): "
-                    f"(x*y)*z={int(mul[mul[x, y], z])} but x*(y*z)={int(mul[x, mul[y, z]])}"
+                    f"{name}: associativity fails at ({start + int(x)},{s},{int(y)}): "
+                    f"(x*y)*z={int(lhs[x, y])} but x*(y*z)={int(rhs[x, y])}"
                 )
-    else:
-        rng = np.random.default_rng(0)
-        xs, ys, zs = rng.integers(0, n, size=(3, _ASSOC_SAMPLE))
-        lhs = mul[mul[xs, ys], zs]
-        rhs = mul[xs, mul[ys, zs]]
-        if not np.array_equal(lhs, rhs):
-            i = int(np.flatnonzero(lhs != rhs)[0])
-            raise GroupValidationError(
-                f"{name}: associativity fails at sampled triple "
-                f"({int(xs[i])},{int(ys[i])},{int(zs[i])})"
-            )
     return identity, inv
 
 
@@ -292,34 +296,20 @@ def dihedral_group(order: int) -> FiniteGroup:
     if order < 2 or order % 2:
         raise GroupValidationError("dihedral: order must be even and >= 2")
     n = order // 2
-    mul = np.zeros((order, order), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            mul[a, b] = (a + b) % n                  # r^a r^b
-            mul[a, n + b] = n + (b - a) % n          # r^a (s r^b) = s r^{b-a}
-            mul[n + a, b] = n + (a + b) % n          # (s r^a) r^b
-            mul[n + a, n + b] = (b - a) % n          # (s r^a)(s r^b) = r^{b-a}
+    a = np.arange(n)
+    rot, flip = (a[:, None] + a) % n, (a - a[:, None]) % n     # r^a r^b, r^{b-a}
+    # r^a (s r^b) = s r^{b-a}, (s r^a) r^b = s r^{a+b}, (s r^a)(s r^b) = r^{b-a}
+    mul = np.block([[rot, n + flip], [n + rot, flip]])
     labels = [f"r{a}" for a in range(n)] + [f"sr{a}" for a in range(n)]
     return _finish(mul, labels, f"dihedral({order})")
 
 
 def quaternion_group() -> FiniteGroup:
-    # elements 1,-1,i,-i,j,-j,k,-k encoded as (unit u, sign s) -> index 2u+s
-    unit_mul = {
-        (0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3),
-        (1, 0): (0, 1), (2, 0): (0, 2), (3, 0): (0, 3),
-        (1, 1): (1, 0), (2, 2): (1, 0), (3, 3): (1, 0),
-        (1, 2): (0, 3), (2, 1): (1, 3),
-        (2, 3): (0, 1), (3, 2): (1, 1),
-        (3, 1): (0, 2), (1, 3): (1, 2),
-    }
-    mul = np.zeros((8, 8), dtype=np.int64)
-    for u in range(4):
-        for s in range(2):
-            for v in range(4):
-                for t in range(2):
-                    flip, w = unit_mul[(u, v)]
-                    mul[2 * u + s, 2 * v + t] = 2 * w + ((s + t + flip) % 2)
+    # elements 1,-1,i,-i,j,-j,k,-k encoded as (unit u, sign s) -> index 2u+s; the
+    # units 1,i,j,k multiply as u XOR v, with a sign flip where flip[u, v] is 1
+    flip = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    u, s = (v[:, None] for v in divmod(np.arange(8), 2))
+    mul = 2 * (u ^ u.T) + (s + s.T + flip[u, u.T]) % 2
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     return _finish(mul, labels, "quaternion8")
 
@@ -328,19 +318,10 @@ def heisenberg_group(p: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over Z_p; element (a,b,c) has index a*p^2+b*p+c."""
     if p < 2:
         raise GroupValidationError("heisenberg: p must be >= 2")
-    n = p ** 3
-    mul = np.zeros((n, n), dtype=np.int64)
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                i = (a * p + b) * p + c
-                for a2 in range(p):
-                    for b2 in range(p):
-                        for c2 in range(p):
-                            j = (a2 * p + b2) * p + c2
-                            na, nb = (a + a2) % p, (b + b2) % p
-                            nc = (c + c2 + a * b2) % p
-                            mul[i, j] = (na * p + nb) * p + nc
+    i = np.arange(p ** 3)
+    a, b, c = (v[:, None] for v in (i // (p * p), i // p % p, i % p))
+    # (a,b,c)(a2,b2,c2) = (a+a2, b+b2, c+c2+a*b2)
+    mul = (((a + a.T) % p * p + (b + b.T) % p) * p + (c + c.T + a * b.T) % p)
     labels = [f"({a},{b},{c})" for a in range(p) for b in range(p) for c in range(p)]
     return _finish(mul, labels, f"heisenberg({p})")
 
@@ -349,27 +330,12 @@ def product_group(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     if not factors:
         raise GroupValidationError("product: needs at least one factor")
     orders = [g.order for g in factors]
-    n = int(np.prod(orders))
-
-    def encode(tup):
-        idx = 0
-        for g, t in zip(factors, tup):
-            idx = idx * g.order + t
-        return idx
-
-    def decode(idx):
-        out = []
-        for g in reversed(factors):
-            out.append(idx % g.order)
-            idx //= g.order
-        return tuple(reversed(out))
-
-    mul = np.zeros((n, n), dtype=np.int64)
-    tuples = [decode(i) for i in range(n)]
-    for i, ti in enumerate(tuples):
-        for j, tj in enumerate(tuples):
-            mul[i, j] = encode(tuple(g.mul(a, b) for g, a, b in zip(factors, ti, tj)))
-    labels = ["(" + ",".join(g.labels[t] for g, t in zip(factors, tup)) + ")" for tup in tuples]
+    # element indices are mixed-radix digits, the first factor most significant
+    digits = np.unravel_index(np.arange(int(np.prod(orders))), orders)
+    mul = np.ravel_multi_index(
+        tuple(g.mul_table[np.ix_(d, d)] for g, d in zip(factors, digits)), orders)
+    labels = ["(" + ",".join(g.labels[t] for g, t in zip(factors, tup)) + ")"
+              for tup in zip(*(d.tolist() for d in digits))]
     name = "x".join(g.name for g in factors)
     return _finish(mul, labels, f"product({name})")
 
@@ -390,13 +356,14 @@ def permutation_group(degree: int, generators: Sequence[Sequence[int]]) -> Finit
         # apply q first, then p
         return tuple(p[q[i]] for i in range(degree))
 
+    # breadth-first, so that each element is its parent times one generator,
+    # and right[k][i] is the index of element i times generator k
     ident = tuple(range(degree))
     index_of = {ident: 0}
-    elems = [ident]
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
-        for g in gens:
+    elems, parent, via = [ident], [0], [0]
+    right: list[list[int]] = [[] for _ in gens]
+    for i, cur in enumerate(elems):     # elems grows while it is read
+        for k, g in enumerate(gens):
             w = compose(cur, g)
             if w not in index_of:
                 if len(elems) >= PERMUTATION_CLOSURE_CAP:
@@ -405,12 +372,17 @@ def permutation_group(degree: int, generators: Sequence[Sequence[int]]) -> Finit
                     )
                 index_of[w] = len(elems)
                 elems.append(w)
-                queue.append(w)
+                parent.append(i)
+                via.append(k)
+            right[k].append(index_of[w])
     n = len(elems)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            mul[i, j] = index_of[compose(p, q)]
+    right_arr = np.array(right, dtype=np.int64).reshape(len(gens), n)
+    # x * (p g) = (x * p) g, so column j comes from its parent's column
+    cols = np.empty((n, n), dtype=np.int64)
+    cols[0] = np.arange(n)
+    for j in range(1, n):
+        cols[j] = right_arr[via[j]][cols[parent[j]]]
+    mul = cols.T
     labels = ["(" + " ".join(map(str, p)) + ")" for p in elems]
     return _finish(mul, labels, f"perm(deg {degree})")
 

@@ -143,9 +143,6 @@ class CharacterTable:
     def size(self) -> int:
         return len(self.characters)
 
-    def entry(self, i: int) -> tuple[ClassFunction, int]:
-        return self.characters[i], self.dims[i]
-
     def class_values(self, i: int) -> np.ndarray:
         reps = self.partition.representatives()
         return self.characters[i].values[list(reps)]
@@ -532,12 +529,14 @@ def is_hereditarily_monomial(group: FiniteGroup) -> tuple[bool, Optional[GroupSu
 
 def _hereditary_search(group: FiniteGroup) -> tuple[bool, Optional[GroupSubset]]:
     """The search behind `is_hereditarily_monomial`: `is_monomial` on every
-    subgroup. Each subgroup's view inherits the group's lattice, so it is
-    enumerated once."""
+    subgroup that is not supersolvable, the others being monomial by theorem.
+    Each subgroup's view inherits the group's lattice, so it is enumerated once."""
     for sub in enumerate_subgroups(group):
         # the whole group is checked as itself, so its cached verdict is reused
         sub_group = (group if len(sub) == group.order
                      else subgroup_view(group, sub.elements).group)
+        if is_supersolvable(sub_group):
+            continue
         ok, _ = is_monomial(sub_group)
         if not ok:
             return False, sub.elements

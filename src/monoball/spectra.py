@@ -188,10 +188,11 @@ def _lspec(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
     bound = mags.error + 2.0 ** -52 * t
     verdict = (mags.estimates - t > bound) | (threshold == 0)   # no square is below 0
     near = np.flatnonzero(~verdict & (np.abs(mags.estimates - t) <= bound))
-    # reduction mod Phi_e is linear, so one pass reduces every near tie; the
-    # reduced row is canonical, so equal values are decided once
+    # reduction mod Phi_e is linear, so one pass reduces every near tie (and with
+    # none, Phi_e is not built); the reduced row is canonical, so equal values are
+    # decided once
     decided: dict[tuple, bool] = {}
-    for i, reduced in zip(near, _reduce(mags.coefficients(near))):
+    for i, reduced in zip(near, _reduce(mags.coefficients(near)) if near.size else ()):
         key = tuple(reduced)
         if key not in decided:
             decided[key] = _exact_at_least(reduced, threshold)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -110,25 +111,40 @@ def test_quaternion_structure():
     assert g.mul(i, i) == minus_one
     assert len(commutator_subgroup(g)) == 2
 
+    def quat(x):                # index 2u+s is (-1)^s times the unit 1, i, j or k
+        v = [0, 0, 0, 0]
+        v[x // 2] = (-1) ** (x % 2)
+        return tuple(v)
+
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+    for x in range(8):
+        for y in range(8):
+            assert quat(g.mul(x, y)) == hamilton(quat(x), quat(y))
+
 
 def test_heisenberg_against_matrix_oracle():
-    p = 3
-    g = heisenberg_group(p)
-    assert g.order == 27
+    for p in (2, 3, 5):
+        g = heisenberg_group(p)
+        assert g.order == p ** 3
 
-    def idx(a, b, c):
-        return (a * p + b) * p + c
+        def idx(a, b, c):
+            return (a * p + b) * p + c
 
-    def matmul(x, y):
-        a1, b1, c1 = x
-        a2, b2, c2 = y
-        # [[1,a,c],[0,1,b],[0,0,1]] multiplication over Z_p
-        return ((a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p)
+        def matmul(x, y):
+            a1, b1, c1 = x
+            a2, b2, c2 = y
+            # [[1,a,c],[0,1,b],[0,0,1]] multiplication over Z_p
+            return ((a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p)
 
-    triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    for x in triples:
-        for y in triples:
-            assert g.mul(idx(*x), idx(*y)) == idx(*matmul(x, y))
+        triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+        for x in triples:
+            for y in triples:
+                assert g.mul(idx(*x), idx(*y)) == idx(*matmul(x, y))
 
 
 def test_heisenberg_class_and_commutator_structure():
@@ -430,6 +446,125 @@ def test_conj_table_agrees_with_scalar_conj():
 
 
 def test_large_cyclic_validation_sampled():
-    g = cyclic_group(600)  # beyond the exhaustive associativity window
+    g = cyclic_group(600)  # validated exactly, as every table is at every order
     assert g.order == 600
     assert g.mul(599, 1) == 0
+
+
+# the constructors as the loops that define them, element pair by element pair
+
+
+def _loop_dihedral(order):
+    n = order // 2
+    mul = np.zeros((order, order), dtype=np.int64)
+    for a in range(n):
+        for b in range(n):
+            mul[a, b] = (a + b) % n                  # r^a r^b
+            mul[a, n + b] = n + (b - a) % n          # r^a (s r^b) = s r^{b-a}
+            mul[n + a, b] = n + (a + b) % n          # (s r^a) r^b
+            mul[n + a, n + b] = (b - a) % n          # (s r^a)(s r^b) = r^{b-a}
+    return mul
+
+
+def _loop_product(factors):
+    tuples = list(itertools.product(*(range(g.order) for g in factors)))
+    mul = np.zeros((len(tuples), len(tuples)), dtype=np.int64)
+    for i, ti in enumerate(tuples):
+        for j, tj in enumerate(tuples):
+            mul[i, j] = tuples.index(tuple(g.mul(a, b) for g, a, b in zip(factors, ti, tj)))
+    labels = ["(" + ",".join(g.labels[t] for g, t in zip(factors, tup)) + ")" for tup in tuples]
+    return mul, labels
+
+
+def _loop_permutation(degree, gens):
+    def compose(p, q):
+        return tuple(p[q[i]] for i in range(degree))
+
+    elems = [tuple(range(degree))]
+    for cur in elems:                           # breadth-first, generator by generator
+        for g in gens:
+            if compose(cur, g) not in elems:
+                elems.append(compose(cur, g))
+    mul = np.array([[elems.index(compose(p, q)) for q in elems] for p in elems])
+    return mul, ["(" + " ".join(map(str, p)) + ")" for p in elems]
+
+
+def test_dihedral_table_matches_the_loop_definition():
+    for order in range(2, 33, 2):
+        assert np.array_equal(dihedral_group(order).mul_table, _loop_dihedral(order)), order
+
+
+def test_product_table_matches_the_loop_definition():
+    for factors in ([cyclic_group(4), cyclic_group(6)],
+                    [cyclic_group(2), heisenberg_group(3)],
+                    [cyclic_group(3), dihedral_group(8), _s3()]):
+        mul, labels = _loop_product(factors)
+        g = product_group(factors)
+        assert np.array_equal(g.mul_table, mul) and list(g.labels) == labels
+
+
+def test_permutation_table_matches_the_loop_definition():
+    cases = [(3, [[1, 0, 2], [0, 2, 1]]),                    # S3
+             (4, [[1, 0, 2, 3], [1, 2, 3, 0]]),              # S4
+             (5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]),        # S5
+             (4, [[1, 2, 3, 0]]),                            # C4
+             (6, [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3], [3, 4, 5, 0, 1, 2]])]  # C3 wr C2
+    for degree, gens in cases:
+        mul, labels = _loop_permutation(degree, [tuple(g) for g in gens])
+        g = permutation_group(degree, gens)
+        assert np.array_equal(g.mul_table, mul) and list(g.labels) == labels, degree
+    assert [permutation_group(d, gs).order for d, gs in cases] == [6, 24, 120, 4, 18]
+
+
+def _cyclic_with_intercalate(n, r, c):
+    # rows r, r + n/2 and columns c, c + n/2 of C_n hold a 2x2 Latin subsquare;
+    # swapping its entries keeps the table Latin, and its identity, if r, c != 0
+    t = (np.arange(n)[:, None] + np.arange(n)) % n
+    h = n // 2
+    t[[r, r, r + h, r + h], [c, c + h, c, c + h]] = t[[r, r, r + h, r + h], [c + h, c, c + h, c]]
+    return t
+
+
+def _assert_associativity_witness(t, message):
+    m = re.fullmatch(r"table: associativity fails at \((\d+),(\d+),(\d+)\): "
+                     r"\(x\*y\)\*z=(\d+) but x\*\(y\*z\)=(\d+)", message)
+    assert m, message
+    x, y, z, lhs, rhs = map(int, m.groups())
+    assert t[t[x, y], z] == lhs != rhs == t[x, t[y, z]]
+
+
+def test_large_table_associativity_failure_names_its_witness():
+    t = _cyclic_with_intercalate(600, 1, 2)
+    with pytest.raises(GroupValidationError) as err:
+        table_group(t)
+    _assert_associativity_witness(t, str(err.value))
+
+
+def test_associativity_check_agrees_with_the_full_sweep():
+    rng = np.random.default_rng(3)
+    verdicts = []
+    for n in (4, 6, 8, 10, 12, 16):
+        for r in range(1, n // 2):
+            for c in range(1, n // 2):
+                t = _cyclic_with_intercalate(n, r, c)
+                verdicts.append(bool((t[t] == t[:, t]).all()))  # (x y) z = x (y z) throughout
+                if verdicts[-1]:
+                    table_group(t)
+                    continue
+                with pytest.raises(GroupValidationError) as err:
+                    table_group(t)
+                _assert_associativity_witness(t, str(err.value))
+    assert verdicts.count(True) == 1 and verdicts.count(False) == 103
+    # a group relabelled at random is still a group
+    for g in (_s4(), _sl23(), product_group([cyclic_group(2)] * 6), dihedral_group(30)):
+        perm = rng.permutation(g.order)
+        t = np.empty_like(g.mul_table)
+        t[np.ix_(perm, perm)] = perm[g.mul_table]
+        assert table_group(t).identity == perm[g.identity]
+
+
+def test_generating_set_is_logarithmic():
+    g = product_group([cyclic_group(2)] * 10)
+    assert groups._generating_set(g.mul_table, g.identity) == [1 << k for k in range(10)]
+    assert groups._generating_set(cyclic_group(600).mul_table, 0) == [1]
+    assert groups._generating_set(cyclic_group(1).mul_table, 0) == []

@@ -13,6 +13,7 @@ from monoball.groups import (
     conjugacy_classes,
     cyclic_group,
     dihedral_group,
+    enumerate_subgroups,
     heisenberg_group,
     permutation_group,
     product_group,
@@ -468,6 +469,15 @@ def test_hereditary_search_enumerates_one_lattice(monkeypatch):
     assert computed == [] and tables == []
 
 
+def _search_every_subgroup(g):
+    # the reference: is_monomial on every subgroup, with no certificate
+    for sub in enumerate_subgroups(g):
+        view = g if len(sub) == g.order else subgroup_view(g, sub.elements).group
+        if not is_monomial(view)[0]:
+            return False, sub.elements
+    return True, None
+
+
 def test_supersolvable_certificate_agrees_with_the_search():
     from monoball.groups import is_supersolvable
     from monoball.harmonic import _hereditary_search
@@ -481,11 +491,28 @@ def test_supersolvable_certificate_agrees_with_the_search():
     for name, g in named:
         # the certificate is cached as a bool, which holds no reference to g
         assert g.__dict__["_supersolvable"] is verdicts[name]
-        searched, witness = _hereditary_search(g)
+        searched, witness = _search_every_subgroup(g)
         assert searched or not verdicts[name], name
         # the search itself: S4 and A4 pass, SL(2,3) fails as a whole
         assert searched == (name != "SL(2,3)"), name
-        assert is_hereditarily_monomial(g) == (searched, witness)
+        assert _hereditary_search(g) == (searched, witness), name
+        assert is_hereditarily_monomial(g) == (searched, witness), name
+
+
+def test_hereditary_search_skips_supersolvable_subgroups(monkeypatch):
+    import monoball.harmonic as harmonic
+
+    searched = []
+    real = harmonic.is_monomial
+
+    def counting(group, *args):
+        searched.append(group.order)
+        return real(group, *args)
+
+    monkeypatch.setattr(harmonic, "is_monomial", counting)
+    assert is_hereditarily_monomial(_s4()) == (True, None)
+    # of the 30 subgroups of S4 only A4 and S4 itself are not supersolvable
+    assert searched == [12, 24]
 
 
 def test_monomial_cap():

@@ -283,6 +283,17 @@ def test_lspec_decides_each_near_tie_value_once(monkeypatch):
     assert len(spec.members) == 768 and calls == [1]
 
 
+def test_lspec_without_near_ties_builds_no_cyclotomic():
+    spectra._cyclotomic.cache_clear()
+    g = cyclic_group(768)
+    spec = large_spectrum(_subset(g, [767, 0, 1]), Fraction(1, 4))
+    assert len(spec.members) == 53
+    assert spectra._cyclotomic.cache_info().currsize == 0
+    # a spectrum with ties does build Phi_e
+    large_spectrum(_subset(cyclic_group(8), [0, 1, 4]), Fraction(4, 3))
+    assert spectra._cyclotomic.cache_info().currsize > 0
+
+
 def test_large_spectrum_rejects_bad_radius():
     g = cyclic_group(12)
     a = _subset(g, [0, 4, 8])
