@@ -20,6 +20,7 @@ from .groups import (
     heisenberg_group,
     permutation_group,
     product_group,
+    product_set,
     quaternion_group,
     subgroup_view,
     table_group,
@@ -30,7 +31,6 @@ from .setops import (
     growth_profile,
     normalize_set,
     power_set,
-    product_set,
     ruzsa_cover,
     set_predicates,
 )

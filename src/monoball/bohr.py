@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import CapExceededError, FalsifiedError, HypothesisError
-from .groups import FiniteGroup, GroupSubset
+from .groups import FiniteGroup, GroupSubset, product_set
 from .harmonic import LinearCharacter, linear_phases
 from .metric import PseudoMetricNorm, ball, validate_norm
 
@@ -268,8 +268,6 @@ def prop51_check(gamma: CharSet, x: CharSet, delta: Fraction) -> BohrGrowthRepor
     t_elems = sorted(classes.values())
     t_set = GroupSubset.from_indices(group, t_elems)
     t_bound = (2 * grid_limit + 1) ** nx
-
-    from .setops import product_set
 
     inner1 = linbohr(gamma, 4 * delta) & linbohr(x, grid_unit * 2)  # delta / 2|X|
     step1 = big.is_subset_of(product_set(t_set, inner1))

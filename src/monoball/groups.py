@@ -1,7 +1,8 @@
-"""Finite groups as validated multiplication tables over 0-based element indices."""
+"""Finite groups as validated multiplication tables over 0-based indices, and set arithmetic."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -55,13 +56,25 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        elems = np.arange(self.order)
-        orders = np.zeros(self.order, dtype=np.int64)
-        power, k = elems, 1
-        while not orders.all():
-            orders[(power == self.identity) & (orders == 0)] = k
-            power = self.mul_table[power, elems]
-            k += 1
+        """For p^a exactly dividing n, the p-part of the order of x is the
+        order of y = x^(n / p^a), the least p^k with y^(p^k) = 1."""
+        n, mul = self.order, self.mul_table
+
+        def power(x, m):        # x^m elementwise, by binary exponentiation
+            out = np.full(n, self.identity)
+            while m:
+                if m & 1:
+                    out = mul[out, x]
+                x, m = mul[x, x], m >> 1
+            return out
+
+        orders = np.ones(n, dtype=np.int64)
+        for p in (d for d in range(2, n + 1) if n % d == 0 and _prime_base(d) == d):
+            # p^a is gcd(n, p^b) for any p^b > n
+            y = power(np.arange(n), n // math.gcd(n, p ** n.bit_length()))
+            while (moved := y != self.identity).any():
+                orders[moved] *= p
+                y = power(y, p)
         return tuple(orders.tolist())
 
     def __repr__(self) -> str:
@@ -243,7 +256,7 @@ def _validate_table(mul: np.ndarray, name: str) -> tuple[int, np.ndarray]:
     r = _first_bad_row(mul)
     if r is not None:
         raise GroupValidationError(f"{name}: row {r} is not a permutation (not a Latin square)")
-    c = _first_bad_row(mul.T)
+    c = _first_bad_row(np.ascontiguousarray(mul.T))
     if c is not None:
         raise GroupValidationError(f"{name}: column {c} is not a permutation (not a Latin square)")
 
@@ -418,6 +431,110 @@ def build_group(spec: dict) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
+# set arithmetic
+
+
+def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
+    if a.group is not b.group:
+        raise ValueError("product_set: operands live in different groups")
+    ai = np.fromiter(a, dtype=np.int64, count=len(a))
+    bi = np.fromiter(b, dtype=np.int64, count=len(b))
+    return GroupSubset(a.group, _index_mask(a.group.mul_table[np.ix_(ai, bi)], a.group.order))
+
+
+class PowerChain:
+    """The powers A^0, A^1, ... of one set as bitmasks, built lazily up to the
+    first repeat; from there on A^n cycles with `period` from `start`.
+
+    It holds the multiplication table and integers, never the group, so the
+    group can cache it without a reference cycle."""
+
+    def __init__(self, mul_table: np.ndarray, identity: int, a: np.ndarray):
+        self._mul = mul_table
+        self._a = a
+        self._masks = [1 << identity]
+        self._first_seen = {self._masks[0]: 0}
+        self.start: Optional[int] = None
+        self.period: Optional[int] = None
+        # with the identity in A, A^{n+1} = A^n ∪ F·A for F the elements new
+        # in A^n: `_last` is F, else A^n itself
+        self._last = np.array([identity])
+        self._members = None
+        if identity in a:
+            self._members = np.zeros(len(mul_table), dtype=bool)
+            self._members[identity] = True
+
+    def _extend(self) -> bool:
+        """Append the next power; False once the cycle is known."""
+        if self.period is not None:
+            return False
+        prods = np.unique(self._mul[np.ix_(self._last, self._a)])
+        if self._members is None:
+            mask = _index_mask(prods, len(self._mul))
+        else:
+            prods = prods[~self._members[prods]]
+            self._members[prods] = True
+            mask = self._masks[-1] | _index_mask(prods, len(self._mul))
+        self._last = prods
+        n = len(self._masks)
+        first = self._first_seen.setdefault(mask, n)
+        if first < n:
+            self.start, self.period = first, n - first
+            self._first_seen = self._members = self._last = None
+            return False
+        self._masks.append(mask)
+        return True
+
+    def mask(self, n: int) -> int:
+        """The bitmask of A^n, n >= 0."""
+        while len(self._masks) <= n and self._extend():
+            pass
+        if n >= len(self._masks):
+            n = self.start + (n - self.start) % self.period
+        return self._masks[n]
+
+    def size(self, n: int) -> int:
+        return self.mask(n).bit_count()
+
+    def cycle(self) -> tuple[int, int]:
+        """(start, period): A^{n + period} = A^n exactly when n >= start."""
+        while self._extend():
+            pass
+        return self.start, self.period
+
+
+def power_chain(a: GroupSubset) -> PowerChain:
+    """The power chain of A, cached per set on its group."""
+    cache = a.group.__dict__.setdefault("_power_chains", {})
+    if a.mask not in cache:
+        idx = np.fromiter(a, dtype=np.int64, count=len(a))
+        cache[a.mask] = PowerChain(a.group.mul_table, a.group.identity, idx)
+    return cache[a.mask]
+
+
+def conjugates(a: GroupSubset) -> GroupSubset:
+    """The union of the conjugacy classes that meet A."""
+    g = a.group
+    idx = np.fromiter(a, dtype=np.int64, count=len(a))
+    return GroupSubset(g, _index_mask(g.conj_table[:, idx], g.order))
+
+
+def normality_witness(a: GroupSubset) -> Optional[int]:
+    """The least x with xA != Ax, or None when A is normal; both routes must agree."""
+    g = a.group
+    # route one: xA = Ax for every x; row x holds xA and Ax, sorted
+    arr = np.fromiter(a, dtype=np.int64, count=len(a))
+    left = np.sort(g.mul_table[:, arr], axis=1)
+    right = np.sort(g.mul_table[arr].T, axis=1)
+    moved = np.flatnonzero((left != right).any(axis=1))
+    # route two: union of conjugacy classes
+    normal_classes = bool(a.bool_array()[g.conj_table[:, arr]].all())
+    if (not moved.size) != normal_classes:
+        raise AssertionError("normality checks disagree; conjugation table corrupt")
+    return int(moved[0]) if moved.size else None
+
+
+# ---------------------------------------------------------------------------
 # structure
 
 
@@ -444,24 +561,14 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
 
 
 def closure(group: FiniteGroup, seeds: Iterable[int]) -> GroupSubset:
-    """Subgroup generated by the seed elements."""
+    """Subgroup generated by the seed elements: in a finite group the words in
+    the seeds and the identity, so the limit of their power chain."""
     n = group.order
-    members = np.zeros(n, dtype=bool)
-    members[group.identity] = True
-    seed_arr = np.unique(np.fromiter((int(s) for s in seeds), dtype=np.int64))
-    if seed_arr.size and (seed_arr.min() < 0 or seed_arr.max() >= n):
+    idx = seeds if isinstance(seeds, np.ndarray) else np.array(list(seeds), dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError("seed element out of range")
-    frontier = seed_arr[~members[seed_arr]] if seed_arr.size else seed_arr
-    members[frontier] = True
-    while frontier.size:
-        cur = np.flatnonzero(members)
-        prods = group.mul_table[np.ix_(frontier, cur)].ravel()
-        prods2 = group.mul_table[np.ix_(cur, frontier)].ravel()
-        cand = np.unique(np.concatenate([prods, prods2]))
-        fresh = cand[~members[cand]]
-        members[fresh] = True
-        frontier = fresh
-    return GroupSubset(group, _index_mask(np.flatnonzero(members), n))
+    chain = power_chain(GroupSubset(group, _index_mask(idx, n) | 1 << group.identity))
+    return GroupSubset(group, chain.mask(chain.cycle()[0]))
 
 
 def commutator_subgroup(group: FiniteGroup) -> GroupSubset:
@@ -469,7 +576,7 @@ def commutator_subgroup(group: FiniteGroup) -> GroupSubset:
     xy = mul
     t = mul[xy, inv[:, None]]           # (x y) x^-1
     comms = mul[t, inv[None, :]]        # (x y x^-1) y^-1
-    return closure(group, np.unique(comms))
+    return closure(group, comms)
 
 
 def quotient(group: FiniteGroup, normal: GroupSubset) -> Quotient:
@@ -560,11 +667,10 @@ def enumerate_subgroups(group: FiniteGroup,
         queue = list(cyclics)
         while queue:
             m = queue.pop()
-            m_idx = GroupSubset(group, m).indices()
             for c in cyclics:
                 if c & ~m == 0 or m | c in known:   # a known subgroup is its own join
                     continue
-                jm = closure(group, m_idx + GroupSubset(group, c).indices()).mask
+                jm = closure(group, GroupSubset(group, m | c).indices()).mask
                 if jm not in known:
                     known.add(jm)
                     queue.append(jm)

@@ -27,8 +27,10 @@ from .groups import (
     closure,
     enumerate_subgroups,
     is_supersolvable,
+    product_set,
     subgroup_view,
 )
+from .setops import set_predicates
 
 TABLE_ORDER_CAP = 256
 _DIM_RESIDUAL = 1e-6
@@ -550,8 +552,6 @@ def _hereditary_search(group: FiniteGroup) -> tuple[bool, Optional[GroupSubset]]
 def high_value_linearity_check(group: FiniteGroup, s: GroupSubset,
                                a: GroupSubset) -> LinearityScanReport:
     """Scan for irreducibles whose indicator transform is larger than half P(S A)."""
-    from .setops import product_set, set_predicates
-
     violations = []
     if group.identity not in s:
         violations.append("identity not in S")

@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import FalsifiedError, HypothesisError
-from .groups import FiniteGroup, GroupSubset, _index_mask, closure
+from .groups import FiniteGroup, GroupSubset, _index_mask, power_chain, product_set
 
 Scalar = Union[Fraction, float, int]
 _FLOAT_TOL = 1e-12
@@ -117,22 +117,15 @@ def word_norm(group: FiniteGroup, gens: GroupSubset) -> PseudoMetricNorm:
     """Graph distance to the identity in the Cayley graph of the generating set."""
     if gens.group is not group:
         raise ValueError("generating set lives in a different group")
-    if len(closure(group, gens.indices())) != group.order:
+    # level k of the power chain of gens ∪ {1} holds the words of length <= k
+    chain = power_chain(GroupSubset(group, gens.mask | 1 << group.identity))
+    diameter = chain.cycle()[0]
+    if chain.mask(diameter) != (1 << group.order) - 1:
         raise ValueError("word norm needs a generating set")
-    dist = [-1] * group.order
-    dist[group.identity] = 0
-    frontier = [group.identity]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for v in frontier:
-            for s in gens:
-                w = group.mul(v, s)
-                if dist[w] < 0:
-                    dist[w] = depth
-                    nxt.append(w)
-        frontier = nxt
+    dist = [0] * group.order
+    for k in range(1, diameter + 1):
+        for x in GroupSubset(group, chain.mask(k) & ~chain.mask(k - 1)):
+            dist[x] = k
     return PseudoMetricNorm(group, tuple(Fraction(d) for d in dist), "word")
 
 
@@ -201,8 +194,6 @@ def ball(rho: PseudoMetricNorm, delta: Scalar) -> GroupSubset:
 
 
 def ball_axioms_check(rho: PseudoMetricNorm) -> BallAxiomsReport:
-    from .setops import product_set
-
     g = rho.group
     witnesses: dict = {}
     points = rho.breakpoints()

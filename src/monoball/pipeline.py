@@ -11,10 +11,11 @@ from typing import Optional
 
 from .bohr import CharSet, linbohr, linbohr_squared, bohr_norm
 from .errors import FalsifiedError
-from .groups import SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, closure, subgroup_view
+from .groups import (SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, closure, power_chain,
+                     product_set, subgroup_view)
 from .harmonic import is_hereditarily_monomial
 from .metric import ball_dimension
-from .setops import growth_profile, power_chain, power_set, product_set, set_predicates
+from .setops import growth_profile, power_set, set_predicates
 from .spectra import (LargeSpectrum, _k_min, large_spectrum, lspec_doubling_cover,
                       lspec_size_check)
 

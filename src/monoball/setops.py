@@ -1,4 +1,4 @@
-"""Product sets, growth profiles, set predicates, and Ruzsa covering certificates."""
+"""Powers, growth profiles, set predicates, and Ruzsa covering certificates."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .groups import FiniteGroup, GroupSubset, _index_mask
+from .groups import GroupSubset, conjugates, normality_witness, power_chain, product_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,84 +61,6 @@ class AppendixGrowthReport:
     all_ok: bool
 
 
-def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
-    if a.group is not b.group:
-        raise ValueError("product_set: operands live in different groups")
-    ai = np.fromiter(a, dtype=np.int64, count=len(a))
-    bi = np.fromiter(b, dtype=np.int64, count=len(b))
-    return GroupSubset(a.group, _index_mask(a.group.mul_table[np.ix_(ai, bi)], a.group.order))
-
-
-class PowerChain:
-    """The powers A^0, A^1, ... of one set as bitmasks, built lazily up to the
-    first repeat; from there on A^n cycles with `period` from `start`.
-
-    It holds the multiplication table and integers, never the group, so the
-    group can cache it without a reference cycle."""
-
-    def __init__(self, mul_table: np.ndarray, identity: int, a: np.ndarray):
-        self._mul = mul_table
-        self._a = a
-        self._masks = [1 << identity]
-        self._first_seen = {self._masks[0]: 0}
-        self.start: Optional[int] = None
-        self.period: Optional[int] = None
-        # with the identity in A, A^{n+1} = A^n ∪ F·A for F the elements new
-        # in A^n: `_last` is F, else A^n itself
-        self._last = np.array([identity])
-        self._members = None
-        if identity in a:
-            self._members = np.zeros(len(mul_table), dtype=bool)
-            self._members[identity] = True
-
-    def _extend(self) -> bool:
-        """Append the next power; False once the cycle is known."""
-        if self.period is not None:
-            return False
-        prods = np.unique(self._mul[np.ix_(self._last, self._a)])
-        if self._members is None:
-            mask = _index_mask(prods, len(self._mul))
-        else:
-            prods = prods[~self._members[prods]]
-            self._members[prods] = True
-            mask = self._masks[-1] | _index_mask(prods, len(self._mul))
-        self._last = prods
-        n = len(self._masks)
-        first = self._first_seen.setdefault(mask, n)
-        if first < n:
-            self.start, self.period = first, n - first
-            self._first_seen = self._members = self._last = None
-            return False
-        self._masks.append(mask)
-        return True
-
-    def mask(self, n: int) -> int:
-        """The bitmask of A^n, n >= 0."""
-        while len(self._masks) <= n and self._extend():
-            pass
-        if n >= len(self._masks):
-            n = self.start + (n - self.start) % self.period
-        return self._masks[n]
-
-    def size(self, n: int) -> int:
-        return self.mask(n).bit_count()
-
-    def cycle(self) -> tuple[int, int]:
-        """(start, period): A^{n + period} = A^n exactly when n >= start."""
-        while self._extend():
-            pass
-        return self.start, self.period
-
-
-def power_chain(a: GroupSubset) -> PowerChain:
-    """The power chain of A, cached per set on its group."""
-    cache = a.group.__dict__.setdefault("_power_chains", {})
-    if a.mask not in cache:
-        idx = np.fromiter(a, dtype=np.int64, count=len(a))
-        cache[a.mask] = PowerChain(a.group.mul_table, a.group.identity, idx)
-    return cache[a.mask]
-
-
 def power_set(a: GroupSubset, n: int) -> GroupSubset:
     """A^n for n >= 0; A^0 is the identity singleton."""
     if n < 0:
@@ -182,23 +102,14 @@ def set_predicates(a: GroupSubset) -> SetPredicates:
     if not contains_identity:
         witnesses["contains_identity"] = g.identity
 
-    # route one: xA = Ax for every x; row x holds xA and Ax, sorted
-    arr = np.fromiter(a, dtype=np.int64, count=len(a))
-    left = np.sort(g.mul_table[:, arr], axis=1)
-    right = np.sort(g.mul_table[arr].T, axis=1)
-    moved = np.flatnonzero((left != right).any(axis=1))
-    normal_translate = not moved.size
-    if moved.size:
-        witnesses["normal"] = int(moved[0])
-    # route two: union of conjugacy classes
-    normal_classes = bool(a.bool_array()[g.conj_table[:, arr]].all())
-    if normal_translate != normal_classes:
-        raise AssertionError("normality checks disagree; conjugation table corrupt")
+    moved = normality_witness(a)
+    if moved is not None:
+        witnesses["normal"] = moved
 
     chain = power_chain(a)
     doubling = Fraction(chain.size(2), len(a)) if len(a) else Fraction(0)
     tripling = Fraction(chain.size(3), len(a)) if len(a) else Fraction(0)
-    return SetPredicates(symmetric, contains_identity, normal_translate,
+    return SetPredicates(symmetric, contains_identity, moved is None,
                          doubling, tripling, witnesses)
 
 
@@ -212,13 +123,8 @@ def normalize_set(s: GroupSubset, symmetrize: bool = False, add_identity: bool =
         cur = GroupSubset(g, mask)
         mask |= cur.inverse().mask
     if conjugation_close:
-        out = 0
-        conj = g.conj_table
-        for x in GroupSubset(g, mask):
-            for y in np.unique(conj[:, x]):
-                out |= 1 << int(y)
-        mask = out
         # conjugation closure preserves symmetry and the identity, so one pass suffices
+        mask = conjugates(GroupSubset(g, mask)).mask
     return GroupSubset(g, mask)
 
 
@@ -232,7 +138,7 @@ def ruzsa_cover(a: GroupSubset) -> CoveringCertificate:
     chosen: list[int] = []
     covered = 0
     for x in q:
-        xa = _left_translate(g, x, a)
+        xa = product_set(GroupSubset(g, 1 << x), a)
         if xa.mask & covered:
             continue
         chosen.append(x)
@@ -240,7 +146,7 @@ def ruzsa_cover(a: GroupSubset) -> CoveringCertificate:
     x_set = GroupSubset.from_indices(g, chosen)
 
     # separation: translates pairwise disjoint
-    translates = [_left_translate(g, x, a) for x in chosen]
+    translates = [product_set(GroupSubset(g, 1 << x), a) for x in chosen]
     separation_ok = True
     seen = 0
     for t in translates:
@@ -256,11 +162,6 @@ def ruzsa_cover(a: GroupSubset) -> CoveringCertificate:
     assert len(x_set) * len(a) <= len(product_set(q, a)), \
         "separated translates outnumber AA^-1AA^-1A"
     return cert
-
-
-def _left_translate(g: FiniteGroup, x: int, a: GroupSubset) -> GroupSubset:
-    idx = np.fromiter(a, dtype=np.int64, count=len(a))
-    return GroupSubset(g, _index_mask(g.mul_table[x, idx], g.order))
 
 
 def appendix_growth_check(a: GroupSubset, n_max: int) -> AppendixGrowthReport:

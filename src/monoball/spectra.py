@@ -19,7 +19,8 @@ import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import FalsifiedError
-from .groups import SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, closure, is_supersolvable
+from .groups import (SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, closure, is_supersolvable,
+                     power_chain, product_set)
 from .harmonic import (
     _SPEC_RAD_TOL,
     ClassFunction,
@@ -32,7 +33,7 @@ from .harmonic import (
 )
 from .bohr import CharSet, char_span, charset_sum, linbohr
 from .metric import _FLOAT_TOL
-from .setops import power_chain, power_set, product_set, set_predicates
+from .setops import power_set, set_predicates
 
 _MP_DPS = 50
 

@@ -23,6 +23,7 @@ from monoball.groups import (
     heisenberg_group,
     permutation_group,
     product_group,
+    product_set,
     quaternion_group,
     subgroup_view,
 )
@@ -47,7 +48,6 @@ from monoball.setops import (
     growth_profile,
     normalize_set,
     power_set,
-    product_set,
 )
 from monoball.spectra import (
     large_spectrum,

@@ -340,6 +340,12 @@ def test_table_group_klein_and_corruption():
     assert "row 1" in str(err.value)
 
 
+def test_table_group_rejects_a_repeated_column_value():
+    # both rows are permutations; column 0 holds 0 twice
+    with pytest.raises(GroupValidationError, match="column 0 is not a permutation"):
+        table_group([[0, 1], [0, 1]])
+
+
 def test_table_group_rejects_associativity_failure():
     # Latin square with two-sided identity that is not a group
     bad = [
@@ -568,3 +574,65 @@ def test_generating_set_is_logarithmic():
     assert groups._generating_set(g.mul_table, g.identity) == [1 << k for k in range(10)]
     assert groups._generating_set(cyclic_group(600).mul_table, 0) == [1]
     assert groups._generating_set(cyclic_group(1).mul_table, 0) == []
+
+
+# the shared power chain and element orders against the searches they replace
+
+
+def _suite_groups():
+    """A group of every constructor family the suite builds, and a table group
+    whose identity is not element 0."""
+    perm = np.random.default_rng(1).permutation(24)
+    relabelled = np.empty((24, 24), dtype=np.int64)
+    relabelled[np.ix_(perm, perm)] = perm[_s4().mul_table]
+    heis3 = heisenberg_group(3)
+    return [cyclic_group(1), cyclic_group(12), cyclic_group(128), cyclic_group(360),
+            dihedral_group(16), dihedral_group(30), quaternion_group(), heis3,
+            product_group([cyclic_group(2), heis3]),
+            product_group([cyclic_group(3), dihedral_group(8)]), _s3(), _s4(), _sl23(),
+            table_group([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]),
+            table_group(relabelled)]
+
+
+def _bfs_closure(g, seeds):
+    """Every word in the seeds, by right multiplication from the identity."""
+    seeds = sorted(set(int(s) for s in seeds))
+    reached, todo = {g.identity}, [g.identity]
+    while todo:
+        x = todo.pop()
+        for s in seeds:
+            if g.mul(x, s) not in reached:
+                reached.add(g.mul(x, s))
+                todo.append(g.mul(x, s))
+    return tuple(sorted(reached))
+
+
+def test_closure_matches_a_breadth_first_search():
+    rng = np.random.default_rng(4)
+    for g in _suite_groups():
+        others = [x for x in range(g.order) if x != g.identity]
+        cases = [[], range(g.order), rng.choice(g.order, size=6).astype(np.int32)]
+        cases += [rng.choice(others, size=min(k, len(others)), replace=False).tolist()
+                  for k in (1, 1, 2, 3)]
+        for seeds in cases:
+            assert closure(g, seeds).indices() == _bfs_closure(g, seeds), g.name
+        for bad in (-1, g.order):
+            with pytest.raises(ValueError, match="seed element out of range"):
+                closure(g, [g.identity, bad])
+
+
+def _successive_orders(g):
+    """Each element's order by definition: the least k >= 1 with x^k = 1."""
+    elems = np.arange(g.order)
+    orders = np.zeros(g.order, dtype=np.int64)
+    power, k = elems, 1
+    while not orders.all():
+        orders[(power == g.identity) & (orders == 0)] = k
+        power = g.mul_table[power, elems]
+        k += 1
+    return tuple(orders.tolist())
+
+
+def test_element_orders_match_successive_powers():
+    for g in _suite_groups() + [cyclic_group(4096)]:
+        assert g.element_orders == _successive_orders(g), g.name

@@ -49,6 +49,36 @@ def test_word_norm_requires_generators():
         word_norm(g, GroupSubset.from_indices(g, [4, 8]))
 
 
+def _bfs_distances(g, gens):
+    """Distance to the identity in the Cayley graph, edges x -> x s for s in gens."""
+    dist, frontier = {g.identity: 0}, [g.identity]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for s in gens:
+                if g.mul(v, s) not in dist:
+                    dist[g.mul(v, s)] = dist[v] + 1
+                    nxt.append(g.mul(v, s))
+        frontier = nxt
+    return [dist.get(x) for x in range(g.order)]
+
+
+@pytest.mark.parametrize("group", [dihedral_group(12), heisenberg_group(3)], ids=["D12", "Heis3"])
+def test_word_norm_matches_bfs_distances(group):
+    rng = np.random.default_rng(11)
+    generating = 0
+    for size in (1, 2, 2, 3, 3, 4, 6):
+        gens = rng.choice(group.order, size=size, replace=False).tolist()
+        want = _bfs_distances(group, gens)
+        if None in want:
+            with pytest.raises(ValueError, match="generating set"):
+                word_norm(group, GroupSubset.from_indices(group, gens))
+            continue
+        generating += 1
+        assert word_norm(group, GroupSubset.from_indices(group, gens)).values == tuple(want)
+    assert generating >= 3
+
+
 def test_validate_norm_brute_subadditivity():
     g = dihedral_group(12)
     gens = GroupSubset.from_indices(g, [1, 5, 6])  # r, r^-1, s: symmetric set

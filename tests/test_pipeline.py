@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from monoball import setops
+from monoball import groups
 from monoball.groups import (
     GroupSubset,
     cyclic_group,
@@ -255,16 +255,17 @@ def test_freiman_epsilon_override_and_config_guards():
 
 def test_freiman_ball_builds_one_power_chain_per_set(monkeypatch):
     built = []
-    init = setops.PowerChain.__init__
+    init = groups.PowerChain.__init__
 
     def counting_init(self, mul_table, identity, a):
         built.append(tuple(a.tolist()))
         init(self, mul_table, identity, a)
 
-    monkeypatch.setattr(setops.PowerChain, "__init__", counting_init)
+    monkeypatch.setattr(groups.PowerChain, "__init__", counting_init)
     g = cyclic_group(256)
     a = _interval(g, 1)
     rep = freiman_ball(g, a)
     # A and A^l: find_l, both fits, the predicates, the doubling window and
-    # the size check all read the same two chains
-    assert sorted(built) == sorted([a.indices(), power_set(a, rep.l).indices()])
+    # the size check read the same two chains, and so do the hull of A and
+    # both "S generates G" records; the commutators of C256 close from {0}
+    assert sorted(built) == sorted([a.indices(), power_set(a, rep.l).indices(), (0,)])

@@ -8,17 +8,19 @@ from monoball.groups import (
     closure,
     cyclic_group,
     dihedral_group,
+    conjugates,
     heisenberg_group,
     permutation_group,
+    power_chain,
+    product_set,
+    quaternion_group,
 )
 from monoball.setops import (
     appendix_growth_check,
     bfs_power_sizes,
     growth_profile,
     normalize_set,
-    power_chain,
     power_set,
-    product_set,
     ruzsa_cover,
     set_predicates,
 )
@@ -208,6 +210,27 @@ def test_normalize_set():
     assert all(s3.element_orders[x] == 2 for x in closed)
     again = normalize_set(closed, conjugation_close=True)
     assert again.mask == closed.mask  # idempotent on closed input
+
+
+def _loop_conjugates(a):
+    """The union of the classes that meet A, conjugate by conjugate."""
+    g = a.group
+    return sum({1 << g.conj(h, x) for x in a for h in range(g.order)})
+
+
+@pytest.mark.parametrize("group", [
+    permutation_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]]), dihedral_group(16),
+    heisenberg_group(3), quaternion_group(), cyclic_group(12),
+], ids=["S4", "D16", "Heis3", "Q8", "C12"])
+def test_conjugates_and_normalize_set_match_the_class_loop(group):
+    rng = np.random.default_rng(9)
+    for size in (0, 1, 2, 3, 5):
+        a = _subset(group, rng.choice(group.order, size=size, replace=False).tolist())
+        assert conjugates(a).mask == _loop_conjugates(a)
+        assert normalize_set(a, conjugation_close=True).mask == _loop_conjugates(a)
+        sym = normalize_set(a, symmetrize=True, add_identity=True)
+        assert (normalize_set(a, symmetrize=True, add_identity=True, conjugation_close=True).mask
+                == _loop_conjugates(sym))
 
 
 def test_ruzsa_cover_subgroup():

@@ -30,7 +30,7 @@ from monoball.harmonic import (
     linear_phases,
 )
 from monoball.pipeline import find_l, freiman_ball
-from monoball.setops import growth_profile, normalize_set, power_set, product_set
+from monoball.setops import growth_profile, normalize_set, power_set
 from monoball.spectra import (
     _magnitudes,
     chang_cover,
