@@ -43,14 +43,6 @@ class FiniteGroup:
         return range(self.order)
 
     @cached_property
-    def conj_table(self) -> np.ndarray:
-        """conj_table[g, x] = g x g^-1."""
-        gx = self.mul_table
-        out = self.mul_table[gx, self.inv_table[:, None]]
-        out.setflags(write=False)
-        return out
-
-    @cached_property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul_table, self.mul_table.T))
 
@@ -144,11 +136,6 @@ class GroupSubset:
         idx = np.fromiter(self, dtype=np.int64, count=len(self))
         return GroupSubset(self.group, _index_mask(self.group.inv_table[idx], self.group.order))
 
-    def bool_array(self) -> np.ndarray:
-        arr = np.zeros(self.group.order, dtype=bool)
-        arr[list(self)] = True
-        return arr
-
     def _check_same(self, other: "GroupSubset") -> None:
         if self.group is not other.group:
             raise ValueError("subsets belong to different groups")
@@ -160,7 +147,7 @@ class GroupSubset:
 @dataclass(frozen=True, eq=False)
 class ConjugacyPartition:
     classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
+    class_of: np.ndarray        # read-only int64, the class number of each element
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -514,9 +501,20 @@ def power_chain(a: GroupSubset) -> PowerChain:
 
 def conjugates(a: GroupSubset) -> GroupSubset:
     """The union of the conjugacy classes that meet A."""
-    g = a.group
-    idx = np.fromiter(a, dtype=np.int64, count=len(a))
-    return GroupSubset(g, _index_mask(g.conj_table[:, idx], g.order))
+    cls = conjugacy_classes(a.group).class_of
+    met = np.bincount(cls[list(a)], minlength=cls.max() + 1)
+    return GroupSubset(a.group, _index_mask(np.flatnonzero(met[cls]), len(cls)))
+
+
+def conjugation_escape(a: GroupSubset) -> Optional[int]:
+    """The least member of A with a conjugate outside A, or None when A is a
+    union of conjugacy classes: the classes A meets but does not fill."""
+    cls = conjugacy_classes(a.group).class_of
+    members = np.fromiter(a, dtype=np.int64, count=len(a))
+    sizes = np.bincount(cls)
+    short = np.bincount(cls[members], minlength=len(sizes)) < sizes
+    escaped = members[short[cls[members]]]
+    return int(escaped[0]) if escaped.size else None
 
 
 def normality_witness(a: GroupSubset) -> Optional[int]:
@@ -528,9 +526,8 @@ def normality_witness(a: GroupSubset) -> Optional[int]:
     right = np.sort(g.mul_table[arr].T, axis=1)
     moved = np.flatnonzero((left != right).any(axis=1))
     # route two: union of conjugacy classes
-    normal_classes = bool(a.bool_array()[g.conj_table[:, arr]].all())
-    if (not moved.size) != normal_classes:
-        raise AssertionError("normality checks disagree; conjugation table corrupt")
+    if (not moved.size) != (conjugation_escape(a) is None):
+        raise AssertionError("normality checks disagree; class partition corrupt")
     return int(moved[0]) if moved.size else None
 
 
@@ -539,24 +536,30 @@ def normality_witness(a: GroupSubset) -> Optional[int]:
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
+    """The classes, the identity's first and then by least element, each
+    ascending: the orbits of x -> s x s^-1 for s in a generating set. Each
+    element is labelled with the least element it reaches, by a minimum along
+    each permutation and a pointer jump per round; labels only fall and stay in
+    their orbit, so at the fixpoint each is the least element of its class."""
     cached = group.__dict__.get("_conjugacy")
     if cached is not None:
         return cached
-    n = group.order
-    conj = group.conj_table
-    class_of = [-1] * n
-    classes = []
-    order = [group.identity] + [x for x in range(n) if x != group.identity]
-    for x in order:
-        if class_of[x] >= 0:
-            continue
-        orbit = np.unique(conj[:, x])
-        cid = len(classes)
-        for y in orbit:
-            class_of[int(y)] = cid
-        classes.append(tuple(int(y) for y in orbit))
-    part = ConjugacyPartition(tuple(classes), tuple(class_of))
-    group.__dict__["_conjugacy"] = part
+    mul, inv, n = group.mul_table, group.inv_table, group.order
+    perms = [mul[mul[s], inv[s]] for s in _generating_set(mul, group.identity)]
+    label, before = np.arange(n), None
+    while not np.array_equal(label, before):
+        before = label
+        for p in perms:
+            label = np.minimum(label, label[p])
+        label = label[label]
+    key = np.where(label == label[group.identity], -1, label)
+    order = np.argsort(key, kind="stable")
+    starts = np.r_[True, np.diff(key[order]) != 0]
+    class_of = (np.cumsum(starts) - 1)[np.argsort(order)]
+    class_of.setflags(write=False)
+    flat, bounds = order.tolist(), np.flatnonzero(starts).tolist() + [n]
+    classes = tuple(tuple(flat[i:j]) for i, j in zip(bounds, bounds[1:]))
+    group.__dict__["_conjugacy"] = part = ConjugacyPartition(classes, class_of)
     return part
 
 
@@ -572,11 +575,13 @@ def closure(group: FiniteGroup, seeds: Iterable[int]) -> GroupSubset:
 
 
 def commutator_subgroup(group: FiniteGroup) -> GroupSubset:
+    """The subgroup N generated by the conjugates of the [s, t] for s, t in a
+    generating set: N is normal and inside [G, G], and G/N is abelian."""
     mul, inv = group.mul_table, group.inv_table
-    xy = mul
-    t = mul[xy, inv[:, None]]           # (x y) x^-1
-    comms = mul[t, inv[None, :]]        # (x y x^-1) y^-1
-    return closure(group, comms)
+    s = np.array(_generating_set(mul, group.identity), dtype=np.int64)
+    comms = mul[mul[mul[s[:, None], s], inv[s][:, None]], inv[s]]     # s t s^-1 t^-1
+    seeds = conjugates(GroupSubset(group, _index_mask(comms.ravel(), group.order)))
+    return closure(group, seeds.indices())
 
 
 def quotient(group: FiniteGroup, normal: GroupSubset) -> Quotient:
@@ -637,8 +642,9 @@ def is_supersolvable(group: FiniteGroup) -> bool:
         g = group
         while not g.is_abelian:
             orders, bits = g.element_orders, _cyclic_bits(g)
+            part = conjugacy_classes(g)
             normal = next((x for x in range(g.order) if _prime_base(orders[x]) == orders[x]
-                           and bits[x, g.conj_table[:, x]].all()), None)
+                           and bits[x, part.classes[part.class_of[x]]].all()), None)
             if normal is None:
                 break
             cyclic = GroupSubset(g, _index_mask(np.flatnonzero(bits[normal]), g.order))

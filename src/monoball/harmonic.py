@@ -37,6 +37,7 @@ _DIM_RESIDUAL = 1e-6
 _ORTHO_TOL = 1e-8
 _CLASS_TOL = 1e-9
 _SPEC_RAD_TOL = 1e-9     # slack on a float spectral radius against a threshold
+_EIG_GAP = 1e-10         # least relative gap between class-matrix eigenvalues
 _EIG_RETRIES = 8
 
 
@@ -53,12 +54,10 @@ class ClassFunction:
         object.__setattr__(self, "values", vals)
 
     def class_constancy_defect(self) -> float:
+        """The largest distance of a value from its class representative's."""
         part = conjugacy_classes(self.group)
-        worst = 0.0
-        for cls in part.classes:
-            vals = self.values[list(cls)]
-            worst = max(worst, float(np.abs(vals - vals[0]).max()))
-        return worst
+        reps = np.array(part.representatives())
+        return float(np.abs(self.values - self.values[reps[part.class_of]]).max())
 
     def is_class_function(self, tol: float = _CLASS_TOL) -> bool:
         return self.class_constancy_defect() <= tol
@@ -269,14 +268,9 @@ def linear_characters(group: FiniteGroup) -> list[LinearCharacter]:
 
 
 def _class_structure_counts(group: FiniteGroup, part: ConjugacyPartition) -> np.ndarray:
-    k = len(part.classes)
-    cls = np.asarray(part.class_of, dtype=np.int64)
-    r = cls[:, None]
-    s = cls[None, :]
-    t = cls[group.mul_table]
-    flat = ((r * k + s) * k + t).ravel()
-    counts = np.bincount(flat, minlength=k ** 3).reshape(k, k, k)
-    return counts
+    k, cls = len(part.classes), part.class_of
+    flat = ((cls[:, None] * k + cls) * k + cls[group.mul_table]).ravel()
+    return np.bincount(flat, minlength=k ** 3).reshape(k, k, k)
 
 
 def character_table(group: FiniteGroup) -> CharacterTable:
@@ -293,8 +287,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         cached = _class_values(group, part)
         group.__dict__["_char_table"] = cached
     dims, values = cached
-    class_of = np.asarray(part.class_of)
-    characters = tuple(ClassFunction(group, row[class_of]) for row in values)
+    characters = tuple(ClassFunction(group, row[part.class_of]) for row in values)
     return CharacterTable(group, part, characters, dims)
 
 
@@ -317,7 +310,7 @@ def _class_values(group: FiniteGroup, part: ConjugacyPartition
         gap = np.abs(eigvals[:, None] - eigvals[None, :])
         np.fill_diagonal(gap, np.inf)
         scale = max(1.0, float(np.abs(eigvals).max()))
-        if gap.min() / scale > 1e-10:
+        if gap.min() / scale > _EIG_GAP:
             omega = eigvecs / eigvecs[0, :]
             break
     if omega is None:
@@ -388,7 +381,7 @@ def convolve(f: ClassFunction, g: ClassFunction) -> ClassFunction:
     gathered = g.values[grp.mul_table[grp.inv_table, :]]   # [y, x] -> g(y^-1 x)
     vals = f.values @ gathered / grp.order
     out = ClassFunction(grp, vals)
-    if not out.is_class_function(1e-9):
+    if not out.is_class_function():
         raise AssertionError("convolution left the class-function space")
     return out
 
@@ -405,7 +398,7 @@ def fourier_scalar(f: ClassFunction, gamma: ClassFunction,
     if not hermitian and not allow_general:
         raise ValueError("f is not hermitian; pass allow_general=True to force")
     mu = complex(np.mean(f.values * gamma.values)) / d
-    if hermitian and abs(mu.imag) > 1e-9:
+    if hermitian and abs(mu.imag) > _CLASS_TOL:
         raise AssertionError(f"hermitian input produced non-real mu = {mu}")
     return FourierScalar(gamma, d, mu)
 
@@ -428,22 +421,23 @@ def plancherel_check(f: ClassFunction, g: ClassFunction) -> float:
 
 
 def induce_class_function(view: SubgroupView, f: ClassFunction) -> ClassFunction:
-    """Average of the zero-extension over conjugations, scaled by the index."""
+    """Average of the zero-extension over conjugations, scaled by the index:
+    the conjugates g x g^-1 hit each member of the class of x equally often."""
     if f.group is not view.group:
         raise ValueError("f must live on the subgroup view's standalone group")
-    if not f.is_class_function(1e-9):
+    if not f.is_class_function():
         raise ValueError("f is not constant on the subgroup's conjugacy classes")
     parent = view.parent
     ext = np.zeros(parent.order, dtype=np.complex128)
-    for sub_idx, par_idx in enumerate(view.to_parent):
-        ext[par_idx] = f.values[sub_idx]
+    ext[list(view.to_parent)] = f.values
+    cls = conjugacy_classes(parent).class_of
+    sums = np.bincount(cls, weights=ext.real) + 1j * np.bincount(cls, weights=ext.imag)
     index = parent.order // view.group.order
-    vals = index * ext[parent.conj_table].mean(axis=0)
-    out = ClassFunction(parent, vals)
+    out = ClassFunction(parent, index * (sums / np.bincount(cls))[cls])
     d_sub = f.values[view.group.identity]
-    if abs(d_sub - round(d_sub.real)) < 1e-9 and round(d_sub.real) >= 1:
+    if abs(d_sub - round(d_sub.real)) < _CLASS_TOL and round(d_sub.real) >= 1:
         # induced dimension law for characters
-        if abs(out.values[parent.identity] - index * d_sub) > 1e-9:
+        if abs(out.values[parent.identity] - index * d_sub) > _CLASS_TOL:
             raise AssertionError("induced dimension law failed")
     return out
 
@@ -506,7 +500,7 @@ def _monomial_certificates(group: FiniteGroup, max_order_cap: int) -> tuple[tupl
             view = views[key]
             for lam in linear_characters(view.group):
                 induced = induce_class_function(view, lam.as_class_function())
-                if float(np.abs(induced.values - chi.values).max()) <= 1e-8:
+                if float(np.abs(induced.values - chi.values).max()) <= _ORTHO_TOL:
                     hit = (key, lam)
                     break
             if hit[0] is not None:

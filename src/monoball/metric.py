@@ -11,7 +11,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import FalsifiedError, HypothesisError
-from .groups import FiniteGroup, GroupSubset, _index_mask, power_chain, product_set
+from .groups import (FiniteGroup, GroupSubset, _index_mask, conjugacy_classes,
+                     conjugation_escape, power_chain, product_set)
 
 Scalar = Union[Fraction, float, int]
 _FLOAT_TOL = 1e-12
@@ -169,7 +170,8 @@ def validate_norm(rho: PseudoMetricNorm) -> NormReport:
     class_invariant = not moved.any()
     if not class_invariant:
         x = int(g.mul_table[moved].min())
-        orbit = np.unique(g.conj_table[:, x])
+        part = conjugacy_classes(g)
+        orbit = np.array(part.classes[part.class_of[x]])
         y = int(orbit[np.abs(v[orbit] - v[x]) > tol][0])
         witnesses["class_invariant"] = (x, y)
 
@@ -227,12 +229,10 @@ def ball_axioms_check(rho: PseudoMetricNorm) -> BallAxiomsReport:
 
     normal_ok = True
     for bp, b in balls.items():
-        members = np.array(b.indices(), dtype=np.int64)
-        # column j: every conjugate of members[j] lies in the ball
-        closed = b.bool_array()[g.conj_table[:, members]].all(axis=0)
-        if not closed.all():
+        escape = conjugation_escape(b)
+        if escape is not None:
             normal_ok = False
-            witnesses["normal"] = (bp, int(members[np.argmin(closed)]))
+            witnesses["normal"] = (bp, escape)
             break
 
     return BallAxiomsReport(symmetric_ok, nesting_ok, subadditive_ok, normal_ok, witnesses)

@@ -22,6 +22,13 @@ C360_A = {"indices": [359, 0, 1]}
 # the fat set of the spectral-energy fixture on Heis(3)
 HEIS3_FAT = {"indices": [x for x in range(27) if x not in (12, 13, 14, 24, 25, 26)],
              "s_indices": [0, 9, 3]}
+S5 = {"type": "permutation", "degree": 5, "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
+# D8 relabelled by r^a -> 3, 6, 0, 1 and s r^a -> 7, 2, 5, 4: the identity is 3,
+# and the least elements of the reflection classes swap their order
+D8_RELABELLED = {"type": "table", "mul": [
+    [3, 6, 4, 0, 2, 7, 1, 5], [6, 0, 5, 1, 7, 4, 3, 2], [4, 7, 3, 2, 0, 6, 5, 1],
+    [0, 1, 2, 3, 4, 5, 6, 7], [2, 5, 0, 4, 3, 1, 7, 6], [7, 2, 1, 5, 6, 3, 4, 0],
+    [1, 3, 7, 6, 5, 2, 0, 4], [5, 4, 6, 7, 1, 0, 2, 3]]}
 
 # (run id, command, group spec, set spec or None, extra arguments)
 RUNS = [
@@ -73,6 +80,9 @@ RUNS = [
     ("chartable-d16", "chartable", {"type": "dihedral", "order": 16}, None, []),
     ("chartable-heis3", "chartable", HEIS3, None, []),
     ("chartable-s4", "chartable", S4, None, []),
+    # the class order: the identity's class first, then by least element
+    ("chartable-s5", "chartable", S5, None, []),
+    ("chartable-d8-relabelled", "chartable", D8_RELABELLED, None, []),
     ("monomial-s4", "monomial", S4, None, []),
     # S4 is not supersolvable, so its hypotheses go to the brute-force search
     ("freiman-s4", "freiman", S4, {"indices": [1], "normalize": NORMAL}, []),
@@ -113,6 +123,9 @@ GOLDEN = {
     "chartable-d16": (0, "95d42054a8c03ae1ba9bbcb4519175e3bc9391386c71b1e9ab3a2201e6c57755"),
     "chartable-heis3": (0, "c45f260040c157f9e496f57fdd320a68d066372231cdb5112fc2454c54392c2e"),
     "chartable-s4": (0, "35e79a6182d537bee0490d147967fa1146110adbbd265221b6e3f332f6200e76"),
+    "chartable-s5": (0, "d4e38d8779bf9abd9eaa34eece41f79cc13f49b90eeac0c310de62287800ef3e"),
+    "chartable-d8-relabelled":
+        (0, "183af5ce443331145d32d83df9ca7147873a5a0728b7b08ef2ce21a686daf731"),
     "monomial-s4": (0, "b5864d7c42fe5967249c0dca610674e8b32047f0a10b9bb499061df09e65cddd"),
     "freiman-s4": (0, "ea1af5991b30d901253a4ce0387a87165c7eaf5304521ae7701c1e0d40638cd6"),
 }

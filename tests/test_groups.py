@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,10 +163,11 @@ def test_heisenberg_class_and_commutator_structure():
 
 
 def test_conjugacy_matches_brute_force():
-    for g in (_s3(), dihedral_group(16), quaternion_group(), heisenberg_group(3)):
+    for g in _partition_groups():
         cc = conjugacy_classes(g)
-        assert list(cc.classes) == _brute_conjugacy(g)
+        assert list(cc.classes) == _brute_conjugacy(g), g.name
         assert cc.classes[0] == (g.identity,)
+        assert cc.class_of.dtype == np.int64 and not cc.class_of.flags.writeable
         for x in range(g.order):
             assert x in cc.classes[cc.class_of[x]]
 
@@ -443,14 +445,6 @@ def test_subgroup_views_are_groups_with_their_own_lattice():
                     == [s.elements.mask for s in enumerate_subgroups(rebuilt)])
 
 
-def test_conj_table_agrees_with_scalar_conj():
-    g = dihedral_group(16)
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a, x = rng.integers(0, g.order, size=2)
-        assert g.conj_table[a, x] == g.conj(int(a), int(x))
-
-
 def test_large_cyclic_validation_sampled():
     g = cyclic_group(600)  # validated exactly, as every table is at every order
     assert g.order == 600
@@ -636,3 +630,70 @@ def _successive_orders(g):
 def test_element_orders_match_successive_powers():
     for g in _suite_groups() + [cyclic_group(4096)]:
         assert g.element_orders == _successive_orders(g), g.name
+
+
+# groups for the class partition, the commutator subgroup and the
+# conjugation-closure test, each checked against its definition
+
+
+def _s5():
+    return permutation_group(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+
+
+def _relabelled(g, seed):
+    """g's table under a random relabelling whose identity is not element 0."""
+    rng = np.random.default_rng(seed)
+    while (perm := rng.permutation(g.order))[g.identity] == 0:
+        pass
+    table = np.empty_like(g.mul_table)
+    table[np.ix_(perm, perm)] = perm[g.mul_table]
+    return table_group(table)
+
+
+def _partition_groups():
+    """Every constructor family, S5, D256 (long orbits) and relabelled tables."""
+    relabelled = [_relabelled(g, seed) for seed, g in enumerate(
+        (dihedral_group(8), quaternion_group(), heisenberg_group(3), _sl23(), _s5()))]
+    return _suite_groups() + [_s5(), dihedral_group(256)] + relabelled
+
+
+def _all_commutators_closure(g):
+    """The subgroup generated by every commutator x y x^-1 y^-1."""
+    m, i = g.mul_table, g.inv_table
+    return closure(g, np.unique(m[m[m, i[:, None]], i[None, :]])).mask
+
+
+def test_commutator_subgroup_matches_the_closure_of_all_commutators():
+    for g in _partition_groups():
+        assert commutator_subgroup(g).mask == _all_commutators_closure(g), g.name
+
+
+def _loop_escape(a):
+    """The least member of A with a conjugate outside A, conjugate by conjugate."""
+    g = a.group
+    return next((x for x in a if any(g.conj(h, x) not in a for h in range(g.order))), None)
+
+
+def test_conjugation_escape_matches_the_conjugate_loop():
+    rng = np.random.default_rng(11)
+    for g in _suite_groups() + [_s5()]:
+        cases = [GroupSubset.full(g), GroupSubset.identity_only(g), GroupSubset(g, 0)]
+        for size in (1, 2, 3, 5):
+            a = GroupSubset.from_indices(g, rng.choice(g.order, size=min(size, g.order)))
+            union = groups.conjugates(a)
+            cases += [a, union, GroupSubset(g, union.mask & ~(1 << max(union)))]
+        for a in cases:
+            assert groups.conjugation_escape(a) == _loop_escape(a), g.name
+            assert (groups.normality_witness(a) is None) == (_loop_escape(a) is None)
+
+
+def test_classes_and_commutators_need_no_square_table():
+    g = cyclic_group(2048)
+    tracemalloc.start()
+    try:
+        conjugacy_classes(g)
+        commutator_subgroup(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20      # one 2048 x 2048 int32 table is 16 MiB

@@ -358,6 +358,47 @@ def test_induce_rejects_non_class_function():
     assert out2.is_class_function()
 
 
+def _mean_over_conjugations(view, f):
+    """Ind f as the index times the mean of the zero extension over every g x g^-1."""
+    g = view.parent
+    ext = np.zeros(g.order, dtype=complex)
+    for i, x in enumerate(view.to_parent):
+        ext[x] = f.values[i]
+    conj = np.array([[g.conj(h, x) for x in range(g.order)] for h in range(g.order)])
+    return g.order // view.group.order * ext[conj].mean(axis=0)
+
+
+def test_induce_class_function_matches_the_mean_over_conjugations():
+    rng = np.random.default_rng(12)
+    for g in (_s4(), _sl23(), dihedral_group(16), heisenberg_group(3)):
+        for sub in enumerate_subgroups(g):
+            view = subgroup_view(g, sub.elements)
+            f = _random_class_function(view.group, rng)
+            want = _mean_over_conjugations(view, f)
+            assert np.abs(induce_class_function(view, f).values - want).max() <= 1e-12
+
+
+def _loop_defect(f):
+    """The largest spread of f within a class, class by class."""
+    worst = 0.0
+    for cls in conjugacy_classes(f.group).classes:
+        vals = f.values[list(cls)]
+        worst = max(worst, float(np.abs(vals - vals[0]).max()))
+    return worst
+
+
+def test_class_constancy_defect_matches_the_class_loop():
+    rng = np.random.default_rng(13)
+    for g in (_s4(), dihedral_group(16), heisenberg_group(3)):
+        f = _random_class_function(g, rng)
+        assert f.class_constancy_defect() == _loop_defect(f) == 0.0
+        for x in rng.choice(g.order, size=8, replace=False):
+            vals = f.values.copy()
+            vals[x] += rng.standard_normal() + 1j * rng.standard_normal()
+            bad = ClassFunction(g, vals)
+            assert bad.class_constancy_defect() == _loop_defect(bad)
+
+
 def test_frobenius_reciprocity_all_subgroups():
     rng = np.random.default_rng(8)
     for g in (_s3(), quaternion_group(), dihedral_group(12)):

@@ -120,7 +120,8 @@ def _loop_symmetry_and_class_witnesses(rho, tol):
     if sym:
         out["symmetric"] = sym[0]
     for x in range(g.order):
-        ys = [int(y) for y in np.unique(g.conj_table[:, x]) if abs(v[x] - v[int(y)]) > tol]
+        orbit = sorted({g.conj(h, x) for h in range(g.order)})
+        ys = [y for y in orbit if abs(v[x] - v[y]) > tol]
         if ys:
             out["class_invariant"] = (x, ys[0])
             break
