@@ -114,26 +114,20 @@ def phase_norm(q: Fraction) -> Fraction:
 
 def bohr_norm(charset: CharSet) -> PseudoMetricNorm:
     """rho(x) = max over the characters of phase_norm(gamma(x)), read off the phase
-    rows as d/e, e the exponent of G^ab. Validated and scaled once per character
-    set; the group caches the values and the scaled form only, so no reference
-    cycle keeps it alive."""
-    group = charset.group
+    block as d/e, e the exponent of G^ab. Validated once per character set; the
+    group caches the read-only numerators only, so no reference cycle keeps it
+    alive."""
+    group, lp = charset.group, linear_phases(charset.group)
     cache = group.__dict__.setdefault("_bohr_norms", {})
     if charset.indices not in cache:
-        lp = linear_phases(group)
-        e = lp.exponent
-        rows = lp.rows[list(charset.indices)]
-        dist = np.minimum(rows, e - rows).max(axis=0, initial=0)
-        norm = PseudoMetricNorm(group, tuple(Fraction(d, e) for d in dist.tolist()), "bohr")
+        rows = lp.block(charset.indices)
+        dist = np.minimum(rows, lp.exponent - rows).max(axis=0, initial=0)
+        norm = PseudoMetricNorm(group, dist, lp.exponent, "bohr")
         report = validate_norm(norm)
         if not report.valid:
             raise AssertionError(f"bohr norm failed validation: {report.witnesses}")
-        norm.scaled[0].setflags(write=False)
-        cache[charset.indices] = norm.values, norm.scaled
-    values, scaled = cache[charset.indices]
-    norm = PseudoMetricNorm(group, values, "bohr")
-    norm.__dict__["scaled"] = scaled      # a cached property, set to the shared form
-    return norm
+        cache[charset.indices] = norm.scaled
+    return PseudoMetricNorm(group, cache[charset.indices], lp.exponent, "bohr")
 
 
 def linbohr(charset: CharSet, delta) -> GroupSubset:

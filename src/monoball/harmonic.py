@@ -69,30 +69,15 @@ class ClassFunction:
 
 @dataclass(frozen=True)
 class LinearCharacter:
-    """Degree-one character: a view onto row `index` of `linear_phases(group)`.
-    Given rational phases in place of the index, it finds their row, so equal
-    characters compare equal however they were built."""
+    """Degree-one character number `index` of `linear_phases(group)`."""
 
     group: FiniteGroup
     index: int
 
-    def __post_init__(self):
-        if isinstance(self.index, int):
-            return
-        lp, phases = linear_phases(self.group), self.index
-        e = lp.exponent
-        if len(phases) != self.group.order or any(e % q.denominator for q in phases):
-            raise ValueError("phases are not those of a linear character")
-        row = [q.numerator * (e // q.denominator) % e for q in phases]
-        hits = np.flatnonzero((lp.rows == row).all(axis=1))
-        if not hits.size:
-            raise ValueError("phases are not those of a linear character")
-        object.__setattr__(self, "index", int(hits[0]))
-
     @property
     def row(self) -> np.ndarray:
-        """Phase numerators over `exponent`, one per element (read-only)."""
-        return linear_phases(self.group).rows[self.index]
+        """Phase numerators over `exponent`, one per element."""
+        return linear_phases(self.group).block([self.index])[0]
 
     @property
     def exponent(self) -> int:
@@ -111,7 +96,7 @@ class LinearCharacter:
 
     @property
     def is_trivial(self) -> bool:
-        return self.index == 0      # rows are sorted, so the zero row comes first
+        return self.index == 0      # keys are sorted, so the zero key comes first
 
     def add(self, other: "LinearCharacter") -> "LinearCharacter":
         if self.group is not other.group:
@@ -191,16 +176,26 @@ class LinearityScanReport:
 
 @dataclass(frozen=True, eq=False)
 class LinearPhases:
-    """Lin(G) as a read-only int64 matrix: character i is e^{2 pi i rows[i, x] / e}.
-    Rows are sorted as integer tuples (the order of the phase tuples): row 0 is
-    trivial. `keys` holds each row on generators of G modulo [G, G], which fix it,
-    and `find` maps keys back to rows. Nothing here refers back to the group, so a
-    dropped group is freed at once, not by the cyclic garbage collector."""
+    """Lin(G) on coordinates: x is y_1^c_1 ... y_r^c_r in G^ab, y_j the image of
+    gens[j], with c = coords[x], and character i has phase keys[i] . c over the
+    exponent e of G^ab. Each gen is the least element outside the subgroup the
+    earlier ones generate, so sorted keys are sorted phase tuples: key 0 is
+    trivial. Nothing here refers back to the group, so a dropped group is freed
+    at once, not by the cyclic garbage collector."""
 
-    rows: np.ndarray
-    exponent: int
     keys: np.ndarray
+    coords: np.ndarray
+    exponent: int
+    gens: tuple[int, ...]
     index_of_key: dict
+
+    def block(self, rows: Optional[Sequence[int]] = None,
+              cols: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Phase numerators of characters `rows` at elements `cols`, each all
+        when None: one row per character, laid out column by column."""
+        keys = self.keys if rows is None else self.keys[np.asarray(rows, dtype=np.int64)]
+        coords = self.coords if cols is None else self.coords[np.asarray(cols, dtype=np.int64)]
+        return (coords @ keys.T % self.exponent).T
 
     def find(self, keys: np.ndarray) -> np.ndarray:
         keys = np.ascontiguousarray(keys % self.exponent)
@@ -216,51 +211,51 @@ class LinearPhases:
 
 
 def linear_phases(group: FiniteGroup) -> LinearPhases:
-    """Lin(G), pulled back from the abelianization, as integer phases (cached)."""
+    """Lin(G), pulled back from the abelianization, on coordinates (cached)."""
     cached = group.__dict__.get("_linear_phases")
     if cached is not None:
         return cached
     ab = abelianization(group)
     q = ab.quotient
-    orders = np.array(q.element_orders)
     e = math.lcm(*q.element_orders)
 
-    # grow a subgroup chain of the abelian quotient: a character of the chain so
-    # far extends to y, with y^m the first power inside, in m ways, one for each
-    # m-th root of its value at y^m
-    elems = np.array([q.identity])          # chain elements in order of discovery
-    rows = np.zeros((1, 1), dtype=np.int64)  # rows[c, j]: numerator at elems[j]
+    # grow a subgroup chain of G^ab by the least coset y outside it (cosets are
+    # numbered by least element) and its powers y^0, ..., y^(m-1), y^m the first
+    # one inside, with elems[i] = y_1^c_1 ... y_r^c_r for c = coords[i]. A
+    # character of the chain so far extends to y in m ways, one for each m-th root
+    # of its value at y^m; y^m has order dividing ord(y)/m, so that value is a
+    # multiple of m.
+    elems, coords = np.array([q.identity]), np.zeros((1, 0), dtype=np.int64)
     inside = np.arange(q.order) == q.identity
+    keys = np.zeros((1, 0), dtype=np.int64)
     gens = []
     while len(elems) < q.order:
-        outside = np.flatnonzero(~inside)
-        y = int(outside[np.argmax(orders[outside])])
-        powers = [q.identity]
-        while not inside[q.mul(powers[-1], y)]:
-            powers.append(q.mul(powers[-1], y))
-        m = len(powers)
-        anchor = int(np.flatnonzero(elems == q.mul(powers[-1], y))[0])
-        # y^m has order dividing ord(y)/m, so its numerator is a multiple of m
-        roots = np.repeat(rows[:, anchor] // m, m) + np.tile(np.arange(m) * (e // m), len(rows))
-        base = np.repeat(rows, m, axis=0)
-        rows = np.concatenate([(base + j * roots[:, None]) % e for j in range(m)], axis=1)
-        elems = np.concatenate([q.mul_table[elems, p] for p in powers])
+        y = int(np.argmin(inside))
+        powers, step = np.array([q.identity]), y      # y^0, y^1, ... by doubling
+        while not inside[new := q.mul_table[powers, step]].any():
+            powers, step = np.concatenate([powers, new]), q.mul_table[step, step]
+        m = len(powers) + int(np.argmax(inside[new]))
+        powers = np.concatenate([powers, new])
+        at_y_m = keys @ coords[np.flatnonzero(elems == powers[m])[0]] % e
+        roots = np.repeat(at_y_m // m, m) + np.tile(np.arange(m) * (e // m), len(keys))
+        keys = np.column_stack([np.repeat(keys, m, axis=0), roots])
+        elems = q.mul_table[elems[None, :], powers[:m, None]].ravel()
+        coords = np.column_stack([np.tile(coords, (m, 1)), np.repeat(np.arange(m), len(coords))])
         inside[elems] = True
         gens.append(int(ab.section[y]))
-
-    # column of x: the chain position of its image in the quotient
-    phases = rows[:, np.argsort(elems)[np.array(ab.projection)]]
-    phases = np.ascontiguousarray(phases[np.lexsort(phases.T[::-1])])
-    phases.setflags(write=False)
-    keys = np.ascontiguousarray(phases[:, gens])
-    lp = LinearPhases(phases, e, keys, {k.tobytes(): i for i, k in enumerate(keys)})
+    keys = keys[np.lexsort(keys.T[::-1])] if gens else keys
+    coords = coords[np.argsort(elems)[np.array(ab.projection)]]
+    for table in (keys, coords):
+        table.setflags(write=False)
+    lp = LinearPhases(keys, coords, e, tuple(gens),
+                      {k.tobytes(): i for i, k in enumerate(keys)})
     group.__dict__["_linear_phases"] = lp
     return lp
 
 
 def linear_characters(group: FiniteGroup) -> list[LinearCharacter]:
     """All of Lin(G), sorted by phase tuple."""
-    return [LinearCharacter(group, i) for i in range(len(linear_phases(group).rows))]
+    return [LinearCharacter(group, i) for i in range(len(linear_phases(group).keys))]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +326,7 @@ def _class_values(group: FiniteGroup, part: ConjugacyPartition
         raise ArithmeticError("sum of squared dimensions misses the group order")
 
     lp = linear_phases(group)
-    lin = np.exp(2j * np.pi * (lp.rows[:, list(part.representatives())] / lp.exponent))
+    lin = np.exp(2j * np.pi * (lp.block(None, part.representatives()) / lp.exponent))
     # the float degree-one rows are Lin(G) one to one exactly when their
     # class-weighted inner products with Lin(G) form a permutation matrix
     if len(linear) != len(lin):

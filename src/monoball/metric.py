@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,35 +20,47 @@ _GRID_STEPS = 10  # bourgain_radius tests 2 * _GRID_STEPS dilations
 
 @dataclass(frozen=True, eq=False)
 class PseudoMetricNorm:
-    """Conjugation-invariant subadditive norm; rho(x) is the distance of x to the identity."""
+    """Conjugation-invariant subadditive norm: rho(x) = scaled[x] / denom, with
+    `scaled` read-only int64 numerators for a rational norm, float64 otherwise."""
 
     group: FiniteGroup
-    values: tuple[Scalar, ...]
+    scaled: np.ndarray
+    denom: int = 1
     source: str = "custom"
 
     def __post_init__(self):
-        if len(self.values) != self.group.order:
+        if self.scaled.shape != (self.group.order,):
             raise ValueError("norm needs one value per group element")
+        self.scaled.setflags(write=False)
 
-    @functools.cached_property
+    @classmethod
+    def from_values(cls, group: FiniteGroup, values: Sequence[Scalar],
+                    source: str = "custom") -> "PseudoMetricNorm":
+        """rho(x) = values[x], exact when every value is a Fraction or an int."""
+        if not all(isinstance(x, (Fraction, int)) for x in values):
+            return cls(group, np.array([float(x) for x in values]), 1, source)
+        denom = math.lcm(*(x.denominator for x in values))
+        return cls(group, np.array([int(x * denom) for x in values], dtype=np.int64), denom,
+                   source)
+
+    @property
     def is_rational(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.values)
+        return self.scaled.dtype.kind == "i"
 
-    @functools.cached_property
-    def scaled(self) -> tuple[np.ndarray, int]:
-        """(v, D) with values[x] = v[x] / D: int64 numerators over the least
-        common denominator for a rational norm, float64 with D = 1 otherwise."""
-        if not self.is_rational:
-            return np.array([float(x) for x in self.values]), 1
-        denom = math.lcm(*(x.denominator for x in self.values))
-        return np.array([x.numerator * (denom // x.denominator) for x in self.values],
-                        dtype=np.int64), denom
+    @property
+    def values(self) -> tuple[Scalar, ...]:
+        return self._scalars(self.scaled)
 
     def breakpoints(self) -> tuple[Scalar, ...]:
-        return tuple(sorted(set(self.values)))
+        return self._scalars(np.unique(self.scaled))
 
     def positive_breakpoints(self) -> tuple[Scalar, ...]:
         return tuple(v for v in self.breakpoints() if v > 0)
+
+    def _scalars(self, v: np.ndarray) -> tuple[Scalar, ...]:
+        if self.is_rational:
+            return tuple(Fraction(x, self.denom) for x in v.tolist())
+        return tuple((v / self.denom).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +122,7 @@ def _eq(a: Scalar, b: Scalar) -> bool:
 
 
 def zero_norm(group: FiniteGroup) -> PseudoMetricNorm:
-    return PseudoMetricNorm(group, (Fraction(0),) * group.order, "zero")
+    return PseudoMetricNorm(group, np.zeros(group.order, dtype=np.int64), 1, "zero")
 
 
 def word_norm(group: FiniteGroup, gens: GroupSubset) -> PseudoMetricNorm:
@@ -123,16 +134,16 @@ def word_norm(group: FiniteGroup, gens: GroupSubset) -> PseudoMetricNorm:
     diameter = chain.cycle()[0]
     if chain.mask(diameter) != (1 << group.order) - 1:
         raise ValueError("word norm needs a generating set")
-    dist = [0] * group.order
+    dist = np.zeros(group.order, dtype=np.int64)
     for k in range(1, diameter + 1):
-        for x in GroupSubset(group, chain.mask(k) & ~chain.mask(k - 1)):
-            dist[x] = k
-    return PseudoMetricNorm(group, tuple(Fraction(d) for d in dist), "word")
+        dist[list(GroupSubset(group, chain.mask(k) & ~chain.mask(k - 1)))] = k
+    return PseudoMetricNorm(group, dist, 1, "word")
 
 
 def subgroup_indicator_norm(group: FiniteGroup, h: GroupSubset) -> PseudoMetricNorm:
-    vals = tuple(Fraction(0) if x in h else Fraction(1) for x in range(group.order))
-    return PseudoMetricNorm(group, vals, "subgroup-indicator")
+    dist = np.ones(group.order, dtype=np.int64)
+    dist[list(h)] = 0
+    return PseudoMetricNorm(group, dist, 1, "subgroup-indicator")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +152,7 @@ def subgroup_indicator_norm(group: FiniteGroup, h: GroupSubset) -> PseudoMetricN
 
 def validate_norm(rho: PseudoMetricNorm) -> NormReport:
     g = rho.group
-    v, _ = rho.scaled
+    v = rho.scaled
     tol = 0 if rho.is_rational else _FLOAT_TOL
     witnesses: dict = {}
 
@@ -187,11 +198,10 @@ def validate_norm(rho: PseudoMetricNorm) -> NormReport:
 def ball(rho: PseudoMetricNorm, delta: Scalar) -> GroupSubset:
     """{x : rho(x) <= delta}: one integer threshold on the scaled norm for
     rational data, within _FLOAT_TOL once a float appears."""
-    v, denom = rho.scaled
     if rho.is_rational and isinstance(delta, (Fraction, int)):
-        inside = v <= math.floor(delta * denom)
+        inside = rho.scaled <= math.floor(delta * rho.denom)
     else:
-        inside = v / denom <= float(delta) + _FLOAT_TOL
+        inside = rho.scaled / rho.denom <= float(delta) + _FLOAT_TOL
     return GroupSubset(rho.group, _index_mask(np.flatnonzero(inside), rho.group.order))
 
 

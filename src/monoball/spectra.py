@@ -126,9 +126,10 @@ class FourierMagnitudes:
         counts = np.array(spectrum_weight(a).counts)
         self._support = np.flatnonzero(counts)
         self.weights = counts[self._support]
-        lp = linear_phases(group)
-        self._rows, self.exponent = lp.rows, lp.exponent
-        self.estimates = _cos_table(lp.exponent)[lp.rows[:, self._support]] @ self.weights
+        self._phases = lp = linear_phases(group)
+        self.exponent = lp.exponent
+        # a column-major block: the matvec sums in layout order, which fixes each estimate's bits
+        self.estimates = _cos_table(lp.exponent)[lp.block(None, self._support)] @ self.weights
         # with u = 2^-53 an estimate errs by at most (|supp w| + 1) u |A|^2: u per
         # table entry and |supp w| u from the product; doubled, and 3 more for slack
         self.error = 2.0 ** -52 * (len(self.weights) + 4) * len(a) ** 2
@@ -136,7 +137,7 @@ class FourierMagnitudes:
     def coefficients(self, indices) -> np.ndarray:
         """Row j is c with mag_sq(indices[j]) = sum_k c_k zeta_e^k."""
         e, k = self.exponent, len(indices)
-        cols = self._rows[np.asarray(indices, dtype=np.int64)][:, self._support]
+        cols = self._phases.block(indices, self._support)
         cols += e * np.arange(k)[:, None]
         return np.bincount(cols.ravel(), np.tile(self.weights, k),
                            minlength=k * e).astype(np.int64).reshape(k, e)

@@ -29,6 +29,20 @@ D8_RELABELLED = {"type": "table", "mul": [
     [3, 6, 4, 0, 2, 7, 1, 5], [6, 0, 5, 1, 7, 4, 3, 2], [4, 7, 3, 2, 0, 6, 5, 1],
     [0, 1, 2, 3, 4, 5, 6, 7], [2, 5, 0, 4, 3, 1, 7, 6], [7, 2, 1, 5, 6, 3, 4, 0],
     [1, 3, 7, 6, 5, 2, 0, 4], [5, 4, 6, 7, 1, 0, 2, 3]]}
+# C4 x C6, whose G^ab is not cyclic, relabelled: (a, b) at 6a + b becomes
+# C4XC6_LABEL[6a + b], so the identity is 23
+C4XC6_LABEL = [23, 20, 4, 8, 2, 15, 17, 21, 9, 3, 5, 11, 6, 0, 18, 1, 12, 13, 22, 19, 10, 7,
+               16, 14]
+
+
+def _c4xc6_relabelled() -> dict:
+    mul = [[0] * 24 for _ in range(24)]
+    for x in range(24):
+        for y in range(24):
+            z = 6 * ((x // 6 + y // 6) % 4) + (x + y) % 6
+            mul[C4XC6_LABEL[x]][C4XC6_LABEL[y]] = C4XC6_LABEL[z]
+    return {"type": "table", "mul": mul}
+
 
 # (run id, command, group spec, set spec or None, extra arguments)
 RUNS = [
@@ -61,6 +75,10 @@ RUNS = [
     # |1 + zeta_8 + zeta_8^4|^2 = 1 is exactly the threshold at eps 4/3
     ("lspec-c8-tie", "lspec", {"type": "cyclic", "n": 8}, {"indices": [0, 1, 4]},
      ["--eps", "4/3"]),
+    # characters listed in phase-tuple order on a table whose identity is not 0;
+    # A is the image of {(0, 0), (±1, 0), (0, ±1), (2, 3)}
+    ("lspec-c4xc6-relabelled", "lspec", _c4xc6_relabelled(),
+     {"indices": [23, 17, 22, 20, 15, 1]}, ["--eps", "7/5"]),
     # power chains: monotone (A^30 = G), no identity (A^11 = G), a pure cycle
     ("growth-c60", "growth", {"type": "cyclic", "n": 60}, {"indices": [59, 0, 1]},
      ["--nmax", "40"]),
@@ -111,6 +129,8 @@ GOLDEN = {
     "energy-c16": (0, "488d806602a704c045578b51ac17bb3d7c6e3ccdbb4a84aaddc4cf39fc66f6a0"),
     "energy-heis3-fat": (0, "ee4b83a7ebf9b1ef8295ba399c911d0a8fb3b597150c5cc8d395aa52a690aadc"),
     "lspec-c8-tie": (0, "a2c627d880182ae8165f60768a9baa4e13e33510e30ee96361cbe7acbfb58a30"),
+    "lspec-c4xc6-relabelled":
+        (0, "fbccff5bb78943d731cfd82e3767d888726543a2944b7131811fa7eb6c77849c"),
     "growth-c60": (0, "511eb3675f69f38ee2abd2bfbd0afd762b9682173f125afedb1dea253bbbdfb1"),
     "growth-c12-no-identity":
         (0, "9db5ee5155adb3b6cf6ce464fba4c1fb833b7265e27e30ebe1e9dfd167357c45"),

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import re
 import tracemalloc
@@ -26,7 +27,7 @@ from monoball.groups import (
     subgroup_view,
     table_group,
 )
-from monoball.harmonic import linear_phases
+from monoball.harmonic import linear_characters, linear_phases
 
 
 def _s3():
@@ -697,3 +698,39 @@ def test_classes_and_commutators_need_no_square_table():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20      # one 2048 x 2048 int32 table is 16 MiB
+
+
+def _lin_groups():
+    """The suite's groups, five relabelled tables and C2 x C4 x C6, whose G^ab
+    is not cyclic."""
+    c2c4c6 = product_group([cyclic_group(2), cyclic_group(4), cyclic_group(6)])
+    relabelled = [_relabelled(g, seed) for seed, g in enumerate(
+        (cyclic_group(12), dihedral_group(16), heisenberg_group(3), c2c4c6, _s4()))]
+    return _suite_groups() + relabelled + [c2c4c6]
+
+
+def test_linear_phases_characterise_lin():
+    rng = np.random.default_rng(6)
+    for g in _lin_groups():
+        lp = linear_phases(g)
+        rows = lp.block()
+        assert len(rows) == g.order // len(commutator_subgroup(g)), g.name
+        assert all(tuple(a) < tuple(b) for a, b in zip(rows, rows[1:])), g.name
+        for lam in linear_characters(g):
+            lam.verify_homomorphism()
+        assert np.array_equal(lp.keys, lp.block(None, lp.gens)), g.name
+        r = rng.choice(len(rows), size=min(3, len(rows)), replace=False)
+        c = rng.choice(g.order, size=min(5, g.order), replace=False)
+        assert np.array_equal(lp.block(r, c), rows[np.ix_(r, c)]), g.name
+
+
+def test_linear_phases_retain_no_phase_matrix():
+    g = cyclic_group(4096)
+    tracemalloc.start()
+    try:
+        linear_phases(g)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 * 2 ** 20      # a 4096 x 4096 int64 phase matrix is 128 MiB

@@ -184,10 +184,10 @@ def test_character_table_rejects_degree_one_rows_that_miss_lin(monkeypatch):
 
     g = dihedral_group(8)
     lp = harmonic.linear_phases(g)
-    rows = lp.rows.copy()
-    rows[1] = rows[2]              # one character twice, another one missing
+    keys = lp.keys.copy()
+    keys[1] = keys[2]              # one character twice, another one missing
     monkeypatch.setattr(harmonic, "linear_phases",
-                        lambda group: dataclasses.replace(lp, rows=rows))
+                        lambda group: dataclasses.replace(lp, keys=keys))
     with pytest.raises(ArithmeticError, match="missing"):
         character_table(g)
 

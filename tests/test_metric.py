@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from monoball.bohr import CharSet, bohr_norm
 from monoball.errors import FalsifiedError, HypothesisError
 from monoball.groups import (
     GroupSubset,
@@ -93,11 +94,11 @@ def test_validate_norm_catches_corruption():
     rho = _c13_word()
     vals = list(rho.values)
     vals[3] = Fraction(10)
-    rep = validate_norm(PseudoMetricNorm(rho.group, tuple(vals)))
+    rep = validate_norm(PseudoMetricNorm.from_values(rho.group, tuple(vals)))
     assert not rep.valid
     assert not rep.subadditive
     x, y = rep.witnesses["subadditive"]
-    bad = PseudoMetricNorm(rho.group, tuple(vals))
+    bad = PseudoMetricNorm.from_values(rho.group, tuple(vals))
     assert bad.values[rho.group.mul(x, y)] > bad.values[x] + bad.values[y]
 
 
@@ -106,7 +107,7 @@ def test_validate_norm_class_invariance_witness():
     vals = [Fraction(1)] * 8
     vals[g.identity] = Fraction(0)
     vals[1] = Fraction(2)  # r and r^3 are conjugate; give them different values
-    rep = validate_norm(PseudoMetricNorm(g, tuple(vals)))
+    rep = validate_norm(PseudoMetricNorm.from_values(g, tuple(vals)))
     assert not rep.class_invariant
     assert rep.witnesses["class_invariant"] == (1, 3)
 
@@ -140,7 +141,7 @@ def test_validate_norm_symmetry_and_class_match_loops(group):
         if trial % 2:
             # floats: moves below the tolerance are no moves
             vals = [float(v) + (1e-13 if i % 3 else 0.0) for i, v in enumerate(vals)]
-        rho = PseudoMetricNorm(group, tuple(vals))
+        rho = PseudoMetricNorm.from_values(group, tuple(vals))
         rep = validate_norm(rho)
         want = _loop_symmetry_and_class_witnesses(rho, 1e-12 if trial % 2 else 0)
         got = {k: w for k, w in rep.witnesses.items() if k in ("symmetric", "class_invariant")}
@@ -161,7 +162,7 @@ def test_ball_membership_exact():
 
 def test_ball_float_tolerance():
     g = cyclic_group(6)
-    rho = PseudoMetricNorm(g, (0.0, 0.1, 0.2, 0.3, 0.2, 0.1))
+    rho = PseudoMetricNorm.from_values(g, (0.0, 0.1, 0.2, 0.3, 0.2, 0.1))
     b = ball(rho, 0.2)
     assert b.indices() == (0, 1, 2, 4, 5)
 
@@ -185,7 +186,7 @@ def test_ball_axioms_catch_subadditivity_break():
     g = cyclic_group(9)
     vals = [Fraction(0)] + [Fraction(1)] * 8
     vals[2] = Fraction(3)  # 1+1 lands outside B(2)
-    rho = PseudoMetricNorm(g, tuple(vals))
+    rho = PseudoMetricNorm.from_values(g, tuple(vals))
     rep = ball_axioms_check(rho)
     assert not rep.subadditive_ok
     assert "subadditive" in rep.witnesses
@@ -196,7 +197,7 @@ def test_ball_axioms_normal_witness():
     vals = [Fraction(1)] * 8
     vals[g.identity] = Fraction(0)
     vals[1] = Fraction(2)  # B(1) holds r^3 but not its conjugate r
-    rep = ball_axioms_check(PseudoMetricNorm(g, tuple(vals)))
+    rep = ball_axioms_check(PseudoMetricNorm.from_values(g, tuple(vals)))
     assert not rep.normal_ok
     assert rep.witnesses["normal"] == (1, 3)
 
@@ -279,7 +280,40 @@ def test_bourgain_rejects_underreported_dimension():
 
 def test_norm_report_on_float_norm():
     g = cyclic_group(5)
-    rho = PseudoMetricNorm(g, (0.0, 1.0, 2.0, 2.0, 1.0))
+    rho = PseudoMetricNorm.from_values(g, (0.0, 1.0, 2.0, 2.0, 1.0))
     rep = validate_norm(rho)
     assert rep.valid
     assert not rho.is_rational
+
+
+def _norms_for_the_scalar_reference():
+    rng = np.random.default_rng(9)
+    c36, d12 = cyclic_group(36), dihedral_group(12)
+    yield zero_norm(c36)
+    yield word_norm(d12, GroupSubset.from_indices(d12, [1, 5, 6]))
+    yield subgroup_indicator_norm(c36, closure(c36, [9]))
+    yield bohr_norm(CharSet(c36, (0, 5, 31)))
+    yield bohr_norm(CharSet(heisenberg_group(3), (1, 2, 4)))
+    for _ in range(3):
+        yield PseudoMetricNorm.from_values(c36, tuple(
+            Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 7))) if rng.random() < 0.8
+            else int(rng.integers(0, 3)) for _ in range(36)))
+        yield PseudoMetricNorm.from_values(c36, tuple(rng.choice([0.0, 0.25, 0.5, 1.5], 36)
+                                                      + rng.random(36).round(3)))
+
+
+def test_breakpoints_and_balls_match_the_scalar_definitions():
+    """The definitions on one scalar per element: breakpoints are the sorted
+    distinct values, and a ball compares each value with delta, exactly for
+    rationals and within 1e-12 once a float appears."""
+    for rho in _norms_for_the_scalar_reference():
+        values = rho.values
+        points = rho.breakpoints()
+        assert points == tuple(sorted(set(values)))
+        radii = list(points) + [Fraction(1, 3), Fraction(7, 4), 2, 0.6, 1.2500000000001]
+        radii += [(a + b) / 2 for a, b in zip(points, points[1:])]
+        for delta in radii:
+            exact = rho.is_rational and isinstance(delta, (Fraction, int))
+            want = [x for x, v in enumerate(values)
+                    if (v <= delta if exact else float(v) <= float(delta) + 1e-12)]
+            assert ball(rho, delta).indices() == tuple(want), (rho.source, delta)

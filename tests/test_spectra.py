@@ -23,7 +23,6 @@ from monoball.groups import (
     quaternion_group,
 )
 from monoball.harmonic import (
-    LinearCharacter,
     character_table,
     is_monomial,
     linear_characters,
@@ -51,8 +50,7 @@ def _subset(g, ids):
 
 
 def _cyc_char(g, k):
-    n = g.order
-    return LinearCharacter(g, tuple(Fraction(k * x, n) % 1 for x in range(n)))
+    return next(lam for lam in linear_characters(g) if _char_freq(g, lam) == k % g.order)
 
 
 def _char_freq(g, lam):
@@ -185,7 +183,7 @@ def test_lspec_matches_100_digit_oracle(case):
     members = set(spec.members.indices)
     with mpmath.workdps(100):
         thr = mpmath.mpf(spec.threshold_sq.numerator) / spec.threshold_sq.denominator
-        for i, row in enumerate(lp.rows):
+        for i, row in enumerate(lp.block()):
             value = abs(sum(mpmath.expjpi(mpmath.mpf(2 * int(row[x])) / lp.exponent)
                             for x in ids)) ** 2
             if abs(value - thr) > mpmath.mpf("1e-60"):
