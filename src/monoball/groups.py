@@ -47,6 +47,11 @@ class FiniteGroup:
         return bool(np.array_equal(self.mul_table, self.mul_table.T))
 
     @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """At most log2 n elements that generate the group: `_generating_set`."""
+        return tuple(_generating_set(self.mul_table, self.identity))
+
+    @cached_property
     def element_orders(self) -> tuple[int, ...]:
         """For p^a exactly dividing n, the p-part of the order of x is the
         order of y = x^(n / p^a), the least p^k with y^(p^k) = 1."""
@@ -286,8 +291,9 @@ def _finish(mul: np.ndarray, labels: Sequence[str], name: str) -> FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupValidationError("cyclic: n must be >= 1")
-    idx = np.arange(n)
-    mul = (idx[:, None] + idx[None, :]) % n
+    idx = np.arange(n, dtype=np.int32)     # int32 in place: no n x n int64 temporary
+    mul = idx[:, None] + idx
+    mul[mul >= n] -= n
     return _finish(mul, [str(k) for k in range(n)], f"cyclic({n})")
 
 
@@ -545,7 +551,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
     if cached is not None:
         return cached
     mul, inv, n = group.mul_table, group.inv_table, group.order
-    perms = [mul[mul[s], inv[s]] for s in _generating_set(mul, group.identity)]
+    perms = [mul[mul[s], inv[s]] for s in group.generators]
     label, before = np.arange(n), None
     while not np.array_equal(label, before):
         before = label
@@ -578,23 +584,32 @@ def commutator_subgroup(group: FiniteGroup) -> GroupSubset:
     """The subgroup N generated by the conjugates of the [s, t] for s, t in a
     generating set: N is normal and inside [G, G], and G/N is abelian."""
     mul, inv = group.mul_table, group.inv_table
-    s = np.array(_generating_set(mul, group.identity), dtype=np.int64)
+    s = np.array(group.generators, dtype=np.int64)
     comms = mul[mul[mul[s[:, None], s], inv[s][:, None]], inv[s]]     # s t s^-1 t^-1
     seeds = conjugates(GroupSubset(group, _index_mask(comms.ravel(), group.order)))
     return closure(group, seeds.indices())
 
 
 def quotient(group: FiniteGroup, normal: GroupSubset) -> Quotient:
-    """G/N for a normal subgroup N, each coset named by its least element. The
-    projection must be a homomorphism with kernel N; being onto, it carries the
-    group axioms to the coset table, so that table is not validated again."""
+    """G/N for a normal subgroup N, each coset named by its least element; G
+    itself for N = {1}. The projection p, whose fibres are the sets xN, must
+    have p(xs) = p(x)p(s) for every s in a generating set, and kernel N. Then
+    right multiplication by G permutes the fibres, so the identity's fibre is a
+    subgroup K with the fibres its right cosets Kg; K = N, the left cosets xN
+    are the right ones, N is normal and p is the homomorphism onto G/N. Being
+    onto, p carries the group axioms to the coset table, so that table is not
+    validated again."""
+    if normal.mask == 1 << group.identity:
+        same = tuple(range(group.order))
+        return Quotient(normal, group, same, same)
     n_idx = np.array(normal.indices(), dtype=np.int64)
     rep_of = group.mul_table[:, n_idx].min(axis=1)
     reps = np.unique(rep_of)
     parr = np.searchsorted(reps, rep_of)
     q_mul = parr[group.mul_table[np.ix_(reps, reps)]].astype(np.int32)
-    if not np.array_equal(parr[group.mul_table], q_mul[parr[:, None], parr[None, :]]):
-        raise GroupValidationError(f"{group.name}: quotient projection is not a homomorphism")
+    for s in group.generators:
+        if not np.array_equal(parr[group.mul_table[:, s]], q_mul[parr, parr[s]]):
+            raise GroupValidationError(f"{group.name}: quotient projection is not a homomorphism")
     identity = int(parr[group.identity])
     if _index_mask(np.flatnonzero(parr == identity), group.order) != normal.mask:
         raise GroupValidationError(f"{group.name}: quotient kernel differs from the subgroup")

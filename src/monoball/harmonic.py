@@ -245,6 +245,14 @@ def linear_phases(group: FiniteGroup) -> LinearPhases:
         gens.append(int(ab.section[y]))
     keys = keys[np.lexsort(keys.T[::-1])] if gens else keys
     coords = coords[np.argsort(elems)[np.array(ab.projection)]]
+    # every key is a homomorphism of G: gamma(xs) = gamma(x) + gamma(s) for each
+    # s in a generating set gives it for every product, by induction on word
+    # length. The carries c(xs) - c(x) - c(s) take few distinct values.
+    s = np.array(group.generators, dtype=np.int64)
+    carries = coords[group.mul_table[:, s]] - coords[:, None] - coords[s]
+    carries = np.unique(carries.reshape(group.order * len(s), len(gens)), axis=0)
+    if (carries @ keys.T % e).any():
+        raise AssertionError(f"{group.name}: a linear character is not a homomorphism")
     for table in (keys, coords):
         table.setflags(write=False)
     lp = LinearPhases(keys, coords, e, tuple(gens),

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -125,10 +126,12 @@ def test_linbohr_squared_agrees_on_rational_radii():
 
 
 def _random_charsets():
-    """Random character sets of cyclic groups of order <= 256, Heis(3) and C2 x Heis(3)."""
+    """Random character sets of cyclic groups of order <= 256, Heis(3), C2 x Heis(3)
+    and C1024."""
     rng = np.random.default_rng(5)
     groups = [cyclic_group(n) for n in (7, 36, 97, 210, 256)]
-    groups += [heisenberg_group(3), product_group([cyclic_group(2), heisenberg_group(3)])]
+    groups += [heisenberg_group(3), product_group([cyclic_group(2), heisenberg_group(3)]),
+               cyclic_group(1024)]
     for g in groups:
         n_lin = len(linear_phases(g).keys)
         for size in (1, 2, 3, 4):
@@ -140,6 +143,7 @@ def test_linbohr_squared_matches_the_squared_rule_at_nonsquare_radii():
                 32 * Fraction(1, 128) ** 2 * Fraction(5, 4))
     for s in _random_charsets():
         rho = bohr_norm(s)
+        assert validate_norm(rho).valid       # the reference check of the norm axioms
         for delta_sq in radii_sq:
             num, den = delta_sq.numerator, delta_sq.denominator
             # reference: compare rho(x)^2 with delta_sq in exact rationals
@@ -157,24 +161,35 @@ def test_inv_two_pi_ball_matches_a_50_digit_comparison():
         assert _inv_two_pi_ball(s.group, s).indices() == tuple(want)
 
 
-def test_freiman_ball_validates_each_bohr_norm_once(monkeypatch):
-    validated, seen = [], set()
-    validate, norm = bohr.validate_norm, bohr.bohr_norm
+def test_freiman_ball_computes_each_bohr_norm_once_unvalidated(monkeypatch):
+    validated, seen, computed = [], set(), []
+    norm, phases = bohr.bohr_norm, bohr.linear_phases
 
-    def counting_validate(rho):
-        validated.append(rho.values)
-        return validate(rho)
+    class RecordingPhases:
+        def __init__(self, lp):
+            self.lp = lp
+
+        def __getattr__(self, name):
+            return getattr(self.lp, name)
+
+        def block(self, rows=None, cols=None):
+            computed.append(tuple(rows))
+            return self.lp.block(rows, cols)
 
     def recording_norm(charset):
         seen.add(charset.indices)
         return norm(charset)
 
-    monkeypatch.setattr(bohr, "validate_norm", counting_validate)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "monoball" and hasattr(module, "validate_norm"):
+            monkeypatch.setattr(module, "validate_norm", validated.append)
+    monkeypatch.setattr(bohr, "linear_phases", lambda group: RecordingPhases(phases(group)))
     monkeypatch.setattr(bohr, "bohr_norm", recording_norm)
     monkeypatch.setattr(pipeline, "bohr_norm", recording_norm)
     g = cyclic_group(256)
     pipeline.freiman_ball(g, GroupSubset.from_indices(g, [255, 0, 1]))
-    assert seen and len(validated) == len(seen)
+    assert seen and validated == []
+    assert sorted(computed) == sorted(seen)
 
 
 def test_bohr_norm_shares_one_scaled_form():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from monoball import groups
+from monoball import groups, harmonic
 from monoball.errors import CapExceededError, GroupValidationError
 from monoball.groups import (
     GroupSubset,
@@ -256,6 +256,28 @@ def test_quotient_by_a_normal_subgroup():
         quotient(g, closure(g, [4]))
     with pytest.raises(GroupValidationError, match="kernel"):
         quotient(g, GroupSubset.from_indices(g, [2]))
+
+
+def test_quotient_by_the_trivial_subgroup_is_the_group():
+    for g in _suite_groups():
+        q = quotient(g, GroupSubset.identity_only(g))
+        assert q.quotient is g, g.name
+        assert q.projection == q.section == tuple(range(g.order))
+
+
+def test_quotient_accepts_exactly_the_normal_subgroups():
+    """The check on generators against the n^2 one: a subgroup's quotient
+    exists exactly when it is normal, and its projection then respects every
+    product."""
+    for g in (dihedral_group(16), heisenberg_group(3), _s4(), _sl23(), _relabelled(_s4(), 2)):
+        for sub in enumerate_subgroups(g):
+            if groups.normality_witness(sub.elements) is None:
+                q = quotient(g, sub.elements)
+                p = np.array(q.projection)
+                assert np.array_equal(p[g.mul_table], q.quotient.mul_table[p[:, None], p])
+            else:
+                with pytest.raises(GroupValidationError, match="not a homomorphism"):
+                    quotient(g, sub.elements)
 
 
 def test_supersolvable_steps_through_quotients(monkeypatch):
@@ -730,7 +752,33 @@ def test_linear_phases_retain_no_phase_matrix():
     try:
         linear_phases(g)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert retained < 4 * 2 ** 20      # a 4096 x 4096 int64 phase matrix is 128 MiB
+    assert peak < 16 * 2 ** 20         # and the int32 table itself 64 MiB
+
+
+def test_linear_phases_reject_a_projection_that_is_no_homomorphism(monkeypatch):
+    """Two cosets of G^ab swapped in the projection: linear_phases raises exactly
+    when the n^2 check finds the swapped projection no homomorphism. In Heis(3)
+    the first generator lies in [G, G], so only the later ones see a swap of two
+    cosets other than the identity's."""
+    rng = np.random.default_rng(7)
+    c2c4c6 = product_group([cyclic_group(2), cyclic_group(4), cyclic_group(6)])
+    for g in (cyclic_group(12), dihedral_group(16), heisenberg_group(3), c2c4c6,
+              _relabelled(_s4(), 4)):
+        ab = abelianization(g)
+        q = ab.quotient
+        pairs = list(itertools.combinations(range(q.order), 2))
+        for i in rng.permutation(len(pairs))[:30]:
+            swap = dict(zip(pairs[i], pairs[i][::-1]))
+            p = np.array([swap.get(x, x) for x in ab.projection])
+            swapped = groups.Abelianization(ab.kernel, q, tuple(p.tolist()), ab.section)
+            monkeypatch.setattr(harmonic, "abelianization", lambda group: swapped)
+            g.__dict__.pop("_linear_phases", None)
+            if np.array_equal(p[g.mul_table], q.mul_table[p[:, None], p]):
+                linear_phases(g)
+            else:
+                with pytest.raises(AssertionError, match="not a homomorphism"):
+                    linear_phases(g)
