@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -13,6 +14,9 @@ from .errors import CapExceededError, GroupValidationError
 
 SUBGROUP_ORDER_CAP = 128    # also the cap of every monomiality search
 PERMUTATION_CLOSURE_CAP = 4096
+# entries per numpy block in table checks, table builds and power chain steps:
+# blocks of 2^16 stay in cache (2^22 took five times as long at order 4096)
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,13 +205,24 @@ class Abelianization(Quotient):
 # table validation
 
 
-def _first_bad_row(table: np.ndarray) -> Optional[int]:
+def _blocks(n: int) -> list[slice]:
+    """Consecutive slices of 0..n-1, each as many rows (or columns) of an
+    n x n table as hold about CHUNK entries, at least one."""
+    step = max(1, CHUNK // n)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _first_bad_line(table: np.ndarray, axis: int) -> Optional[int]:
+    """The first row (axis 1) or column (axis 0) of the square table that is not
+    a permutation of 0..n-1."""
     n = table.shape[0]
-    want = np.arange(n)
-    rows_ok = (np.sort(table, axis=1) == want).all(axis=1)
-    if rows_ok.all():
-        return None
-    return int(np.flatnonzero(~rows_ok)[0])
+    want = np.arange(n) if axis == 1 else np.arange(n)[:, None]
+    for lines in _blocks(n):
+        ok = (np.sort(table[lines] if axis == 1 else table[:, lines], axis=axis)
+              == want).all(axis=axis)
+        if not ok.all():
+            return lines.start + int(np.flatnonzero(~ok)[0])
+    return None
 
 
 def _generating_set(mul: np.ndarray, identity: int) -> list[int]:
@@ -245,32 +260,30 @@ def _validate_table(mul: np.ndarray, name: str) -> tuple[int, np.ndarray]:
         raise GroupValidationError(
             f"{name}: entry at ({bad[0]},{bad[1]}) is outside 0..{n - 1}"
         )
-    r = _first_bad_row(mul)
-    if r is not None:
-        raise GroupValidationError(f"{name}: row {r} is not a permutation (not a Latin square)")
-    c = _first_bad_row(np.ascontiguousarray(mul.T))
-    if c is not None:
-        raise GroupValidationError(f"{name}: column {c} is not a permutation (not a Latin square)")
+    for axis, line in ((1, "row"), (0, "column")):
+        bad = _first_bad_line(mul, axis)
+        if bad is not None:
+            raise GroupValidationError(
+                f"{name}: {line} {bad} is not a permutation (not a Latin square)")
 
     want = np.arange(n)
     # a two-sided identity e has e*0 = 0, and the Latin column 0 leaves one such e
     identity = int(np.flatnonzero(mul[:, 0] == 0)[0])
     if not (np.array_equal(mul[identity], want) and np.array_equal(mul[:, identity], want)):
         raise GroupValidationError(f"{name}: no two-sided identity element")
-    inv = np.argmax(mul == identity, axis=1).astype(mul.dtype)
+    inv = np.concatenate([np.argmax(mul[rows] == identity, axis=1)
+                          for rows in _blocks(n)]).astype(mul.dtype)
 
     # Light's test: the a with (x*a)*y = x*(a*y) for all x, y are closed under
-    # products and include the identity, so checking a generating set suffices;
-    # chunks of 2^16 entries stay in cache (2^22 took five times as long at 4096)
-    chunk = max(1, (1 << 16) // n)
+    # products and include the identity, so checking a generating set suffices
     for s in _generating_set(mul, identity):
-        for start in range(0, n, chunk):
-            lhs = mul[mul[start:start + chunk, s]]          # (x s) y
-            rhs = mul[start:start + chunk, mul[s]]          # x (s y)
+        for rows in _blocks(n):
+            lhs = mul[mul[rows, s]]          # (x s) y
+            rhs = mul[rows, mul[s]]          # x (s y)
             if not np.array_equal(lhs, rhs):
                 x, y = np.argwhere(lhs != rhs)[0]
                 raise GroupValidationError(
-                    f"{name}: associativity fails at ({start + int(x)},{s},{int(y)}): "
+                    f"{name}: associativity fails at ({rows.start + int(x)},{s},{int(y)}): "
                     f"(x*y)*z={int(lhs[x, y])} but x*(y*z)={int(rhs[x, y])}"
                 )
     return identity, inv
@@ -336,10 +349,17 @@ def product_group(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     if not factors:
         raise GroupValidationError("product: needs at least one factor")
     orders = [g.order for g in factors]
-    # element indices are mixed-radix digits, the first factor most significant
-    digits = np.unravel_index(np.arange(int(np.prod(orders))), orders)
-    mul = np.ravel_multi_index(
-        tuple(g.mul_table[np.ix_(d, d)] for g, d in zip(factors, digits)), orders)
+    n = math.prod(orders)
+    # element indices are mixed-radix digits, the first factor most significant;
+    # the int32 table is written in blocks of rows, digit by digit
+    digits = np.unravel_index(np.arange(n), orders)
+    mul = np.empty((n, n), dtype=np.int32)
+    for rows in _blocks(n):
+        block = mul[rows]
+        block[:] = 0
+        for g, d in zip(factors, digits):
+            block *= g.order
+            block += g.mul_table[d[rows, None], d]
     labels = ["(" + ",".join(g.labels[t] for g, t in zip(factors, tup)) + ")"
               for tup in zip(*(d.tolist() for d in digits))]
     name = "x".join(g.name for g in factors)
@@ -436,8 +456,14 @@ def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
 
 
 class PowerChain:
-    """The powers A^0, A^1, ... of one set as bitmasks, built lazily up to the
-    first repeat; from there on A^n cycles with `period` from `start`.
+    """The powers A^0, A^1, ... of one set, built lazily up to the first
+    repeat; from there on A^n cycles with `period` from `start`.
+
+    With the identity in A, A^k is the ball of radius k in the word metric of
+    A: `dist` holds each element's word length (-1 while unreached), `order`
+    the reached elements level by level and `sizes[k]` = |A^k|, and one step
+    grows many levels (`_ball_step`). Without it the chain keeps A^n as
+    bitmasks, one product per level.
 
     It holds the multiplication table and integers, never the group, so the
     group can cache it without a reference cycle."""
@@ -445,41 +471,68 @@ class PowerChain:
     def __init__(self, mul_table: np.ndarray, identity: int, a: np.ndarray):
         self._mul = mul_table
         self._a = a
-        self._masks = [1 << identity]
-        self._first_seen = {self._masks[0]: 0}
         self.start: Optional[int] = None
         self.period: Optional[int] = None
-        # with the identity in A, A^{n+1} = A^n ∪ F·A for F the elements new
-        # in A^n: `_last` is F, else A^n itself
-        self._last = np.array([identity])
-        self._members = None
+        self.dist: Optional[np.ndarray] = None
         if identity in a:
-            self._members = np.zeros(len(mul_table), dtype=bool)
-            self._members[identity] = True
+            rest = a[a != identity]
+            self.dist = np.full(len(mul_table), -1, dtype=np.int64)
+            self.dist[identity], self.dist[rest] = 0, 1
+            self.order = np.empty(len(mul_table), dtype=np.int64)
+            self.order[0], self.order[1:len(a)] = identity, rest
+            self.sizes = [1, len(a)]
+            if not rest.size:
+                self.start, self.period = 0, 1
+        else:
+            self._masks = [1 << identity]
+            self._first_seen = {self._masks[0]: 0}
+            self._last = np.array([identity])
 
     def _extend(self) -> bool:
-        """Append the next power; False once the cycle is known."""
+        """Grow the chain by one step; False once the cycle is known."""
         if self.period is not None:
             return False
-        prods = np.unique(self._mul[np.ix_(self._last, self._a)])
-        if self._members is None:
-            mask = _index_mask(prods, len(self._mul))
-        else:
-            prods = prods[~self._members[prods]]
-            self._members[prods] = True
-            mask = self._masks[-1] | _index_mask(prods, len(self._mul))
-        self._last = prods
+        return self._product_step() if self.dist is None else self._ball_step()
+
+    def _product_step(self) -> bool:
+        self._last = np.unique(self._mul[np.ix_(self._last, self._a)])
+        mask = _index_mask(self._last, len(self._mul))
         n = len(self._masks)
         first = self._first_seen.setdefault(mask, n)
         if first < n:
             self.start, self.period = first, n - first
-            self._first_seen = self._members = self._last = None
+            self._first_seen = self._last = None
             return False
         self._masks.append(mask)
         return True
 
+    def _ball_step(self) -> bool:
+        """Levels k+1 .. k+m from level k, F, and the ball B = A^m, for the
+        largest m <= k with |F| |B| <= CHUNK (at least 1): a geodesic word for
+        y with k < |y| <= k + m splits as x*b with |x| = k and |b| = |y| - k,
+        and every x*b has |x*b| <= k + |b|, so the first time an unreached y
+        turns up among the products, in order of |b|, gives |y|."""
+        sizes, k = self.sizes, len(self.sizes) - 1
+        f = self.order[sizes[k - 1]:sizes[k]]
+        m = max(1, bisect_right(sizes, CHUNK // len(f), 0, k + 1) - 1)
+        b = self.order[:sizes[m]]
+        prods = self._mul[f, b[:, None]].ravel()     # row j holds the x*b_j
+        fresh = np.flatnonzero(self.dist[prods] < 0)
+        first = np.sort(fresh[np.unique(prods[fresh], return_index=True)[1]])
+        ys, levels = prods[first], k + self.dist[b[first // len(f)]]
+        self.dist[ys] = levels
+        self.order[sizes[k]:sizes[k] + len(ys)] = ys
+        counts = np.bincount(levels - k - 1, minlength=m)
+        sizes.extend((sizes[k] + np.cumsum(counts[counts > 0])).tolist())
+        if counts.all():
+            return True
+        self.start, self.period = len(sizes) - 1, 1
+        return False
+
     def mask(self, n: int) -> int:
         """The bitmask of A^n, n >= 0."""
+        if self.dist is not None:
+            return _index_mask(self.order[:self.size(n)], len(self._mul))
         while len(self._masks) <= n and self._extend():
             pass
         if n >= len(self._masks):
@@ -487,7 +540,12 @@ class PowerChain:
         return self._masks[n]
 
     def size(self, n: int) -> int:
-        return self.mask(n).bit_count()
+        """|A^n|, n >= 0."""
+        if self.dist is None:
+            return self.mask(n).bit_count()
+        while len(self.sizes) <= n and self._extend():
+            pass
+        return self.sizes[min(n, len(self.sizes) - 1)]
 
     def cycle(self) -> tuple[int, int]:
         """(start, period): A^{n + period} = A^n exactly when n >= start."""

@@ -129,15 +129,12 @@ def word_norm(group: FiniteGroup, gens: GroupSubset) -> PseudoMetricNorm:
     """Graph distance to the identity in the Cayley graph of the generating set."""
     if gens.group is not group:
         raise ValueError("generating set lives in a different group")
-    # level k of the power chain of gens ∪ {1} holds the words of length <= k
+    # the power chain of gens ∪ {1} holds each element's word length
     chain = power_chain(GroupSubset(group, gens.mask | 1 << group.identity))
-    diameter = chain.cycle()[0]
-    if chain.mask(diameter) != (1 << group.order) - 1:
+    chain.cycle()
+    if (chain.dist < 0).any():
         raise ValueError("word norm needs a generating set")
-    dist = np.zeros(group.order, dtype=np.int64)
-    for k in range(1, diameter + 1):
-        dist[list(GroupSubset(group, chain.mask(k) & ~chain.mask(k - 1)))] = k
-    return PseudoMetricNorm(group, dist, 1, "word")
+    return PseudoMetricNorm(group, chain.dist.copy(), 1, "word")
 
 
 def subgroup_indicator_norm(group: FiniteGroup, h: GroupSubset) -> PseudoMetricNorm:

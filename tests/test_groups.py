@@ -526,6 +526,24 @@ def test_product_table_matches_the_loop_definition():
         assert np.array_equal(g.mul_table, mul) and list(g.labels) == labels
 
 
+def test_product_table_is_written_in_row_blocks():
+    for factors in ([cyclic_group(3), dihedral_group(8)],
+                    [cyclic_group(2), heisenberg_group(3)],
+                    [cyclic_group(40), heisenberg_group(3)]):
+        orders = [f.order for f in factors]
+        digits = np.unravel_index(np.arange(int(np.prod(orders))), orders)
+        want = np.ravel_multi_index(
+            tuple(f.mul_table[np.ix_(d, d)] for f, d in zip(factors, digits)), orders)
+        tracemalloc.start()
+        try:
+            g = product_group(factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.mul_table.dtype == np.int32 and np.array_equal(g.mul_table, want)
+    assert peak < 8 * 2 ** 20      # the 1080 x 1080 int32 table itself is 4.4 MiB
+
+
 def test_permutation_table_matches_the_loop_definition():
     cases = [(3, [[1, 0, 2], [0, 2, 1]]),                    # S3
              (4, [[1, 0, 2, 3], [1, 2, 3, 0]]),              # S4

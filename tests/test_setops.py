@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from monoball import groups
 from monoball.groups import (
     GroupSubset,
     closure,
@@ -12,6 +13,7 @@ from monoball.groups import (
     heisenberg_group,
     permutation_group,
     power_chain,
+    product_group,
     product_set,
     quaternion_group,
 )
@@ -136,6 +138,68 @@ def test_power_chain_cycle_and_sizes():
     chain = power_chain(a)
     assert tuple(chain.size(n) for n in range(13)) == bfs_power_sizes(a, 12)
     assert power_chain(GroupSubset(g, a.mask)) is chain
+
+
+def _loop_powers(g, a):
+    """The masks of A^0, A^1, ..., one product per level, up to the first
+    repeat, and the (start, period) of that repeat."""
+    level, masks, first = np.array([g.identity]), [1 << g.identity], {1 << g.identity: 0}
+    while True:
+        level = np.unique(g.mul_table[np.ix_(level, a)])
+        m = sum(1 << int(x) for x in level)
+        if m in first:
+            return masks, (first[m], len(masks) - first[m])
+        first[m] = len(masks)
+        masks.append(m)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic_group(12), lambda: cyclic_group(360), lambda: dihedral_group(512),
+    lambda: heisenberg_group(5), lambda: product_group([cyclic_group(2), heisenberg_group(3)]),
+    lambda: permutation_group(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]),
+    lambda: product_group([cyclic_group(64), cyclic_group(64)]),
+], ids=["C12", "C360", "D512", "Heis5", "C2xHeis3", "S5", "C64xC64"])
+def test_power_chain_matches_the_level_loop(build):
+    group = build()
+    # in C64 x C64 sets of 20-40 elements give |A^2| |level 2| > 2^16 products,
+    # so the ball steps from level 2 on grow one level each
+    rng = np.random.default_rng(group.order)
+    big = group.order == 4096
+    for trial in range(6):
+        size = int(rng.integers(20, 41)) if big else int(rng.integers(1, 7))
+        a = set(rng.choice(group.order, size=size, replace=False).tolist())
+        a = a | {group.identity} if trial % 2 else a - {group.identity} or {1}
+        sub = _subset(group, a)
+        masks, (start, period) = _loop_powers(group, np.array(sorted(a)))
+        chain = power_chain(sub)
+        assert chain.cycle() == (start, period), (group.name, sorted(a))
+        for n in range(start + period + 3):
+            want = masks[n if n < len(masks) else start + (n - start) % period]
+            assert chain.mask(n) == want and chain.size(n) == want.bit_count()
+
+
+def test_power_chain_sizes_read_lazily_equal_the_finished_chain():
+    g = product_group([cyclic_group(2), heisenberg_group(3)])
+    for idx in ([0, 1, 3, 10], [1, 3, 10], [0, 9, 27, 40]):
+        lazy = power_chain(_subset(g, idx))
+        lazy_sizes = [lazy.size(n) for n in range(20)]
+        done = groups.PowerChain(g.mul_table, g.identity, np.array(idx))
+        done.cycle()
+        assert lazy_sizes == [done.size(n) for n in range(20)]
+
+
+def test_power_chain_grows_whole_balls(monkeypatch):
+    steps = []
+    extend = groups.PowerChain._extend
+
+    def counting_extend(self):
+        steps.append(1)
+        return extend(self)
+
+    monkeypatch.setattr(groups.PowerChain, "_extend", counting_extend)
+    g = cyclic_group(8192)
+    assert len(closure(g, [1, 8191])) == 8192
+    assert len(steps) <= 2 * 13        # one level per step would take 4096
 
 
 def test_growth_sizes_non_decreasing():
