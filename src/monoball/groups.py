@@ -48,7 +48,10 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul_table, self.mul_table.T))
+        """Whether the generators commute pairwise, and so every two elements."""
+        s = np.array(self.generators, dtype=np.int64)
+        block = self.mul_table[np.ix_(s, s)]
+        return bool(np.array_equal(block, block.T))
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -212,28 +215,18 @@ def _blocks(n: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _first_bad_line(table: np.ndarray, axis: int) -> Optional[int]:
-    """The first row (axis 1) or column (axis 0) of the square table that is not
-    a permutation of 0..n-1."""
-    n = table.shape[0]
-    want = np.arange(n) if axis == 1 else np.arange(n)[:, None]
-    for lines in _blocks(n):
-        ok = (np.sort(table[lines] if axis == 1 else table[:, lines], axis=axis)
-              == want).all(axis=axis)
-        if not ok.all():
-            return lines.start + int(np.flatnonzero(~ok)[0])
-    return None
-
-
-def _generating_set(mul: np.ndarray, identity: int) -> list[int]:
+def _generating_set(mul: np.ndarray, identity: int) -> Iterator[int]:
     """Elements s1, s2, ... whose words ((s1*s2)*s3)... from the identity reach
-    every element: a search by right multiplication that takes the least
-    unreached element whenever it stalls. What a stalled search has reached does
-    not depend on the order of the search. In a group it is the subgroup that
-    s1, s2, ... generate, which each new element at least doubles."""
+    every element: a search by right multiplication that yields the least
+    unreached element whenever it stalls, and goes on only when the next one is
+    asked for. What a stalled search has reached does not depend on the order of
+    the search. If each s yielded so far passes Light's test and every row holds
+    the identity, the reached set is a subgroup, which each new s at least
+    doubles; so a caller that tests each s before asking for the next pulls at
+    most floor(log2 n) + 1 of them from any table."""
     reached = [False] * mul.shape[0]
     reached[identity] = True
-    gens, columns, todo = [], [], [identity]
+    columns, todo = [], [identity]
     while True:
         while todo:
             x = todo.pop()
@@ -242,40 +235,51 @@ def _generating_set(mul: np.ndarray, identity: int) -> list[int]:
                     reached[col[x]] = True
                     todo.append(col[x])
         if all(reached):
-            return gens
-        gens.append(reached.index(False))
-        columns.append(mul[:, gens[-1]].tolist())
+            return
+        s = reached.index(False)
+        yield s
+        columns.append(mul[:, s].tolist())
         todo = [x for x, hit in enumerate(reached) if hit]   # every word times the new one
 
 
 def _validate_table(mul: np.ndarray, name: str) -> tuple[int, np.ndarray]:
-    """Check group axioms; return (identity, inv_table) or raise with a witness."""
-    n = mul.shape[0]
+    """Prove the table a group's; return (identity, inv_table) or raise with a
+    witness. The checks are shape and range, a two-sided identity e, an r with
+    x*r = e in every row x, and associativity by Light's test. A table that
+    passes them is a group's: for x*r = e take r' with r*r' = e, and then
+    r*x = (r*x)*(r*r') = r*((x*r)*r') = r*r' = e. A group's table is a Latin
+    square, so no row or column needs checking for one."""
     if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
         raise GroupValidationError(f"{name}: multiplication table must be square")
+    n = mul.shape[0]
     if n == 0:
         raise GroupValidationError(f"{name}: empty table")
+    # on the array as given, so that no entry wraps round in the int32 cast
     if mul.min() < 0 or mul.max() >= n:
         bad = np.argwhere((mul < 0) | (mul >= n))[0]
         raise GroupValidationError(
             f"{name}: entry at ({bad[0]},{bad[1]}) is outside 0..{n - 1}"
         )
-    for axis, line in ((1, "row"), (0, "column")):
-        bad = _first_bad_line(mul, axis)
-        if bad is not None:
-            raise GroupValidationError(
-                f"{name}: {line} {bad} is not a permutation (not a Latin square)")
+    mul = np.ascontiguousarray(mul, dtype=np.int32)
 
+    # a two-sided identity e has e*0 = 0, so it is the one 0 in column 0
+    zeros = np.flatnonzero(mul[:, 0] == 0)
+    if zeros.size != 1:
+        raise GroupValidationError(f"{name}: column 0 is not a permutation (not a Latin square)")
+    identity = int(zeros[0])
     want = np.arange(n)
-    # a two-sided identity e has e*0 = 0, and the Latin column 0 leaves one such e
-    identity = int(np.flatnonzero(mul[:, 0] == 0)[0])
     if not (np.array_equal(mul[identity], want) and np.array_equal(mul[:, identity], want)):
         raise GroupValidationError(f"{name}: no two-sided identity element")
     inv = np.concatenate([np.argmax(mul[rows] == identity, axis=1)
                           for rows in _blocks(n)]).astype(mul.dtype)
+    missing = mul[want, inv] != identity
+    if missing.any():
+        raise GroupValidationError(
+            f"{name}: row {int(np.argmax(missing))} is not a permutation (not a Latin square)")
 
     # Light's test: the a with (x*a)*y = x*(a*y) for all x, y are closed under
-    # products and include the identity, so checking a generating set suffices
+    # products and include the identity, so checking a generating set suffices;
+    # each s is checked before the search for the next one goes on
     for s in _generating_set(mul, identity):
         for rows in _blocks(n):
             lhs = mul[mul[rows, s]]          # (x s) y
@@ -290,8 +294,10 @@ def _validate_table(mul: np.ndarray, name: str) -> tuple[int, np.ndarray]:
 
 
 def _finish(mul: np.ndarray, labels: Sequence[str], name: str) -> FiniteGroup:
-    mul = np.ascontiguousarray(mul, dtype=np.int32)
     identity, inv = _validate_table(mul, name)
+    if len(labels) != len(inv):
+        raise GroupValidationError(f"{name}: {len(labels)} labels for {len(inv)} elements")
+    mul = np.ascontiguousarray(mul, dtype=np.int32)
     mul.setflags(write=False)
     inv.setflags(write=False)
     return FiniteGroup(mul, inv, identity, tuple(labels), name)
@@ -371,12 +377,13 @@ def permutation_group(degree: int, generators: Sequence[Sequence[int]]) -> Finit
         raise GroupValidationError("permutation: degree must be >= 1")
     gens = []
     for k, g in enumerate(generators):
-        g = tuple(int(v) for v in g)
-        if len(g) != degree or sorted(g) != list(range(degree)):
+        g = tuple(g)
+        if (len(g) != degree or not all(map(_is_integer, g))
+                or sorted(map(int, g)) != list(range(degree))):
             raise GroupValidationError(
                 f"permutation: generator {k} is not a permutation of 0..{degree - 1}"
             )
-        gens.append(g)
+        gens.append(tuple(map(int, g)))
 
     def compose(p, q):
         # apply q first, then p
@@ -413,12 +420,36 @@ def permutation_group(degree: int, generators: Sequence[Sequence[int]]) -> Finit
     return _finish(mul, labels, f"perm(deg {degree})")
 
 
+def _is_integer(value) -> bool:
+    """Whether a value is an integer as JSON Schema reads one: an int, or a
+    float with no fractional part such as 2.0; a bool is not."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def table_group(mul: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None,
                 name: str = "table") -> FiniteGroup:
-    arr = np.asarray(mul, dtype=np.int64)
+    try:
+        arr = np.asarray(mul)
+    except ValueError as exc:
+        raise GroupValidationError(
+            f"{name}: multiplication table rows must be lists of integers of one length") from exc
+    if arr.ndim == 2 and arr.dtype.kind not in "iu":
+        whole = np.frompyfunc(_is_integer, 1, 1)(arr).astype(bool)
+        if not whole.all():
+            bad = np.argwhere(~whole)[0]
+            raise GroupValidationError(f"{name}: entry at ({bad[0]},{bad[1]}) is not an integer")
     if labels is None:
-        labels = [str(i) for i in range(arr.shape[0])]
+        labels = [str(i) for i in range(len(arr))] if arr.ndim else []
     return _finish(arr, labels, name)
+
+
+def _spec_integer(spec: dict, key: str) -> int:
+    value = spec[key]
+    if not _is_integer(value):
+        raise GroupValidationError(f"{spec['type']}: {key} must be an integer, not {value!r}")
+    return int(value)
 
 
 def build_group(spec: dict) -> FiniteGroup:
@@ -427,17 +458,17 @@ def build_group(spec: dict) -> FiniteGroup:
         raise GroupValidationError("group spec must be an object with a 'type' field")
     kind = spec["type"]
     if kind == "cyclic":
-        return cyclic_group(int(spec["n"]))
+        return cyclic_group(_spec_integer(spec, "n"))
     if kind == "dihedral":
-        return dihedral_group(int(spec["order"]))
+        return dihedral_group(_spec_integer(spec, "order"))
     if kind == "quaternion8":
         return quaternion_group()
     if kind == "heisenberg":
-        return heisenberg_group(int(spec["p"]))
+        return heisenberg_group(_spec_integer(spec, "p"))
     if kind == "product":
         return product_group([build_group(s) for s in spec["factors"]])
     if kind == "permutation":
-        return permutation_group(int(spec["degree"]), spec["generators"])
+        return permutation_group(_spec_integer(spec, "degree"), spec["generators"])
     if kind == "table":
         return table_group(spec["mul"], spec.get("labels"))
     raise GroupValidationError(f"unknown group spec type {kind!r}")

@@ -8,7 +8,7 @@ import pytest
 from monoball import cli
 from monoball.bohr import CharSet, linbohr
 from monoball.errors import FalsifiedError
-from monoball.groups import cyclic_group
+from monoball.groups import build_group, cyclic_group, permutation_group
 from monoball.harmonic import linear_characters
 
 
@@ -267,6 +267,53 @@ def test_bad_indices_exit1(tmp_path, capsys):
     code = cli.main(["growth", "--group", g, "--set", s, "--nmax", "4"])
     cap = capsys.readouterr()
     assert code == 1 and "outside" in cap.err
+
+
+_S3_TABLE = permutation_group(3, [[1, 0, 2], [0, 2, 1]]).mul_table.tolist()
+
+# malformed group specs, each with the message it exits 1 with
+_MALFORMED_SPECS = [
+    ({"type": "table", "mul": [[4294967296]]}, "entry at (0,0) is outside 0..0"),
+    ({"type": "table", "mul": [[0, 4294967297], [1, 0]]}, "entry at (0,1) is outside 0..1"),
+    ({"type": "table", "mul": [[2 ** 70]]}, "entry at (0,0) is outside 0..0"),
+    ({"type": "table", "mul": 5}, "multiplication table must be square"),
+    ({"type": "table", "mul": _S3_TABLE, "labels": ["a", "b"]}, "2 labels for 6 elements"),
+    ({"type": "table", "mul": [[0, 1], [1]]}, "rows must be lists of integers of one length"),
+    ({"type": "table", "mul": [[0, [1]], [1, 0]]}, "rows must be lists of integers"),
+    ({"type": "table", "mul": [[0.5]]}, "entry at (0,0) is not an integer"),
+    ({"type": "table", "mul": [[True]]}, "entry at (0,0) is not an integer"),
+    ({"type": "cyclic", "n": 2.7}, "n must be an integer, not 2.7"),
+    ({"type": "dihedral", "order": 4.5}, "order must be an integer, not 4.5"),
+    ({"type": "heisenberg", "p": 2.5}, "p must be an integer, not 2.5"),
+    ({"type": "permutation", "degree": 2.5, "generators": [[1, 0]]},
+     "degree must be an integer, not 2.5"),
+    ({"type": "permutation", "degree": 2, "generators": [[1.5, 0]]},
+     "generator 0 is not a permutation of 0..1"),
+]
+
+
+@pytest.mark.parametrize("spec, message", _MALFORMED_SPECS)
+def test_malformed_group_spec_exit1(tmp_path, capsys, spec, message):
+    g = _group_file(tmp_path, spec)
+    code = cli.main(["group-info", "--group", g])
+    cap = capsys.readouterr()
+    assert code == 1 and message in cap.err and "Traceback" not in cap.err
+
+
+def test_malformed_group_specs_fail_the_schema():
+    import monoball
+    schema_path = f"{list(monoball.__path__)[0]}/schemas/group_spec.json"
+    validator = jsonschema.Draft7Validator(json.loads(open(schema_path).read()))
+    # the schema holds no order: it cannot bound entries by it, nor tie the
+    # labels or the rows to it
+    beyond = {"[[4294967296]]", "[[0, 4294967297], [1, 0]]", f"[[{2 ** 70}]]", "[[0, 1], [1]]"}
+    for spec, _ in _MALFORMED_SPECS:
+        within = "labels" in spec or json.dumps(spec.get("mul")) in beyond
+        assert validator.is_valid(spec) == within, spec
+    # as in JSON Schema, an integral float is an integer
+    for spec in ({"type": "cyclic", "n": 2.0}, {"type": "table", "mul": [[0.0, 1.0], [1.0, 0.0]]},
+                 {"type": "permutation", "degree": 2.0, "generators": [[1.0, 0]]}):
+        assert validator.is_valid(spec) and build_group(spec).order == 2
 
 
 def test_cap_exceeded_exit1_with_advice(tmp_path, capsys):

@@ -606,9 +606,93 @@ def test_associativity_check_agrees_with_the_full_sweep():
 
 def test_generating_set_is_logarithmic():
     g = product_group([cyclic_group(2)] * 10)
-    assert groups._generating_set(g.mul_table, g.identity) == [1 << k for k in range(10)]
-    assert groups._generating_set(cyclic_group(600).mul_table, 0) == [1]
-    assert groups._generating_set(cyclic_group(1).mul_table, 0) == []
+    assert list(groups._generating_set(g.mul_table, g.identity)) == [1 << k for k in range(10)]
+    assert list(groups._generating_set(cyclic_group(600).mul_table, 0)) == [1]
+    assert list(groups._generating_set(cyclic_group(1).mul_table, 0)) == []
+
+
+def _has_identity(t):
+    want = np.arange(len(t))
+    return any((t[e] == want).all() and (t[:, e] == want).all() for e in want)
+
+
+def _brute_is_group(t):
+    """Latin rows and columns, a two-sided identity and all n^3 triples associative."""
+    want = np.arange(len(t))
+    latin = (np.sort(t, axis=1) == want).all() and (np.sort(t, axis=0) == want[:, None]).all()
+    return bool(latin and _has_identity(t) and (t[t] == t[:, t]).all())
+
+
+def _assert_true_rejection(t, message):
+    if m := re.fullmatch(r"table: (row|column) (\d+) is not a permutation \(not a Latin square\)",
+                         message):
+        line = t[int(m[2])] if m[1] == "row" else t[:, int(m[2])]
+        assert sorted(line.tolist()) != list(range(len(t))), message
+    elif message == "table: no two-sided identity element":
+        assert not _has_identity(t)
+    else:
+        _assert_associativity_witness(t, message)
+
+
+def test_group_proof_agrees_with_a_brute_force_check():
+    # uniform tables, tables bordered by an identity, and groups of order <= 5
+    # relabelled with one or two entries overwritten
+    rng = np.random.default_rng(1)
+    small_groups = {n: [] for n in range(1, 6)}
+    for g in (cyclic_group(1), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+              product_group([cyclic_group(2)] * 2), cyclic_group(5)):
+        small_groups[g.order].append(g.mul_table.astype(np.int64))
+    kinds = {"accepted": 0, "row": 0, "column": 0, "identity": 0, "associativity": 0}
+    for n in range(1, 6):
+        want = np.arange(n)
+        for family in ("uniform", "bordered", "corrupted"):
+            for _ in range(200):
+                if family == "corrupted":
+                    mul = small_groups[n][rng.integers(len(small_groups[n]))]
+                    perm = rng.permutation(n)
+                    t = np.empty_like(mul)
+                    t[np.ix_(perm, perm)] = perm[mul]
+                    for _ in range(rng.integers(1, 3)):
+                        t[rng.integers(n), rng.integers(n)] = rng.integers(n)
+                else:
+                    t = rng.integers(0, n, (n, n))
+                    if family == "bordered":
+                        e = rng.integers(n)
+                        t[e], t[:, e] = want, want
+                if _brute_is_group(t):
+                    assert table_group(t).order == n
+                    kinds["accepted"] += 1
+                    continue
+                with pytest.raises(GroupValidationError) as err:
+                    table_group(t)
+                _assert_true_rejection(t, str(err.value))
+                kind = next((k for k in ("row", "column", "identity") if k in str(err.value)),
+                            "associativity")
+                kinds[kind] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_light_test_pulls_at_most_log2_n_plus_one_generators(monkeypatch):
+    # x*y = x and x*x = 0, with row and column 0 the identity's: every row
+    # holds 0, and a search that went on to the end would take all 599
+    # other elements as generators, one new element each
+    n = 600
+    t = np.repeat(np.arange(n)[:, None], n, axis=1)
+    t[0] = np.arange(n)
+    np.fill_diagonal(t, 0)
+    real, pulled = groups._generating_set, []
+    assert next(real(t, 0)) == 1
+
+    def counting(mul, identity):
+        for s in real(mul, identity):
+            pulled.append(s)
+            yield s
+
+    monkeypatch.setattr(groups, "_generating_set", counting)
+    with pytest.raises(GroupValidationError) as err:
+        table_group(t)
+    _assert_associativity_witness(t, str(err.value))
+    assert 1 <= len(pulled) <= n.bit_length() == 10
 
 
 # the shared power chain and element orders against the searches they replace
@@ -671,6 +755,15 @@ def _successive_orders(g):
 def test_element_orders_match_successive_powers():
     for g in _suite_groups() + [cyclic_group(4096)]:
         assert g.element_orders == _successive_orders(g), g.name
+
+
+def test_is_abelian_on_the_generators_matches_the_whole_table():
+    verdicts = []
+    for g in _suite_groups():
+        for h in (g, abelianization(g).quotient):
+            verdicts.append(h.is_abelian)
+            assert h.is_abelian == np.array_equal(h.mul_table, h.mul_table.T), h.name
+    assert verdicts.count(False) == 10       # the ten non-abelian suite groups
 
 
 # groups for the class partition, the commutator subgroup and the
