@@ -120,11 +120,12 @@ def bohr_norm(charset: CharSet) -> PseudoMetricNorm:
     functions, invariant under conjugation: it is not validated again. The group
     caches the read-only numerators only, so no reference cycle keeps it alive."""
     group, lp = charset.group, linear_phases(charset.group)
-    cache = group.__dict__.setdefault("_bohr_norms", {})
-    if charset.indices not in cache:
+
+    def numerators():
         rows = lp.block(charset.indices)
-        cache[charset.indices] = np.minimum(rows, lp.exponent - rows).max(axis=0, initial=0)
-    return PseudoMetricNorm(group, cache[charset.indices], lp.exponent, "bohr")
+        return np.minimum(rows, lp.exponent - rows).max(axis=0, initial=0)
+    return PseudoMetricNorm(group, group.cached("_bohr_norms", numerators, charset.indices),
+                            lp.exponent, "bohr")
 
 
 def linbohr(charset: CharSet, delta) -> GroupSubset:

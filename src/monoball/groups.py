@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -17,6 +18,9 @@ PERMUTATION_CLOSURE_CAP = 4096
 # entries per numpy block in table checks, table builds and power chain steps:
 # blocks of 2^16 stay in cache (2^22 took five times as long at order 4096)
 CHUNK = 1 << 16
+
+T = TypeVar("T")
+Index = int | np.ndarray | slice      # an element, an array of them, or slice(None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,26 +35,41 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-       return int(self.mul_table.shape[0])
+        return len(self.labels)
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
+    def mul(self, a: Index, b: Index) -> int | np.ndarray:
+        """a*b: an int for two ints, else an array indexed as numpy indexes the
+        table: index arrays broadcast, and slice(None) is every element on an
+        axis of its own. Outside this module, the only reader of products."""
+        out = self.mul_table[a, b]
+        return out if isinstance(out, np.ndarray) else int(out)
 
-    def inv(self, a: int) -> int:
-        return int(self.inv_table[a])
+    def inv(self, a: Index) -> int | np.ndarray:
+        """a^-1, an int for an int and elementwise over an index array."""
+        out = self.inv_table[a]
+        return out if isinstance(out, np.ndarray) else int(out)
 
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return int(self.mul_table[self.mul_table[g, x], self.inv_table[g]])
+    def conj(self, g: Index, x: Index) -> int | np.ndarray:
+        """g x g^-1, broadcast as `mul`."""
+        return self.mul(self.mul(g, x), self.inv(g))
 
-    def elements(self) -> range:
-        return range(self.order)
+    def cached(self, name: str, build: Callable[[], T], key: Hashable = None) -> T:
+        """build(), run once per group (or per key) and kept in the group's
+        __dict__ under `name` (a dict by key). `build` is not kept, and the
+        value must not refer back to the group: then no reference cycle keeps
+        a dropped group alive until the cyclic garbage collector runs."""
+        store = self.__dict__
+        if key is not None:
+            store, name = store.setdefault(name, {}), key
+        if name not in store:
+            store[name] = build()
+        return store[name]
 
     @cached_property
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise, and so every two elements."""
         s = np.array(self.generators, dtype=np.int64)
-        block = self.mul_table[np.ix_(s, s)]
+        block = self.mul(s[:, None], s)
         return bool(np.array_equal(block, block.T))
 
     @cached_property
@@ -62,14 +81,14 @@ class FiniteGroup:
     def element_orders(self) -> tuple[int, ...]:
         """For p^a exactly dividing n, the p-part of the order of x is the
         order of y = x^(n / p^a), the least p^k with y^(p^k) = 1."""
-        n, mul = self.order, self.mul_table
+        n, mul = self.order, self.mul
 
         def power(x, m):        # x^m elementwise, by binary exponentiation
             out = np.full(n, self.identity)
             while m:
                 if m & 1:
-                    out = mul[out, x]
-                x, m = mul[x, x], m >> 1
+                    out = mul(out, x)
+                x, m = mul(x, x), m >> 1
             return out
 
         orders = np.ones(n, dtype=np.int64)
@@ -146,7 +165,7 @@ class GroupSubset:
 
     def inverse(self) -> "GroupSubset":
         idx = np.fromiter(self, dtype=np.int64, count=len(self))
-        return GroupSubset(self.group, _index_mask(self.group.inv_table[idx], self.group.order))
+        return GroupSubset(self.group, _index_mask(self.group.inv(idx), self.group.order))
 
     def _check_same(self, other: "GroupSubset") -> None:
         if self.group is not other.group:
@@ -242,13 +261,13 @@ def _generating_set(mul: np.ndarray, identity: int) -> Iterator[int]:
         todo = [x for x, hit in enumerate(reached) if hit]   # every word times the new one
 
 
-def _validate_table(mul: np.ndarray, name: str) -> tuple[int, np.ndarray]:
-    """Prove the table a group's; return (identity, inv_table) or raise with a
-    witness. The checks are shape and range, a two-sided identity e, an r with
-    x*r = e in every row x, and associativity by Light's test. A table that
-    passes them is a group's: for x*r = e take r' with r*r' = e, and then
-    r*x = (r*x)*(r*r') = r*((x*r)*r') = r*r' = e. A group's table is a Latin
-    square, so no row or column needs checking for one."""
+def _validate_table(mul: np.ndarray, name: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """Prove the table a group's; return (identity, inv_table, the int32 table
+    proved) or raise with a witness. The checks are shape and range, a
+    two-sided identity e, an r with x*r = e in every row x, and associativity
+    by Light's test. A table that passes them is a group's: for x*r = e take r'
+    with r*r' = e, and then r*x = (r*x)*(r*r') = r*((x*r)*r') = r*r' = e. A
+    group's table is a Latin square, so no row or column needs checking for one."""
     if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
         raise GroupValidationError(f"{name}: multiplication table must be square")
     n = mul.shape[0]
@@ -290,14 +309,13 @@ def _validate_table(mul: np.ndarray, name: str) -> tuple[int, np.ndarray]:
                     f"{name}: associativity fails at ({rows.start + int(x)},{s},{int(y)}): "
                     f"(x*y)*z={int(lhs[x, y])} but x*(y*z)={int(rhs[x, y])}"
                 )
-    return identity, inv
+    return identity, inv, mul
 
 
 def _finish(mul: np.ndarray, labels: Sequence[str], name: str) -> FiniteGroup:
-    identity, inv = _validate_table(mul, name)
+    identity, inv, mul = _validate_table(mul, name)
     if len(labels) != len(inv):
         raise GroupValidationError(f"{name}: {len(labels)} labels for {len(inv)} elements")
-    mul = np.ascontiguousarray(mul, dtype=np.int32)
     mul.setflags(write=False)
     inv.setflags(write=False)
     return FiniteGroup(mul, inv, identity, tuple(labels), name)
@@ -365,7 +383,7 @@ def product_group(factors: Sequence[FiniteGroup]) -> FiniteGroup:
         block[:] = 0
         for g, d in zip(factors, digits):
             block *= g.order
-            block += g.mul_table[d[rows, None], d]
+            block += g.mul(d[rows, None], d)
     labels = ["(" + ",".join(g.labels[t] for g, t in zip(factors, tup)) + ")"
               for tup in zip(*(d.tolist() for d in digits))]
     name = "x".join(g.name for g in factors)
@@ -435,8 +453,10 @@ def table_group(mul: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = 
     except ValueError as exc:
         raise GroupValidationError(
             f"{name}: multiplication table rows must be lists of integers of one length") from exc
-    if arr.ndim == 2 and arr.dtype.kind not in "iu":
-        whole = np.frompyfunc(_is_integer, 1, 1)(arr).astype(bool)
+    # numpy reads [[0, 1], [1, False]] as integers, so a list's entry types are read too
+    if arr.ndim == 2 and (arr.dtype.kind not in "iu" or not isinstance(mul, np.ndarray)
+                          and {bool, np.bool_} & set(map(type, itertools.chain(*mul)))):
+        whole = np.frompyfunc(_is_integer, 1, 1)(np.array(mul, dtype=object)).astype(bool)
         if not whole.all():
             bad = np.argwhere(~whole)[0]
             raise GroupValidationError(f"{name}: entry at ({bad[0]},{bad[1]}) is not an integer")
@@ -483,7 +503,7 @@ def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
         raise ValueError("product_set: operands live in different groups")
     ai = np.fromiter(a, dtype=np.int64, count=len(a))
     bi = np.fromiter(b, dtype=np.int64, count=len(b))
-    return GroupSubset(a.group, _index_mask(a.group.mul_table[np.ix_(ai, bi)], a.group.order))
+    return GroupSubset(a.group, _index_mask(a.group.mul(ai[:, None], bi), a.group.order))
 
 
 class PowerChain:
@@ -587,11 +607,8 @@ class PowerChain:
 
 def power_chain(a: GroupSubset) -> PowerChain:
     """The power chain of A, cached per set on its group."""
-    cache = a.group.__dict__.setdefault("_power_chains", {})
-    if a.mask not in cache:
-        idx = np.fromiter(a, dtype=np.int64, count=len(a))
-        cache[a.mask] = PowerChain(a.group.mul_table, a.group.identity, idx)
-    return cache[a.mask]
+    return a.group.cached("_power_chains", lambda: PowerChain(
+        a.group.mul_table, a.group.identity, np.fromiter(a, dtype=np.int64, count=len(a))), a.mask)
 
 
 def conjugates(a: GroupSubset) -> GroupSubset:
@@ -617,8 +634,8 @@ def normality_witness(a: GroupSubset) -> Optional[int]:
     g = a.group
     # route one: xA = Ax for every x; row x holds xA and Ax, sorted
     arr = np.fromiter(a, dtype=np.int64, count=len(a))
-    left = np.sort(g.mul_table[:, arr], axis=1)
-    right = np.sort(g.mul_table[arr].T, axis=1)
+    left = np.sort(g.mul(slice(None), arr), axis=1)
+    right = np.sort(g.mul(arr, slice(None)).T, axis=1)
     moved = np.flatnonzero((left != right).any(axis=1))
     # route two: union of conjugacy classes
     if (not moved.size) != (conjugation_escape(a) is None):
@@ -636,11 +653,12 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
     element is labelled with the least element it reaches, by a minimum along
     each permutation and a pointer jump per round; labels only fall and stay in
     their orbit, so at the fixpoint each is the least element of its class."""
-    cached = group.__dict__.get("_conjugacy")
-    if cached is not None:
-        return cached
-    mul, inv, n = group.mul_table, group.inv_table, group.order
-    perms = [mul[mul[s], inv[s]] for s in group.generators]
+    return group.cached("_conjugacy", lambda: _class_partition(group))
+
+
+def _class_partition(group: FiniteGroup) -> ConjugacyPartition:
+    n = group.order
+    perms = [group.conj(s, slice(None)) for s in group.generators]
     label, before = np.arange(n), None
     while not np.array_equal(label, before):
         before = label
@@ -654,8 +672,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
     class_of.setflags(write=False)
     flat, bounds = order.tolist(), np.flatnonzero(starts).tolist() + [n]
     classes = tuple(tuple(flat[i:j]) for i, j in zip(bounds, bounds[1:]))
-    group.__dict__["_conjugacy"] = part = ConjugacyPartition(classes, class_of)
-    return part
+    return ConjugacyPartition(classes, class_of)
 
 
 def closure(group: FiniteGroup, seeds: Iterable[int]) -> GroupSubset:
@@ -672,9 +689,8 @@ def closure(group: FiniteGroup, seeds: Iterable[int]) -> GroupSubset:
 def commutator_subgroup(group: FiniteGroup) -> GroupSubset:
     """The subgroup N generated by the conjugates of the [s, t] for s, t in a
     generating set: N is normal and inside [G, G], and G/N is abelian."""
-    mul, inv = group.mul_table, group.inv_table
     s = np.array(group.generators, dtype=np.int64)
-    comms = mul[mul[mul[s[:, None], s], inv[s][:, None]], inv[s]]     # s t s^-1 t^-1
+    comms = group.mul(group.conj(s[:, None], s), group.inv(s))     # s t s^-1 t^-1
     seeds = conjugates(GroupSubset(group, _index_mask(comms.ravel(), group.order)))
     return closure(group, seeds.indices())
 
@@ -692,17 +708,17 @@ def quotient(group: FiniteGroup, normal: GroupSubset) -> Quotient:
         same = tuple(range(group.order))
         return Quotient(normal, group, same, same)
     n_idx = np.array(normal.indices(), dtype=np.int64)
-    rep_of = group.mul_table[:, n_idx].min(axis=1)
+    rep_of = group.mul(slice(None), n_idx).min(axis=1)
     reps = np.unique(rep_of)
     parr = np.searchsorted(reps, rep_of)
-    q_mul = parr[group.mul_table[np.ix_(reps, reps)]].astype(np.int32)
+    q_mul = parr[group.mul(reps[:, None], reps)].astype(np.int32)
     for s in group.generators:
-        if not np.array_equal(parr[group.mul_table[:, s]], q_mul[parr, parr[s]]):
+        if not np.array_equal(parr[group.mul(slice(None), s)], q_mul[parr, parr[s]]):
             raise GroupValidationError(f"{group.name}: quotient projection is not a homomorphism")
     identity = int(parr[group.identity])
     if _index_mask(np.flatnonzero(parr == identity), group.order) != normal.mask:
         raise GroupValidationError(f"{group.name}: quotient kernel differs from the subgroup")
-    q_inv = parr[group.inv_table[reps]].astype(np.int32)
+    q_inv = parr[group.inv(reps)].astype(np.int32)
     q_mul.setflags(write=False)
     q_inv.setflags(write=False)
     labels = tuple(group.labels[int(r)] for r in reps)
@@ -731,7 +747,7 @@ def _cyclic_bits(group: FiniteGroup) -> np.ndarray:
     power = np.full(n, group.identity)
     for _ in range(max(group.element_orders)):
         bits[elems, power] = True
-        power = group.mul_table[power, elems]
+        power = group.mul(power, elems)
     return bits
 
 
@@ -741,20 +757,20 @@ def is_supersolvable(group: FiniteGroup) -> bool:
     without one G has not: a minimal normal subgroup of a supersolvable group
     has prime order, and every quotient of one is supersolvable. The group
     caches the verdict as a bool, which never refers back to it."""
-    cached = group.__dict__.get("_supersolvable")
-    if cached is None:
-        g = group
-        while not g.is_abelian:
-            orders, bits = g.element_orders, _cyclic_bits(g)
-            part = conjugacy_classes(g)
-            normal = next((x for x in range(g.order) if _prime_base(orders[x]) == orders[x]
-                           and bits[x, part.classes[part.class_of[x]]].all()), None)
-            if normal is None:
-                break
-            cyclic = GroupSubset(g, _index_mask(np.flatnonzero(bits[normal]), g.order))
-            g = quotient(g, cyclic).quotient
-        cached = group.__dict__["_supersolvable"] = g.is_abelian
-    return cached
+    return group.cached("_supersolvable", lambda: _supersolvable(group))
+
+
+def _supersolvable(g: FiniteGroup) -> bool:
+    while not g.is_abelian:
+        orders, bits = g.element_orders, _cyclic_bits(g)
+        part = conjugacy_classes(g)
+        normal = next((x for x in range(g.order) if _prime_base(orders[x]) == orders[x]
+                       and bits[x, part.classes[part.class_of[x]]].all()), None)
+        if normal is None:
+            return False
+        cyclic = GroupSubset(g, _index_mask(np.flatnonzero(bits[normal]), g.order))
+        g = quotient(g, cyclic).quotient
+    return True
 
 
 def enumerate_subgroups(group: FiniteGroup,
@@ -767,27 +783,27 @@ def enumerate_subgroups(group: FiniteGroup,
             f"subgroup enumeration refused at order {group.order} > cap {max_order_cap}; "
             "pass a larger max_order_cap to override"
         )
-    masks = group.__dict__.get("_subgroups")
-    if masks is None:
-        # <x> is the join of the cyclic subgroups of its prime-power parts
-        orders, bits = group.element_orders, _cyclic_bits(group)
-        cyclics = sorted({_index_mask(np.flatnonzero(bits[x]), group.order)
-                          for x in range(group.order) if _prime_base(orders[x])})
-        known = {1 << group.identity} | set(cyclics)
-        queue = list(cyclics)
-        while queue:
-            m = queue.pop()
-            for c in cyclics:
-                if c & ~m == 0 or m | c in known:   # a known subgroup is its own join
-                    continue
-                jm = closure(group, GroupSubset(group, m | c).indices()).mask
-                if jm not in known:
-                    known.add(jm)
-                    queue.append(jm)
-        masks = tuple(sorted(known,
-                             key=lambda m: (m.bit_count(), GroupSubset(group, m).indices())))
-        group.__dict__["_subgroups"] = masks
+    masks = group.cached("_subgroups", lambda: _subgroup_masks(group))
     return tuple(Subgroup(GroupSubset(group, m), group.order // m.bit_count()) for m in masks)
+
+
+def _subgroup_masks(group: FiniteGroup) -> tuple[int, ...]:
+    # <x> is the join of the cyclic subgroups of its prime-power parts
+    orders, bits = group.element_orders, _cyclic_bits(group)
+    cyclics = sorted({_index_mask(np.flatnonzero(bits[x]), group.order)
+                      for x in range(group.order) if _prime_base(orders[x])})
+    known = {1 << group.identity} | set(cyclics)
+    queue = list(cyclics)
+    while queue:
+        m = queue.pop()
+        for c in cyclics:
+            if c & ~m == 0 or m | c in known:   # a known subgroup is its own join
+                continue
+            jm = closure(group, GroupSubset(group, m | c).indices()).mask
+            if jm not in known:
+                known.add(jm)
+                queue.append(jm)
+    return tuple(sorted(known, key=lambda m: (m.bit_count(), GroupSubset(group, m).indices())))
 
 
 def subgroup_view(group: FiniteGroup, elements: GroupSubset) -> SubgroupView:
@@ -801,21 +817,20 @@ def subgroup_view(group: FiniteGroup, elements: GroupSubset) -> SubgroupView:
     k = len(idx)
     pos = np.full(group.order, -1, dtype=np.int32)
     pos[idx] = np.arange(k)
-    sub_mul = pos[group.mul_table[np.ix_(idx, idx)]]
+    sub_mul = pos[group.mul(idx[:, None], idx)]
     if (sub_mul < 0).any():
         i, j = np.argwhere(sub_mul < 0)[0]
         raise GroupValidationError(
             f"subgroup view: not closed, {group.labels[idx[i]]}*{group.labels[idx[j]]} escapes"
         )
-    sub_inv = pos[group.inv_table[idx]]
+    sub_inv = pos[group.inv(idx)]
     sub_mul.setflags(write=False)
     sub_inv.setflags(write=False)
     labels = tuple(group.labels[e] for e in idx)
     sub = FiniteGroup(sub_mul, sub_inv, int(pos[group.identity]), labels, f"{group.name}|sub{k}")
     lattice = group.__dict__.get("_subgroups")
     if lattice is not None:
-        sub.__dict__["_subgroups"] = tuple(
-            _index_mask(pos[list(GroupSubset(group, m))], k)
-            for m in lattice if m & ~elements.mask == 0)
+        sub.cached("_subgroups", lambda: tuple(_index_mask(pos[list(GroupSubset(group, m))], k)
+                                               for m in lattice if m & ~elements.mask == 0))
     to_parent = tuple(idx.tolist())
     return SubgroupView(group, sub, to_parent, {e: i for i, e in enumerate(to_parent)})

@@ -59,12 +59,12 @@ class ClassFunction:
         reps = np.array(part.representatives())
         return float(np.abs(self.values - self.values[reps[part.class_of]]).max())
 
-    def is_class_function(self, tol: float = _CLASS_TOL) -> bool:
-        return self.class_constancy_defect() <= tol
+    def is_class_function(self) -> bool:
+        return self.class_constancy_defect() <= _CLASS_TOL
 
-    def is_hermitian(self, tol: float = _CLASS_TOL) -> bool:
-        inv = self.group.inv_table
-        return bool(np.abs(self.values[inv] - np.conj(self.values)).max() <= tol)
+    def is_hermitian(self) -> bool:
+        inv = self.group.inv(slice(None))
+        return bool(np.abs(self.values[inv] - np.conj(self.values)).max() <= _CLASS_TOL)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,8 @@ class LinearCharacter:
         p, e = self.row, self.exponent
         if p[g.identity] != 0:
             raise AssertionError("linear character must vanish at the identity")
-        bad = np.argwhere((p[:, None] + p[None, :]) % e != p[g.mul_table])
+        elems = np.arange(g.order)
+        bad = np.argwhere((p[:, None] + p) % e != p[g.mul(elems[:, None], elems)])
         if bad.size:
             x, y = map(int, bad[0])
             raise AssertionError(f"phase additivity fails at ({x},{y})")
@@ -212,9 +213,10 @@ class LinearPhases:
 
 def linear_phases(group: FiniteGroup) -> LinearPhases:
     """Lin(G), pulled back from the abelianization, on coordinates (cached)."""
-    cached = group.__dict__.get("_linear_phases")
-    if cached is not None:
-        return cached
+    return group.cached("_linear_phases", lambda: _linear_phases(group))
+
+
+def _linear_phases(group: FiniteGroup) -> LinearPhases:
     ab = abelianization(group)
     q = ab.quotient
     e = math.lcm(*q.element_orders)
@@ -232,14 +234,14 @@ def linear_phases(group: FiniteGroup) -> LinearPhases:
     while len(elems) < q.order:
         y = int(np.argmin(inside))
         powers, step = np.array([q.identity]), y      # y^0, y^1, ... by doubling
-        while not inside[new := q.mul_table[powers, step]].any():
-            powers, step = np.concatenate([powers, new]), q.mul_table[step, step]
+        while not inside[new := q.mul(powers, step)].any():
+            powers, step = np.concatenate([powers, new]), q.mul(step, step)
         m = len(powers) + int(np.argmax(inside[new]))
         powers = np.concatenate([powers, new])
         at_y_m = keys @ coords[np.flatnonzero(elems == powers[m])[0]] % e
         roots = np.repeat(at_y_m // m, m) + np.tile(np.arange(m) * (e // m), len(keys))
         keys = np.column_stack([np.repeat(keys, m, axis=0), roots])
-        elems = q.mul_table[elems[None, :], powers[:m, None]].ravel()
+        elems = q.mul(elems[None, :], powers[:m, None]).ravel()
         coords = np.column_stack([np.tile(coords, (m, 1)), np.repeat(np.arange(m), len(coords))])
         inside[elems] = True
         gens.append(int(ab.section[y]))
@@ -249,16 +251,13 @@ def linear_phases(group: FiniteGroup) -> LinearPhases:
     # s in a generating set gives it for every product, by induction on word
     # length. The carries c(xs) - c(x) - c(s) take few distinct values.
     s = np.array(group.generators, dtype=np.int64)
-    carries = coords[group.mul_table[:, s]] - coords[:, None] - coords[s]
+    carries = coords[group.mul(slice(None), s)] - coords[:, None] - coords[s]
     carries = np.unique(carries.reshape(group.order * len(s), len(gens)), axis=0)
     if (carries @ keys.T % e).any():
         raise AssertionError(f"{group.name}: a linear character is not a homomorphism")
     for table in (keys, coords):
         table.setflags(write=False)
-    lp = LinearPhases(keys, coords, e, tuple(gens),
-                      {k.tobytes(): i for i, k in enumerate(keys)})
-    group.__dict__["_linear_phases"] = lp
-    return lp
+    return LinearPhases(keys, coords, e, tuple(gens), {k.tobytes(): i for i, k in enumerate(keys)})
 
 
 def linear_characters(group: FiniteGroup) -> list[LinearCharacter]:
@@ -271,8 +270,8 @@ def linear_characters(group: FiniteGroup) -> list[LinearCharacter]:
 
 
 def _class_structure_counts(group: FiniteGroup, part: ConjugacyPartition) -> np.ndarray:
-    k, cls = len(part.classes), part.class_of
-    flat = ((cls[:, None] * k + cls) * k + cls[group.mul_table]).ravel()
+    k, cls, x = len(part.classes), part.class_of, np.arange(group.order)
+    flat = ((cls[:, None] * k + cls) * k + cls[group.mul(x[:, None], x)]).ravel()
     return np.bincount(flat, minlength=k ** 3).reshape(k, k, k)
 
 
@@ -285,11 +284,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             f"character table refused at order {group.order} > {TABLE_ORDER_CAP}"
         )
     part = conjugacy_classes(group)
-    cached = group.__dict__.get("_char_table")
-    if cached is None:
-        cached = _class_values(group, part)
-        group.__dict__["_char_table"] = cached
-    dims, values = cached
+    dims, values = group.cached("_char_table", lambda: _class_values(group, part))
     characters = tuple(ClassFunction(group, row[part.class_of]) for row in values)
     return CharacterTable(group, part, characters, dims)
 
@@ -380,8 +375,8 @@ def inner(f: ClassFunction, g: ClassFunction) -> complex:
 def convolve(f: ClassFunction, g: ClassFunction) -> ClassFunction:
     if f.group is not g.group:
         raise ValueError("convolve needs a common group")
-    grp = f.group
-    gathered = g.values[grp.mul_table[grp.inv_table, :]]   # [y, x] -> g(y^-1 x)
+    grp, x = f.group, np.arange(f.group.order)
+    gathered = g.values[grp.mul(grp.inv(x)[:, None], x)]   # [y, x] -> g(y^-1 x)
     vals = f.values @ gathered / grp.order
     out = ClassFunction(grp, vals)
     if not out.is_class_function():
@@ -469,10 +464,7 @@ def is_monomial(group: FiniteGroup, max_order_cap: int = SUBGROUP_ORDER_CAP
         raise CapExceededError(
             f"monomiality check refused at order {group.order} > {max_order_cap}"
         )
-    found = group.__dict__.get("_monomial")
-    if found is None:
-        found = _monomial_certificates(group, max_order_cap)
-        group.__dict__["_monomial"] = found
+    found = group.cached("_monomial", lambda: _monomial_certificates(group, max_order_cap))
     certs = [MonomialCertificate(i, d, mask is not None,
                                  None if mask is None else GroupSubset(group, mask),
                                  LinearCharacter(group, lam) if d == 1 else lam)

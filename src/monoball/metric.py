@@ -148,8 +148,7 @@ def subgroup_indicator_norm(group: FiniteGroup, h: GroupSubset) -> PseudoMetricN
 
 
 def validate_norm(rho: PseudoMetricNorm) -> NormReport:
-    g = rho.group
-    v = rho.scaled
+    g, v = rho.group, rho.scaled
     tol = 0 if rho.is_rational else _FLOAT_TOL
     witnesses: dict = {}
 
@@ -157,12 +156,14 @@ def validate_norm(rho: PseudoMetricNorm) -> NormReport:
     if not zero_at_identity:
         witnesses["zero_at_identity"] = g.identity
 
-    off = np.flatnonzero(np.abs(v[g.inv_table] - v) > tol)
+    off = np.flatnonzero(np.abs(v[g.inv(slice(None))] - v) > tol)
     symmetric = off.size == 0
     if not symmetric:
         witnesses["symmetric"] = int(off[0])
 
-    lhs = v[g.mul_table]
+    elems = np.arange(g.order)
+    prods = g.mul(elems[:, None], elems)
+    lhs = v[prods]
     bad = lhs > v[:, None] + v[None, :] + tol
     subadditive = not bad.any()
     if not subadditive:
@@ -177,7 +178,7 @@ def validate_norm(rho: PseudoMetricNorm) -> NormReport:
     moved = diff > tol
     class_invariant = not moved.any()
     if not class_invariant:
-        x = int(g.mul_table[moved].min())
+        x = int(prods[moved].min())
         part = conjugacy_classes(g)
         orbit = np.array(part.classes[part.class_of[x]])
         y = int(orbit[np.abs(v[orbit] - v[x]) > tol][0])

@@ -28,7 +28,6 @@ class FittedGrowth:
 @dataclass(frozen=True, eq=False)
 class CoveringCertificate:
     cover_set: GroupSubset
-    verified_range: int
     separation_ok: bool
     inclusion_ok: bool
 
@@ -157,7 +156,7 @@ def ruzsa_cover(a: GroupSubset) -> CoveringCertificate:
     # covering: AA^-1AA^-1 ⊆ X·A·A^-1
     xa_ainv = product_set(product_set(x_set, a), a.inverse())
     inclusion_ok = q.is_subset_of(xa_ainv)
-    cert = CoveringCertificate(x_set, 1, separation_ok, inclusion_ok)
+    cert = CoveringCertificate(x_set, separation_ok, inclusion_ok)
     # the disjoint translates xA all lie in (AA^-1AA^-1)A
     assert len(x_set) * len(a) <= len(product_set(q, a)), \
         "separated translates outnumber AA^-1AA^-1A"

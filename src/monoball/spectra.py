@@ -119,14 +119,12 @@ class FourierMagnitudes:
     counts of `spectrum_weight`. Held by the group, it holds no reference back, so
     that no cycle keeps a dropped group alive until the cyclic collector runs."""
 
-    def __init__(self, group: FiniteGroup, a: GroupSubset):
-        if a.group is not group:
-            raise ValueError("subset belongs to a different group")
-        self.order = group.order
+    def __init__(self, a: GroupSubset):
+        self.order = a.group.order
         counts = np.array(spectrum_weight(a).counts)
         self._support = np.flatnonzero(counts)
         self.weights = counts[self._support]
-        self._phases = lp = linear_phases(group)
+        self._phases = lp = linear_phases(a.group)
         self.exponent = lp.exponent
         # a column-major block: the matvec sums in layout order, which fixes each estimate's bits
         self.estimates = _cos_table(lp.exponent)[lp.block(None, self._support)] @ self.weights
@@ -149,13 +147,6 @@ class FourierMagnitudes:
 
     def transform_abs(self, index: int) -> float:
         return math.sqrt(max(float(self.estimates[index]), 0.0)) / self.order
-
-
-def _magnitudes(group: FiniteGroup, a: GroupSubset) -> FourierMagnitudes:
-    cache = group.__dict__.setdefault("_fourier_magnitudes", {})
-    if a.mask not in cache:
-        cache[a.mask] = FourierMagnitudes(group, a)
-    return cache[a.mask]
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +173,7 @@ def large_spectrum(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
 
 def _lspec(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
     group = a.group
-    mags = _magnitudes(group, a)
+    mags = group.cached("_fourier_magnitudes", lambda: FourierMagnitudes(a), a.mask)
     threshold = max(Fraction(0), (1 - eps * eps / 2)) * len(a) ** 2
     # float(threshold) errs by at most 2^-53 threshold; beyond both errors the
     # estimate's side is the exact side, and the rest are decided in Z[zeta_e]
@@ -226,7 +217,7 @@ def spectrum_weight(a: GroupSubset) -> SpectrumWeight:
         raise ValueError("spectrum_weight needs a nonempty set")
     g = a.group
     idx = np.fromiter(a, dtype=np.int64, count=len(a))
-    prods = g.mul_table[np.ix_(idx, g.inv_table[idx])]
+    prods = g.mul(idx[:, None], g.inv(idx))
     counts = np.bincount(prods.ravel(), minlength=g.order)
     vals = counts.astype(np.complex128) / len(a)
     w = SpectrumWeight(a, ClassFunction(g, vals), tuple(int(c) for c in counts))
@@ -255,7 +246,7 @@ def spectrum_distance_exact(a: GroupSubset, gamma: LinearCharacter,
     # |A|^2 rho^2 = sum_y w(y) |1 - (gamma' - gamma)(y)|^2 = 2 |A|^2 - 2 |sum_A (gamma' - gamma)|^2
     lp = linear_phases(a.group)
     diff = int(lp.find((lp.keys[gamma_prime.index] - lp.keys[gamma.index])[None])[0])
-    mag = _magnitudes(a.group, a).mag_sq(diff)
+    mag = a.group.cached("_fourier_magnitudes", lambda: FourierMagnitudes(a), a.mask).mag_sq(diff)
     rho_sq = 2 - 2 * mag / len(a) ** 2
     return SpectrumDistance(math.sqrt(max(float(rho_sq), 0.0)), rho_sq, isinstance(mag, Fraction))
 
@@ -330,7 +321,7 @@ def _cyclic_power(c: np.ndarray, k: int) -> np.ndarray:
 def _counting_convolution_power(a: GroupSubset, k: int) -> list[int]:
     """c_k(x) = number of k-tuples over A multiplying to x, in exact integers."""
     g = a.group
-    steps = g.mul_table[:, list(a.indices())].ravel()      # y s for y in G, s in A
+    steps = g.mul(slice(None), list(a)).ravel()      # y s for y in G, s in A
     counts = np.zeros(g.order, dtype=object)
     counts[g.identity] = 1
     for _ in range(k):
@@ -388,7 +379,7 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     # product of k copies lies within k (1 + r)^k (r + u) <= 2k (r + u) of its
     # power, u = 2^-53; fsum and float(mid) add u of each side. Beyond that the
     # estimate decides.
-    mags = _magnitudes(group, a)
+    mags = group.cached("_fourier_magnitudes", lambda: FourierMagnitudes(a), a.mask)
     members = _lspec(a, eta).members.indices
     sq = len(a) ** 2
     x = mags.estimates[list(members)] / sq

@@ -289,6 +289,7 @@ _MALFORMED_SPECS = [
      "degree must be an integer, not 2.5"),
     ({"type": "permutation", "degree": 2, "generators": [[1.5, 0]]},
      "generator 0 is not a permutation of 0..1"),
+    ({"type": "table", "mul": [[0, 1], [1, False]]}, "entry at (1,1) is not an integer"),
 ]
 
 

@@ -1,5 +1,7 @@
+import ast
 import gc
 import itertools
+import pathlib
 import re
 import tracemalloc
 
@@ -233,7 +235,7 @@ def test_abelianization_quotient_matches_validated_table():
     for g in (_s3(), heisenberg_group(3), dihedral_group(16), cyclic_group(12),
               product_group([cyclic_group(2), heisenberg_group(3)])):
         q = abelianization(g).quotient
-        identity, inv = groups._validate_table(np.array(q.mul_table), q.name)
+        identity, inv, _ = groups._validate_table(np.array(q.mul_table), q.name)
         assert q.identity == identity
         assert np.array_equal(q.inv_table, inv)
         assert q.mul_table.dtype == q.inv_table.dtype == np.int32
@@ -245,7 +247,7 @@ def test_quotient_by_a_normal_subgroup():
     center = closure(g, [2])                    # {r0, r2}
     q = quotient(g, center)
     assert q.quotient.order == 4 and q.kernel is center
-    identity, inv = groups._validate_table(np.array(q.quotient.mul_table), q.quotient.name)
+    identity, inv, _ = groups._validate_table(np.array(q.quotient.mul_table), q.quotient.name)
     assert q.quotient.identity == identity and np.array_equal(q.quotient.inv_table, inv)
     for x in range(8):
         assert q.section[q.projection[x]] == min(x, g.mul(x, 2))
@@ -460,7 +462,7 @@ def test_subgroup_views_are_groups_with_their_own_lattice():
     for g in fixtures:
         for sub in enumerate_subgroups(g):
             view = subgroup_view(g, sub.elements).group
-            identity, inv = groups._validate_table(view.mul_table, view.name)
+            identity, inv, _ = groups._validate_table(view.mul_table, view.name)
             assert identity == view.identity
             assert np.array_equal(inv, view.inv_table)
             rebuilt = table_group(view.mul_table.tolist())
@@ -755,6 +757,34 @@ def _successive_orders(g):
 def test_element_orders_match_successive_powers():
     for g in _suite_groups() + [cyclic_group(4096)]:
         assert g.element_orders == _successive_orders(g), g.name
+
+
+def test_mul_inv_conj_broadcast_as_table_gathers():
+    rng = np.random.default_rng(5)
+    for g in _suite_groups():
+        x, y = rng.integers(g.order, size=7), rng.integers(g.order, size=5)
+        assert np.array_equal(g.mul(x[:, None], y), g.mul_table[np.ix_(x, y)]), g.name
+        assert np.array_equal(g.mul(x, y[0]), g.mul_table[x, y[0]]), g.name
+        assert np.array_equal(g.mul(slice(None), y), g.mul_table[:, y]), g.name
+        assert np.array_equal(g.inv(x), g.inv_table[x]), g.name
+        assert np.array_equal(g.conj(x[:, None], y),
+                              g.mul_table[g.mul_table[np.ix_(x, y)], g.inv_table[x][:, None]])
+        a, b = (int(v) for v in rng.integers(g.order, size=2))
+        for value in (g.mul(a, b), g.inv(a), g.conj(a, b), g.mul(x[0], y[0])):
+            assert type(value) is int, g.name
+        assert g.mul(a, b) == g.mul_table[a, b] and g.conj(a, b) == g.mul(g.mul(a, b), g.inv(a))
+
+
+def test_only_groups_reads_the_table():
+    """Every product, inverse and per-group cache outside `groups` goes through
+    `FiniteGroup`'s methods, so a group stored another way changes one module."""
+    src = pathlib.Path(groups.__file__).parent
+    reads = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             if path.name != "groups.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("mul_table", "inv_table", "__dict__")]
+    assert reads == []
 
 
 def test_is_abelian_on_the_generators_matches_the_whole_table():

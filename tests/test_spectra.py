@@ -31,7 +31,7 @@ from monoball.harmonic import (
 from monoball.pipeline import find_l, freiman_ball
 from monoball.setops import growth_profile, normalize_set, power_set
 from monoball.spectra import (
-    _magnitudes,
+    FourierMagnitudes,
     chang_cover,
     large_spectrum,
     lspec_doubling_cover,
@@ -86,7 +86,7 @@ def test_lspec_cyclic12_subgroup_every_radius():
 def test_lspec_cyclic12_exact_magnitudes():
     g = cyclic_group(12)
     a = _subset(g, [0, 4, 8])
-    mags = _magnitudes(g, a)
+    mags = FourierMagnitudes(a)
     by_freq = {_char_freq(g, lam): i for i, lam in enumerate(linear_characters(g))}
     for k in range(12):
         m = mags.mag_sq(by_freq[k])
@@ -151,7 +151,7 @@ def test_lspec_matches_float_oracle_on_cyclic16():
 def test_lspec_mu_parseval_abelian():
     g = cyclic_group(16)
     a = _subset(g, [0, 1, 15, 4])
-    mags = _magnitudes(g, a)
+    mags = FourierMagnitudes(a)
     total = sum(float(mags.mag_sq(i)) for i in range(16)) / 16 ** 2
     assert total == pytest.approx(len(a) / 16, abs=1e-9)
 
@@ -159,7 +159,7 @@ def test_lspec_mu_parseval_abelian():
 def test_lspec_linear_energy_bounded_nonabelian():
     g = heisenberg_group(3)
     a = _subset(g, [0, 1, 2])
-    mags = _magnitudes(g, a)
+    mags = FourierMagnitudes(a)
     total = sum(float(mags.mag_sq(i)) for i in range(9)) / 27 ** 2
     assert total <= len(a) / 27 + 1e-9
 
@@ -212,7 +212,7 @@ def test_lspec_ties_are_members(monkeypatch):
     spec = large_spectrum(a, Fraction(13, 10))
     assert sorted(_char_freq(g, c) for c in spec.members) == [0, 2, 6]
     # the tie value is rational, so it is exact though the phases are eighths
-    mags = _magnitudes(g, a)
+    mags = FourierMagnitudes(a)
     odd = next(i for i, lam in enumerate(linear_characters(g)) if _char_freq(g, lam) == 1)
     assert mags.mag_sq(odd) == Fraction(1) and isinstance(mags.mag_sq(odd), Fraction)
     d = spectrum_distance_exact(a, _cyc_char(g, 0), _cyc_char(g, 1))
@@ -221,7 +221,7 @@ def test_lspec_ties_are_members(monkeypatch):
     g = cyclic_group(16)
     a = _subset(g, [0, 9, 13])
     spec = large_spectrum(a, Fraction(4, 3))
-    low = [i for i, est in enumerate(_magnitudes(g, a).estimates) if 1 - 1e-12 < est < 1]
+    low = [i for i, est in enumerate(FourierMagnitudes(a).estimates) if 1 - 1e-12 < est < 1]
     assert low and set(low) <= set(spec.members.indices)
 
 
@@ -466,7 +466,7 @@ def test_energy_exact_fallback_agrees_with_the_float_filter(monkeypatch):
     filtered = spectral_energy_check(g, s, a, Fraction(19, 20), 4)
     assert thresholds == []                 # far from a tie: the estimates decide
     # an unbounded estimate error sends every comparison to Z[zeta_e]
-    monkeypatch.setattr(_magnitudes(g, a), "error", math.inf)
+    monkeypatch.setattr(g.__dict__["_fourier_magnitudes"][a.mask], "error", math.inf)
     exact = spectral_energy_check(g, s, a, Fraction(19, 20), 4)
     assert Fraction(exact.mid) * 16 ** 8 == pytest.approx(float(thresholds[-1]))
     assert exact.lhs_ge_mid and filtered.lhs_ge_mid
