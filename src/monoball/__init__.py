@@ -27,7 +27,6 @@ from .groups import (
 )
 from .setops import (
     appendix_growth_check,
-    bfs_power_sizes,
     growth_profile,
     normalize_set,
     power_set,
@@ -94,7 +93,7 @@ __all__ = [
     "cyclic_group", "dihedral_group", "enumerate_subgroups", "heisenberg_group",
     "permutation_group", "product_group", "quaternion_group", "subgroup_view",
     "table_group",
-    "appendix_growth_check", "bfs_power_sizes", "growth_profile", "normalize_set",
+    "appendix_growth_check", "growth_profile", "normalize_set",
     "power_set", "product_set", "ruzsa_cover", "set_predicates",
     "LinearCharacter", "character_table", "convolve", "fourier_scalar",
     "frobenius_residual", "high_value_linearity_check", "induce_class_function",

@@ -20,7 +20,8 @@ from typing import Any, Optional
 from . import __version__
 from .bohr import CharSet, bohr_norm, linbohr
 from .errors import CapExceededError, FalsifiedError, GroupValidationError, HypothesisError
-from .groups import SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, build_group, conjugacy_classes
+from .groups import (SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, _is_integer, build_group,
+                     conjugacy_classes)
 from .harmonic import character_table, is_monomial, linear_characters
 from .metric import ball_dimension
 from .pipeline import PipelineConfig, freiman_ball
@@ -68,9 +69,15 @@ def _group_from_file(path: Optional[str]) -> FiniteGroup:
         raise InputError(f"bad group spec in {path}: {exc}") from exc
 
 
-def _indices_subset(group: FiniteGroup, indices: Any, path: str) -> GroupSubset:
-    if not isinstance(indices, list) or not all(isinstance(i, int) for i in indices):
+def _integer_list(value: Any, path: str) -> list[int]:
+    """A set spec's index list, its integers read as group specs read them."""
+    if not isinstance(value, list) or not all(map(_is_integer, value)):
         raise InputError(f"bad set spec in {path}: 'indices' must be a list of integers")
+    return [int(i) for i in value]
+
+
+def _indices_subset(group: FiniteGroup, indices: Any, path: str) -> GroupSubset:
+    indices = _integer_list(indices, path)
     bad = [i for i in indices if not 0 <= i < group.order]
     if bad:
         raise InputError(f"bad set spec in {path}: indices {bad} outside 0..{group.order - 1}")
@@ -105,9 +112,7 @@ def _charset_from_file(group: FiniteGroup, path: Optional[str]) -> CharSet:
     if not isinstance(spec, dict) or "indices" not in spec:
         raise InputError(f"bad set spec in {path}: expected an object with 'indices'")
     lin = linear_characters(group)
-    idx = spec["indices"]
-    if not isinstance(idx, list) or not all(isinstance(i, int) for i in idx):
-        raise InputError(f"bad set spec in {path}: 'indices' must be a list of integers")
+    idx = _integer_list(spec["indices"], path)
     bad = [i for i in idx if not 0 <= i < len(lin)]
     if bad:
         raise InputError(

@@ -74,7 +74,8 @@ class FiniteGroup:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """At most log2 n elements that generate the group: `_generating_set`."""
+        """At most log2 n elements that generate the group: `_generating_set`.
+        `_finish` seeds it with the set its Light's test ran on."""
         return tuple(_generating_set(self.mul_table, self.identity))
 
     @cached_property
@@ -177,8 +178,14 @@ class GroupSubset:
 
 @dataclass(frozen=True, eq=False)
 class ConjugacyPartition:
-    classes: tuple[tuple[int, ...], ...]
     class_of: np.ndarray        # read-only int64, the class number of each element
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Each class ascending, in class number order; built on first read."""
+        order = np.argsort(self.class_of, kind="stable").tolist()
+        bounds = np.cumsum(np.bincount(self.class_of)).tolist()
+        return tuple(tuple(order[i:j]) for i, j in zip([0] + bounds, bounds))
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -261,9 +268,11 @@ def _generating_set(mul: np.ndarray, identity: int) -> Iterator[int]:
         todo = [x for x, hit in enumerate(reached) if hit]   # every word times the new one
 
 
-def _validate_table(mul: np.ndarray, name: str) -> tuple[int, np.ndarray, np.ndarray]:
+def _validate_table(mul: np.ndarray, name: str
+                    ) -> tuple[int, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Prove the table a group's; return (identity, inv_table, the int32 table
-    proved) or raise with a witness. The checks are shape and range, a
+    proved, the generating set `_generating_set` yields, on which Light's test
+    ran) or raise with a witness. The checks are shape and range, a
     two-sided identity e, an r with x*r = e in every row x, and associativity
     by Light's test. A table that passes them is a group's: for x*r = e take r'
     with r*r' = e, and then r*x = (r*x)*(r*r') = r*((x*r)*r') = r*r' = e. A
@@ -299,26 +308,30 @@ def _validate_table(mul: np.ndarray, name: str) -> tuple[int, np.ndarray, np.nda
     # Light's test: the a with (x*a)*y = x*(a*y) for all x, y are closed under
     # products and include the identity, so checking a generating set suffices;
     # each s is checked before the search for the next one goes on
+    gens = []
     for s in _generating_set(mul, identity):
         for rows in _blocks(n):
-            lhs = mul[mul[rows, s]]          # (x s) y
-            rhs = mul[rows, mul[s]]          # x (s y)
+            lhs = mul[mul[rows, s]]                      # (x s) y
+            rhs = np.take(mul[rows], mul[s], axis=1)     # x (s y)
             if not np.array_equal(lhs, rhs):
                 x, y = np.argwhere(lhs != rhs)[0]
                 raise GroupValidationError(
                     f"{name}: associativity fails at ({rows.start + int(x)},{s},{int(y)}): "
                     f"(x*y)*z={int(lhs[x, y])} but x*(y*z)={int(rhs[x, y])}"
                 )
-    return identity, inv, mul
+        gens.append(s)
+    return identity, inv, mul, tuple(gens)
 
 
 def _finish(mul: np.ndarray, labels: Sequence[str], name: str) -> FiniteGroup:
-    identity, inv, mul = _validate_table(mul, name)
+    identity, inv, mul, gens = _validate_table(mul, name)
     if len(labels) != len(inv):
         raise GroupValidationError(f"{name}: {len(labels)} labels for {len(inv)} elements")
     mul.setflags(write=False)
     inv.setflags(write=False)
-    return FiniteGroup(mul, inv, identity, tuple(labels), name)
+    group = FiniteGroup(mul, inv, identity, tuple(labels), name)
+    group.cached("generators", lambda: gens)     # the search Light's test just ran
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +341,9 @@ def _finish(mul: np.ndarray, labels: Sequence[str], name: str) -> FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupValidationError("cyclic: n must be >= 1")
-    idx = np.arange(n, dtype=np.int32)     # int32 in place: no n x n int64 temporary
-    mul = idx[:, None] + idx
-    mul[mul >= n] -= n
+    # row x is x, x+1, ..., x-1: a window sliding over 0..n-1 twice, copied once
+    idx = np.arange(n, dtype=np.int32)
+    mul = np.lib.stride_tricks.sliding_window_view(np.concatenate([idx, idx]), n)[:n].copy()
     return _finish(mul, [str(k) for k in range(n)], f"cyclic({n})")
 
 
@@ -670,9 +683,7 @@ def _class_partition(group: FiniteGroup) -> ConjugacyPartition:
     starts = np.r_[True, np.diff(key[order]) != 0]
     class_of = (np.cumsum(starts) - 1)[np.argsort(order)]
     class_of.setflags(write=False)
-    flat, bounds = order.tolist(), np.flatnonzero(starts).tolist() + [n]
-    classes = tuple(tuple(flat[i:j]) for i, j in zip(bounds, bounds[1:]))
-    return ConjugacyPartition(classes, class_of)
+    return ConjugacyPartition(class_of)
 
 
 def closure(group: FiniteGroup, seeds: Iterable[int]) -> GroupSubset:
@@ -688,7 +699,10 @@ def closure(group: FiniteGroup, seeds: Iterable[int]) -> GroupSubset:
 
 def commutator_subgroup(group: FiniteGroup) -> GroupSubset:
     """The subgroup N generated by the conjugates of the [s, t] for s, t in a
-    generating set: N is normal and inside [G, G], and G/N is abelian."""
+    generating set: N is normal and inside [G, G], and G/N is abelian. For an
+    abelian G every [s, t] is 1, so N = {1} without a closure."""
+    if group.is_abelian:
+        return GroupSubset.identity_only(group)
     s = np.array(group.generators, dtype=np.int64)
     comms = group.mul(group.conj(s[:, None], s), group.inv(s))     # s t s^-1 t^-1
     seeds = conjugates(GroupSubset(group, _index_mask(comms.ravel(), group.order)))

@@ -183,27 +183,3 @@ def appendix_growth_check(a: GroupSubset, n_max: int) -> AppendixGrowthReport:
                                       len(cover_pow) * len(d), ok))
         all_ok = all_ok and ok
     return AppendixGrowthReport(tripling, cert, tuple(cover_sizes), tuple(rows), all_ok)
-
-
-def bfs_power_sizes(a: GroupSubset, n_max: int) -> tuple[int, ...]:
-    """Ball sizes in the Cayley graph of <A>; equals |A^n| when the identity is in A."""
-    g = a.group
-    gens = list(a)
-    dist = {g.identity: 0}
-    frontier = [g.identity]
-    depth = 0
-    sizes = [1]
-    while frontier and depth < n_max:
-        depth += 1
-        nxt = []
-        for v in frontier:
-            for s in gens:
-                w = g.mul(v, s)
-                if w not in dist:
-                    dist[w] = depth
-                    nxt.append(w)
-        frontier = nxt
-        sizes.append(len(dist))
-    while len(sizes) <= n_max:
-        sizes.append(sizes[-1])
-    return tuple(sizes)

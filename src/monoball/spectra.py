@@ -275,6 +275,14 @@ def spectrum_distance_identity_check(a: GroupSubset,
 
 def standing_hypotheses(group: FiniteGroup, s: GroupSubset,
                         a: GroupSubset) -> list[HypothesisRecord]:
+    """The records, decided once per (S, A) and cached on the group as a
+    tuple; each call returns a fresh list, since callers append to it."""
+    return list(group.cached("_standing_hypotheses",
+                             lambda: _standing_hypotheses(group, s, a), (s.mask, a.mask)))
+
+
+def _standing_hypotheses(group: FiniteGroup, s: GroupSubset,
+                         a: GroupSubset) -> tuple[HypothesisRecord, ...]:
     records = []
     if group.order <= SUBGROUP_ORDER_CAP:
         # a supersolvable group is an M-group (Isaacs, Thm 6.22): no search
@@ -298,7 +306,7 @@ def standing_hypotheses(group: FiniteGroup, s: GroupSubset,
     records.append(HypothesisRecord(
         "P(S.A) < sqrt(2) P(A)", "holds" if tight else "fails",
         f"|S.A| = {len(sa)}, |A| = {len(a)}"))
-    return records
+    return tuple(records)
 
 
 def _all_hold(records: list[HypothesisRecord]) -> bool:

@@ -43,7 +43,6 @@ from monoball.harmonic import (
 from monoball.metric import ball_axioms_check, ball_dimension, word_norm, zero_norm
 from monoball.pipeline import freiman_ball, prop81_check
 from monoball.setops import (
-    bfs_power_sizes,
     appendix_growth_check,
     growth_profile,
     normalize_set,
@@ -395,7 +394,7 @@ def test_criterion_10_pipeline():
     print("ACCEPTANCE 10 pipeline: PASS (" + "; ".join(lines) + "; byte-identical)")
 
 
-def test_criterion_11_appendix_covering():
+def test_criterion_11_appendix_covering(bfs_power_sizes):
     c100 = cyclic_group(100)
     c64 = cyclic_group(64)
     heis = heisenberg_group(3)

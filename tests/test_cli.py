@@ -317,6 +317,40 @@ def test_malformed_group_specs_fail_the_schema():
         assert validator.is_valid(spec) and build_group(spec).order == 2
 
 
+# set specs read their integers as group specs do: a bool is not one, an
+# integral float is; `growth` reads indices and s_indices, `bohr` character indices
+_SET_SPECS = [
+    ("growth", {"indices": [True, 0, 7]}),
+    ("growth", {"indices": [1.0, 0, 7]}),
+    ("growth", {"indices": [1.5, 0, 7]}),
+    ("growth", {"indices": [1, 0, 7], "s_indices": [0, False]}),
+    ("growth", {"indices": [1, 0, 7], "s_indices": [0.0, 1.0]}),
+    ("bohr", {"indices": [False, 1]}),
+    ("bohr", {"indices": [0.0, 1.0]}),
+]
+_COMMAND_ARGS = {"growth": ["--nmax", "4"], "bohr": ["--delta", "1/6"]}
+
+
+@pytest.mark.parametrize("command, spec", _SET_SPECS)
+def test_set_spec_exit_code_agrees_with_the_schema(tmp_path, capsys, command, spec):
+    import monoball
+    schema_path = f"{list(monoball.__path__)[0]}/schemas/set_spec.json"
+    validator = jsonschema.Draft7Validator(json.loads(open(schema_path).read()))
+    g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
+    args = [command, "--group", g, *_COMMAND_ARGS[command]]
+    out = str(tmp_path / "report.json")
+    code = cli.main(args + ["--set", _write(tmp_path, "spec.json", spec), "--out", out])
+    err = capsys.readouterr().err
+    assert (code == 0) == validator.is_valid(spec), err
+    if code == 0:           # the same report as the spec with ints
+        report = open(out).read()
+        ints = {k: [int(i) for i in v] for k, v in spec.items()}
+        assert cli.main(args + ["--set", _write(tmp_path, "ints.json", ints), "--out", out]) == 0
+        assert open(out).read() == report
+    else:
+        assert code == 1 and "must be a list of integers" in err
+
+
 def test_cap_exceeded_exit1_with_advice(tmp_path, capsys):
     g = _group_file(tmp_path, {"type": "cyclic", "n": 200})
     code = cli.main(["monomial", "--group", g])

@@ -235,7 +235,7 @@ def test_abelianization_quotient_matches_validated_table():
     for g in (_s3(), heisenberg_group(3), dihedral_group(16), cyclic_group(12),
               product_group([cyclic_group(2), heisenberg_group(3)])):
         q = abelianization(g).quotient
-        identity, inv, _ = groups._validate_table(np.array(q.mul_table), q.name)
+        identity, inv, _, _ = groups._validate_table(np.array(q.mul_table), q.name)
         assert q.identity == identity
         assert np.array_equal(q.inv_table, inv)
         assert q.mul_table.dtype == q.inv_table.dtype == np.int32
@@ -247,7 +247,7 @@ def test_quotient_by_a_normal_subgroup():
     center = closure(g, [2])                    # {r0, r2}
     q = quotient(g, center)
     assert q.quotient.order == 4 and q.kernel is center
-    identity, inv, _ = groups._validate_table(np.array(q.quotient.mul_table), q.quotient.name)
+    identity, inv, _, _ = groups._validate_table(np.array(q.quotient.mul_table), q.quotient.name)
     assert q.quotient.identity == identity and np.array_equal(q.quotient.inv_table, inv)
     for x in range(8):
         assert q.section[q.projection[x]] == min(x, g.mul(x, 2))
@@ -462,12 +462,46 @@ def test_subgroup_views_are_groups_with_their_own_lattice():
     for g in fixtures:
         for sub in enumerate_subgroups(g):
             view = subgroup_view(g, sub.elements).group
-            identity, inv, _ = groups._validate_table(view.mul_table, view.name)
+            identity, inv, _, _ = groups._validate_table(view.mul_table, view.name)
             assert identity == view.identity
             assert np.array_equal(inv, view.inv_table)
             rebuilt = table_group(view.mul_table.tolist())
             assert ([s.elements.mask for s in enumerate_subgroups(view)]
                     == [s.elements.mask for s in enumerate_subgroups(rebuilt)])
+
+
+def test_cyclic_table_is_the_sum_mod_n():
+    for n in (1, 2, 3, 97, 768):
+        t = cyclic_group(n).mul_table
+        a = np.arange(n)
+        assert np.array_equal(t, np.add.outer(a, a) % n), n
+        assert t.dtype == np.int32 and t.flags.c_contiguous and not t.flags.writeable
+
+
+def test_cyclic_table_is_written_without_a_temporary():
+    n = 2048
+    tracemalloc.start()
+    try:
+        cyclic_group(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 4 * n * n     # the int32 table itself is 4 n^2 bytes
+
+
+def test_generators_are_the_set_the_proof_ran_on(monkeypatch):
+    real, searches = groups._generating_set, []
+
+    def counting(mul, identity):
+        searches.append(len(mul))
+        return real(mul, identity)
+
+    monkeypatch.setattr(groups, "_generating_set", counting)
+    suite = _suite_groups()
+    built = len(searches)                  # one search per validated table
+    for g in suite:
+        assert g.generators == tuple(real(g.mul_table, g.identity)), g.name
+    assert len(searches) == built
 
 
 def test_large_cyclic_validation_sampled():
@@ -830,6 +864,28 @@ def _all_commutators_closure(g):
 def test_commutator_subgroup_matches_the_closure_of_all_commutators():
     for g in _partition_groups():
         assert commutator_subgroup(g).mask == _all_commutators_closure(g), g.name
+
+
+def test_abelian_commutator_subgroup_builds_no_power_chain(monkeypatch):
+    built = []
+    init = groups.PowerChain.__init__
+
+    def counting_init(self, mul_table, identity, a):
+        built.append(tuple(a.tolist()))
+        init(self, mul_table, identity, a)
+
+    monkeypatch.setattr(groups.PowerChain, "__init__", counting_init)
+    assert commutator_subgroup(cyclic_group(256)).mask == 1
+    assert built == []
+
+
+def test_classes_are_built_from_class_of_on_first_read():
+    for g in _partition_groups():
+        part = conjugacy_classes(g)
+        assert "classes" not in part.__dict__, g.name
+        k = int(part.class_of.max()) + 1
+        eager = tuple(tuple(np.flatnonzero(part.class_of == c).tolist()) for c in range(k))
+        assert part.classes == eager and part.classes is part.classes, g.name
 
 
 def _loop_escape(a):

@@ -267,5 +267,13 @@ def test_freiman_ball_builds_one_power_chain_per_set(monkeypatch):
     rep = freiman_ball(g, a)
     # A and A^l: find_l, both fits, the predicates, the doubling window and
     # the size check read the same two chains, and so do the hull of A and
-    # both "S generates G" records; the commutators of C256 close from {0}
-    assert sorted(built) == sorted([a.indices(), power_set(a, rep.l).indices(), (0,)])
+    # both "S generates G" records; C256 is abelian, so its commutator
+    # subgroup is {0} without a closure
+    assert sorted(built) == sorted([a.indices(), power_set(a, rep.l).indices()])
+
+
+def test_freiman_ball_reads_no_class_list_on_an_abelian_group():
+    g = cyclic_group(256)
+    freiman_ball(g, _interval(g, 1))
+    # the symmetric-and-normal record reads class_of only
+    assert "classes" not in g.__dict__["_conjugacy"].__dict__

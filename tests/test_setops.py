@@ -19,7 +19,6 @@ from monoball.groups import (
 )
 from monoball.setops import (
     appendix_growth_check,
-    bfs_power_sizes,
     growth_profile,
     normalize_set,
     power_set,
@@ -105,7 +104,7 @@ def test_growth_cyclic_interval():
     assert fit.witness_n is not None
 
 
-def test_growth_matches_bfs_oracle():
+def test_growth_matches_bfs_oracle(bfs_power_sizes):
     g = heisenberg_group(5)
     a = normalize_set(_subset(g, [25, 5]), symmetrize=True, add_identity=True)
     prof, fit = growth_profile(a, 12)
@@ -126,7 +125,7 @@ def test_growth_without_identity():
     assert growth_profile(_subset(cyclic_group(12), [2, 3]), 10)[0].saturated_at is None
 
 
-def test_power_chain_cycle_and_sizes():
+def test_power_chain_cycle_and_sizes(bfs_power_sizes):
     c12 = power_chain(_subset(cyclic_group(12), [1]))
     assert c12.cycle() == (0, 12)
     assert c12.mask(25) == 1 << 1

@@ -411,6 +411,26 @@ def test_standing_hypotheses_non_monomial_group():
     assert recs[0].name == "group is monomial" and recs[0].status == "fails"
 
 
+def test_standing_hypotheses_are_decided_once_per_pair(monkeypatch):
+    calls = []
+    real = spectra.set_predicates
+
+    def counting(a):
+        calls.append(a.mask)
+        return real(a)
+
+    monkeypatch.setattr(spectra, "set_predicates", counting)
+    g = cyclic_group(16)
+    s, a = _subset(g, [0, 1]), _subset(g, [15, 0, 1])
+    first = standing_hypotheses(g, s, a)
+    second = standing_hypotheses(g, s, a)
+    assert calls == [a.mask]
+    first.append(spectra.HypothesisRecord("appended", "fails"))
+    assert standing_hypotheses(g, s, a) == second and len(second) == 4
+    standing_hypotheses(g, a, a)
+    assert calls == [a.mask, a.mask]
+
+
 def test_standing_hypotheses_beyond_cap_unchecked():
     g = cyclic_group(200)
     recs = standing_hypotheses(g, _subset(g, [0, 1]), _subset(g, [199, 0, 1]))
