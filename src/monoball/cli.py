@@ -22,7 +22,7 @@ from .bohr import CharSet, bohr_norm, linbohr
 from .errors import CapExceededError, FalsifiedError, GroupValidationError, HypothesisError
 from .groups import (SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, _is_integer, build_group,
                      conjugacy_classes)
-from .harmonic import character_table, is_monomial, linear_characters
+from .harmonic import character_table, is_monomial, linear_characters, linear_phases
 from .metric import ball_dimension
 from .pipeline import PipelineConfig, freiman_ball
 from .setops import appendix_growth_check, growth_profile, normalize_set
@@ -69,55 +69,67 @@ def _group_from_file(path: Optional[str]) -> FiniteGroup:
         raise InputError(f"bad group spec in {path}: {exc}") from exc
 
 
-def _integer_list(value: Any, path: str) -> list[int]:
+def _set_spec(path: Optional[str]) -> dict:
+    """A set spec as schemas/set_spec.json reads it: 'indices', and optionally
+    's_indices' and a 'normalize' object of boolean flags; nothing else. The
+    index lists come back as lists of ints."""
+    if path is None:
+        raise InputError("this command needs --set")
+    spec = _load_json(path)
+    if not isinstance(spec, dict) or "indices" not in spec:
+        raise InputError(f"bad set spec in {path}: expected an object with 'indices'")
+    unknown = [k for k in spec if k not in ("indices", "s_indices", "normalize")]
+    if unknown:
+        raise InputError(f"bad set spec in {path}: unknown key {unknown[0]!r}")
+    for key in ("indices", "s_indices"):
+        if key in spec:
+            spec[key] = _integer_list(spec[key], key, path)
+    norm = spec.get("normalize", {})
+    if not isinstance(norm, dict):
+        raise InputError(f"bad set spec in {path}: 'normalize' must be an object")
+    for key, flag in norm.items():
+        if key not in ("symmetrize", "add_identity", "conjugation_close"):
+            raise InputError(f"bad set spec in {path}: unknown key 'normalize.{key}'")
+        if not isinstance(flag, bool):
+            raise InputError(f"bad set spec in {path}: 'normalize.{key}' must be true or false")
+    return spec
+
+
+def _integer_list(value: Any, key: str, path: str) -> list[int]:
     """A set spec's index list, its integers read as group specs read them."""
     if not isinstance(value, list) or not all(map(_is_integer, value)):
-        raise InputError(f"bad set spec in {path}: 'indices' must be a list of integers")
+        raise InputError(f"bad set spec in {path}: {key!r} must be a list of integers")
     return [int(i) for i in value]
 
 
-def _indices_subset(group: FiniteGroup, indices: Any, path: str) -> GroupSubset:
-    indices = _integer_list(indices, path)
+def _indices_subset(group: FiniteGroup, indices: list[int], key: str, path: str) -> GroupSubset:
     bad = [i for i in indices if not 0 <= i < group.order]
     if bad:
-        raise InputError(f"bad set spec in {path}: indices {bad} outside 0..{group.order - 1}")
+        raise InputError(f"bad set spec in {path}: {key} {bad} outside 0..{group.order - 1}")
     return GroupSubset.from_indices(group, indices)
 
 
 def _set_from_file(group: FiniteGroup, path: Optional[str]) -> tuple[GroupSubset, Optional[GroupSubset]]:
     """Returns (A, S). S comes from the optional 's_indices' key and defaults to None."""
-    if path is None:
-        raise InputError("this command needs --set")
-    spec = _load_json(path)
-    if not isinstance(spec, dict) or "indices" not in spec:
-        raise InputError(f"bad set spec in {path}: expected an object with 'indices'")
-    a = _indices_subset(group, spec["indices"], path)
-    norm = spec.get("normalize", {})
-    if norm:
-        a = normalize_set(a,
-                          symmetrize=bool(norm.get("symmetrize", False)),
-                          add_identity=bool(norm.get("add_identity", False)),
-                          conjugation_close=bool(norm.get("conjugation_close", False)))
+    spec = _set_spec(path)
+    a = _indices_subset(group, spec["indices"], "indices", path)
+    if spec.get("normalize"):
+        a = normalize_set(a, **spec["normalize"])
     s = None
     if "s_indices" in spec:
-        s = _indices_subset(group, spec["s_indices"], path)
+        s = _indices_subset(group, spec["s_indices"], "s_indices", path)
     return a, s
 
 
 def _charset_from_file(group: FiniteGroup, path: Optional[str]) -> CharSet:
     """For Bohr-side commands the set spec indexes into Lin(G), sorted by phase tuple."""
-    if path is None:
-        raise InputError("this command needs --set")
-    spec = _load_json(path)
-    if not isinstance(spec, dict) or "indices" not in spec:
-        raise InputError(f"bad set spec in {path}: expected an object with 'indices'")
-    lin = linear_characters(group)
-    idx = _integer_list(spec["indices"], path)
-    bad = [i for i in idx if not 0 <= i < len(lin)]
+    idx = _set_spec(path)["indices"]
+    count = len(linear_phases(group).keys)
+    bad = [i for i in idx if not 0 <= i < count]
     if bad:
         raise InputError(
-            f"bad set spec in {path}: character indices {bad} outside 0..{len(lin) - 1}")
-    return CharSet.build(group, [lin[i] for i in idx])
+            f"bad set spec in {path}: character indices {bad} outside 0..{count - 1}")
+    return CharSet(group, idx)
 
 
 def _parse_fraction(text: Optional[str], flag: str) -> Optional[Fraction]:
@@ -320,17 +332,11 @@ def _cmd_metric_dim(args) -> tuple[str, dict, Optional[list], int]:
     if delta is None:
         raise InputError("metric-dim needs --delta")
     dim, witness = ball_dimension(bohr_norm(chars), delta)
-    if witness is None:
-        witness_out = None
-    elif isinstance(witness, Fraction):
-        witness_out = _frac(witness)
-    else:
-        witness_out = _f(witness)
     result = {
         "delta": _frac(delta),
         "charset_size": len(chars),
         "dimension": _f(dim),
-        "witness_radius": witness_out,
+        "witness_radius": _frac(witness) if witness is not None else None,
         "doubling_bound": 2 * len(chars),
     }
     summary = f"Bohr-norm ball dimension at delta={_frac(delta)}: {_f(dim)} (bound {2 * len(chars)})"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -13,15 +14,15 @@ from .errors import FalsifiedError, HypothesisError
 from .groups import (FiniteGroup, GroupSubset, _index_mask, conjugacy_classes,
                      conjugation_escape, power_chain, product_set)
 
-Scalar = Union[Fraction, float, int]
-_FLOAT_TOL = 1e-12
+Scalar = Union[Fraction, int]
+_FLOAT_TOL = 1e-12  # bounds comparisons with a measured float dimension only
 _GRID_STEPS = 10  # bourgain_radius tests 2 * _GRID_STEPS dilations
 
 
 @dataclass(frozen=True, eq=False)
 class PseudoMetricNorm:
     """Conjugation-invariant subadditive norm: rho(x) = scaled[x] / denom, with
-    `scaled` read-only int64 numerators for a rational norm, float64 otherwise."""
+    `scaled` read-only integer numerators."""
 
     group: FiniteGroup
     scaled: np.ndarray
@@ -31,36 +32,33 @@ class PseudoMetricNorm:
     def __post_init__(self):
         if self.scaled.shape != (self.group.order,):
             raise ValueError("norm needs one value per group element")
+        if self.scaled.dtype.kind != "i":
+            raise ValueError(f"norm numerators must be integers, not {self.scaled.dtype}")
         self.scaled.setflags(write=False)
 
     @classmethod
     def from_values(cls, group: FiniteGroup, values: Sequence[Scalar],
                     source: str = "custom") -> "PseudoMetricNorm":
-        """rho(x) = values[x], exact when every value is a Fraction or an int."""
-        if not all(isinstance(x, (Fraction, int)) for x in values):
-            return cls(group, np.array([float(x) for x in values]), 1, source)
-        denom = math.lcm(*(x.denominator for x in values))
-        return cls(group, np.array([int(x * denom) for x in values], dtype=np.int64), denom,
-                   source)
+        """rho(x) = values[x], each a Fraction, an int or a numpy integer."""
+        for x in values:
+            if isinstance(x, bool) or not isinstance(x, numbers.Rational):
+                raise ValueError(f"norm values must be rational, got {x!r}")
+        denom = math.lcm(*(int(x.denominator) for x in values))
+        return cls(group, np.array([int(x.numerator) * (denom // int(x.denominator))
+                                    for x in values], dtype=np.int64), denom, source)
 
     @property
-    def is_rational(self) -> bool:
-        return self.scaled.dtype.kind == "i"
-
-    @property
-    def values(self) -> tuple[Scalar, ...]:
+    def values(self) -> tuple[Fraction, ...]:
         return self._scalars(self.scaled)
 
-    def breakpoints(self) -> tuple[Scalar, ...]:
+    def breakpoints(self) -> tuple[Fraction, ...]:
         return self._scalars(np.unique(self.scaled))
 
-    def positive_breakpoints(self) -> tuple[Scalar, ...]:
+    def positive_breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(v for v in self.breakpoints() if v > 0)
 
-    def _scalars(self, v: np.ndarray) -> tuple[Scalar, ...]:
-        if self.is_rational:
-            return tuple(Fraction(x, self.denom) for x in v.tolist())
-        return tuple((v / self.denom).tolist())
+    def _scalars(self, v: np.ndarray) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denom) for x in v.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +86,10 @@ class BallAxiomsReport:
 
 @dataclass(frozen=True, eq=False)
 class GridPoint:
-    eta: float
-    ratio: float
-    lower: float
-    upper: float
+    eta: Fraction
+    ratio: Fraction
+    lower: Fraction
+    upper: Fraction
     ok: bool
 
 
@@ -102,19 +100,6 @@ class BourgainCertificate:
     d: float
     grid: tuple[GridPoint, ...]
     margin: float
-
-
-def _le(a: Scalar, b: Scalar) -> bool:
-    """a <= b, exact for rationals, with a small tolerance once floats appear."""
-    if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
-        return a <= b
-    return float(a) <= float(b) + _FLOAT_TOL
-
-
-def _eq(a: Scalar, b: Scalar) -> bool:
-    if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
-        return a == b
-    return abs(float(a) - float(b)) <= _FLOAT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +134,13 @@ def subgroup_indicator_norm(group: FiniteGroup, h: GroupSubset) -> PseudoMetricN
 
 def validate_norm(rho: PseudoMetricNorm) -> NormReport:
     g, v = rho.group, rho.scaled
-    tol = 0 if rho.is_rational else _FLOAT_TOL
     witnesses: dict = {}
 
-    zero_at_identity = bool(abs(v[g.identity]) <= tol and (v + tol >= 0).all())
+    zero_at_identity = bool(v[g.identity] == 0 and (v >= 0).all())
     if not zero_at_identity:
         witnesses["zero_at_identity"] = g.identity
 
-    off = np.flatnonzero(np.abs(v[g.inv(slice(None))] - v) > tol)
+    off = np.flatnonzero(v[g.inv(slice(None))] != v)
     symmetric = off.size == 0
     if not symmetric:
         witnesses["symmetric"] = int(off[0])
@@ -164,7 +148,7 @@ def validate_norm(rho: PseudoMetricNorm) -> NormReport:
     elems = np.arange(g.order)
     prods = g.mul(elems[:, None], elems)
     lhs = v[prods]
-    bad = lhs > v[:, None] + v[None, :] + tol
+    bad = lhs > v[:, None] + v[None, :]
     subadditive = not bad.any()
     if not subadditive:
         x, y = map(int, np.argwhere(bad)[0])
@@ -173,15 +157,13 @@ def validate_norm(rho: PseudoMetricNorm) -> NormReport:
 
     # (ab, ba) runs over the pairs (g x g^-1, x) with a = g, b = x g^-1, so rho
     # is a class function exactly when rho(ab) = rho(ba) for all a, b
-    diff = lhs - lhs.T
-    np.abs(diff, out=diff)
-    moved = diff > tol
+    moved = lhs != lhs.T
     class_invariant = not moved.any()
     if not class_invariant:
         x = int(prods[moved].min())
         part = conjugacy_classes(g)
         orbit = np.array(part.classes[part.class_of[x]])
-        y = int(orbit[np.abs(v[orbit] - v[x]) > tol][0])
+        y = int(orbit[v[orbit] != v[x]][0])
         witnesses["class_invariant"] = (x, y)
 
     valid = zero_at_identity and symmetric and class_invariant and subadditive
@@ -193,13 +175,16 @@ def validate_norm(rho: PseudoMetricNorm) -> NormReport:
 # balls
 
 
+def _threshold(rho: PseudoMetricNorm, delta: Scalar) -> int:
+    """The largest numerator inside radius delta: floor(delta * denom)."""
+    if not isinstance(delta, numbers.Rational):
+        raise TypeError(f"radius must be rational, got {delta!r}")
+    return int(delta.numerator) * rho.denom // int(delta.denominator)
+
+
 def ball(rho: PseudoMetricNorm, delta: Scalar) -> GroupSubset:
-    """{x : rho(x) <= delta}: one integer threshold on the scaled norm for
-    rational data, within _FLOAT_TOL once a float appears."""
-    if rho.is_rational and isinstance(delta, (Fraction, int)):
-        inside = rho.scaled <= math.floor(delta * rho.denom)
-    else:
-        inside = rho.scaled / rho.denom <= float(delta) + _FLOAT_TOL
+    """{x : rho(x) <= delta}: one integer threshold on the numerators."""
+    inside = rho.scaled <= _threshold(rho, delta)
     return GroupSubset(rho.group, _index_mask(np.flatnonzero(inside), rho.group.order))
 
 
@@ -246,29 +231,27 @@ def ball_axioms_check(rho: PseudoMetricNorm) -> BallAxiomsReport:
     return BallAxiomsReport(symmetric_ok, nesting_ok, subadditive_ok, normal_ok, witnesses)
 
 
-def _event_points(rho: PseudoMetricNorm, delta: Scalar) -> list[Scalar]:
-    """Radii in (0, delta] where the doubling ratio can change value."""
-    pts = set()
-    for v in rho.positive_breakpoints():
-        half = Fraction(v) / 2 if isinstance(v, (Fraction, int)) else v / 2
-        for cand in (v, half):
-            if _le(cand, delta) and cand > 0:
-                pts.add(cand)
-    return sorted(pts)
-
-
-def ball_dimension(rho: PseudoMetricNorm, delta: Scalar) -> tuple[float, Optional[Scalar]]:
-    """sup of log2(|B(2t)| / |B(t)|) over t in (0, delta]: the doubling exponent."""
+def ball_dimension(rho: PseudoMetricNorm, delta: Scalar) -> tuple[float, Optional[Fraction]]:
+    """sup of log2(|B(2t)| / |B(t)|) over t in (0, delta]: the doubling exponent.
+    With u = 2 t denom the sizes count the numerators <= u and <= u // 2, so
+    the ratio can change only at u = v or 2 v for a positive numerator v."""
     if not delta > 0:
         raise ValueError("ball_dimension needs delta > 0")
+    scaled = np.sort(rho.scaled)
+    cap = _threshold(rho, 2 * delta)
+    pos = scaled[scaled.searchsorted(0, "right"):scaled.searchsorted(cap, "right")]
+    if not pos.size:    # a zero norm, as of a trivial spectrum, needs no numpy call below
+        return 0.0, None
+    u = np.unique(np.concatenate([pos, 2 * pos]))
+    u = u[u <= cap]
+    bigs = scaled.searchsorted(u, "right").tolist()
+    smalls = scaled.searchsorted(u // 2, "right").tolist()
     best = 0.0
-    witness: Optional[Scalar] = None
-    for t in _event_points(rho, delta):
-        num = len(ball(rho, 2 * t))
-        den = len(ball(rho, t))
+    witness: Optional[Fraction] = None
+    for twice, num, den in zip(u.tolist(), bigs, smalls):
         d = math.log2(num / den)
         if d > best:
-            best, witness = d, t
+            best, witness = d, Fraction(twice, 2 * rho.denom)
     return best, witness
 
 
@@ -288,27 +271,17 @@ def bourgain_radius(rho: PseudoMetricNorm, delta: Scalar, d: float) -> BourgainC
 
     # candidate dilation factors: jump points of t -> |B(t*delta)| in (1,2],
     # midpoints of consecutive jumps, and 2 itself
-    jumps: list[Scalar] = []
-    for v in rho.positive_breakpoints():
-        t = Fraction(v) / Fraction(delta) if isinstance(v, (Fraction, int)) \
-            and isinstance(delta, (Fraction, int)) else float(v) / float(delta)
-        if 1 < t and _le(t, 2):
-            jumps.append(t)
-    jumps = sorted(set(jumps))
-    two: Scalar = Fraction(2) if all(isinstance(j, Fraction) for j in jumps) else 2.0
+    two = Fraction(2)
+    jumps = sorted({t for t in (v / delta for v in rho.positive_breakpoints()) if 1 < t <= 2})
     if jumps:
-        fence: list[Scalar] = [Fraction(1) if isinstance(jumps[0], Fraction) else 1.0]
-        fence += jumps
-        if not _eq(jumps[-1], 2):
-            fence.append(two)
-        candidates: list[Scalar] = [(a + b) / 2 for a, b in zip(fence, fence[1:])]
-        candidates.extend(jumps)
-        candidates.append(two)
-        candidates = sorted(set(candidates))
+        fence = [Fraction(1), *jumps] + ([] if jumps[-1] == two else [two])
+        candidates = sorted({*((a + b) / 2 for a, b in zip(fence, fence[1:])), *jumps, two})
     else:
         candidates = [two]  # measure is flat on (delta, 2*delta]; tie-break at 2
 
-    step = 1.0 / (60 * d) if d > 0 else 1.0 / 60
+    # a float d is a dyadic rational, so every grid bound below is exact
+    exact_d = Fraction(d)
+    step = 1 / (60 * exact_d) if d > 0 else Fraction(1, 60)
     etas = [k * step for k in range(-_GRID_STEPS, _GRID_STEPS + 1) if k != 0]
 
     best_margin = -math.inf
@@ -316,20 +289,16 @@ def bourgain_radius(rho: PseudoMetricNorm, delta: Scalar, d: float) -> BourgainC
     for lam in candidates:
         base = len(ball(rho, lam * delta))
         rows = []
-        ok_all = True
-        margin = math.inf
         for eta in etas:
-            radius = float(lam) * float(delta) * (1 + eta)
-            size = len(ball(rho, radius))
-            ratio = size / base
-            lower = 1 - 6 * d * abs(eta)
-            upper = 1 + 6 * d * abs(eta)
-            ok = lower - _FLOAT_TOL <= ratio <= upper + _FLOAT_TOL
-            rows.append(GridPoint(eta, ratio, lower, upper, ok))
-            ok_all = ok_all and ok
-            margin = min(margin, upper - ratio, ratio - lower)
+            ratio = Fraction(len(ball(rho, lam * delta * (1 + eta))), base)
+            lower = 1 - 6 * exact_d * abs(eta)
+            upper = 1 + 6 * exact_d * abs(eta)
+            rows.append(GridPoint(eta, ratio, lower, upper, lower <= ratio <= upper))
+        # ok is exact; the float margin only ranks failures and prints in messages
+        margin = min(min(float(p.upper) - float(p.ratio), float(p.ratio) - float(p.lower))
+                     for p in rows)
         cert = BourgainCertificate(lam, delta, d, tuple(rows), margin)
-        if ok_all:
+        if all(p.ok for p in rows):
             return cert
         if margin > best_margin:
             best_margin, best_cert = margin, cert

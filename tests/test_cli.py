@@ -318,24 +318,44 @@ def test_malformed_group_specs_fail_the_schema():
 
 
 # set specs read their integers as group specs do: a bool is not one, an
-# integral float is; `growth` reads indices and s_indices, `bohr` character indices
+# integral float is; `growth` reads indices and s_indices, `bohr` character
+# indices; both refuse what the schema does not name, and a spec the schema
+# rejects exits 1 with the message given here
+_INTS = "'indices' must be a list of integers"
+_S_INTS = "'s_indices' must be a list of integers"
 _SET_SPECS = [
-    ("growth", {"indices": [True, 0, 7]}),
-    ("growth", {"indices": [1.0, 0, 7]}),
-    ("growth", {"indices": [1.5, 0, 7]}),
-    ("growth", {"indices": [1, 0, 7], "s_indices": [0, False]}),
-    ("growth", {"indices": [1, 0, 7], "s_indices": [0.0, 1.0]}),
-    ("bohr", {"indices": [False, 1]}),
-    ("bohr", {"indices": [0.0, 1.0]}),
+    ("growth", {"indices": [True, 0, 7]}, _INTS),
+    ("growth", {"indices": [1.0, 0, 7]}, None),
+    ("growth", {"indices": [1.5, 0, 7]}, _INTS),
+    ("growth", {"indices": [1, 0, 7], "s_indices": [0, False]}, _S_INTS),
+    ("growth", {"indices": [1, 0, 7], "s_indices": [0.0, 1.0]}, None),
+    ("bohr", {"indices": [False, 1]}, _INTS),
+    ("bohr", {"indices": [0.0, 1.0]}, None),
+    ("bohr", {"indices": [0, 1], "normalise": {}}, "unknown key 'normalise'"),
+    ("growth", {"indices": [0], "s_indices": 5}, _S_INTS),
+    ("growth", {"indices": [1.0, 0, 7], "normalize": {"symmetrize": True}}, None),
+    ("growth", {"indices": [0, 1, 7], "normalize": True}, "'normalize' must be an object"),
+    ("growth", {"indices": [0, 1, 7], "normalize": [True]}, "'normalize' must be an object"),
+    ("growth", {"indices": [0, 1, 7], "normalize": {"symmetrize": "no"}},
+     "'normalize.symmetrize' must be true or false"),
+    ("growth", {"indices": [0, 1, 7], "normalize": {"add_identity": 1}},
+     "'normalize.add_identity' must be true or false"),
+    ("growth", {"indices": [0, 1, 7], "normalise": {"symmetrize": True}},
+     "unknown key 'normalise'"),
+    ("growth", {"indices": [0, 1, 7], "normalize": {"symetrize": True}},
+     "unknown key 'normalize.symetrize'"),
+    ("bohr", {"indices": [0, 1], "s_indices": 5}, _S_INTS),
 ]
 _COMMAND_ARGS = {"growth": ["--nmax", "4"], "bohr": ["--delta", "1/6"]}
 
 
-@pytest.mark.parametrize("command, spec", _SET_SPECS)
-def test_set_spec_exit_code_agrees_with_the_schema(tmp_path, capsys, command, spec):
+@pytest.mark.parametrize("command, spec, message", _SET_SPECS,
+                         ids=[f"{c}-spec{i}" for i, (c, _, _) in enumerate(_SET_SPECS)])
+def test_set_spec_exit_code_agrees_with_the_schema(tmp_path, capsys, command, spec, message):
     import monoball
     schema_path = f"{list(monoball.__path__)[0]}/schemas/set_spec.json"
     validator = jsonschema.Draft7Validator(json.loads(open(schema_path).read()))
+    assert validator.is_valid(spec) == (message is None)
     g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
     args = [command, "--group", g, *_COMMAND_ARGS[command]]
     out = str(tmp_path / "report.json")
@@ -344,11 +364,11 @@ def test_set_spec_exit_code_agrees_with_the_schema(tmp_path, capsys, command, sp
     assert (code == 0) == validator.is_valid(spec), err
     if code == 0:           # the same report as the spec with ints
         report = open(out).read()
-        ints = {k: [int(i) for i in v] for k, v in spec.items()}
+        ints = {k: [int(i) for i in v] if isinstance(v, list) else v for k, v in spec.items()}
         assert cli.main(args + ["--set", _write(tmp_path, "ints.json", ints), "--out", out]) == 0
         assert open(out).read() == report
     else:
-        assert code == 1 and "must be a list of integers" in err
+        assert code == 1 and message in err and "Traceback" not in err
 
 
 def test_cap_exceeded_exit1_with_advice(tmp_path, capsys):

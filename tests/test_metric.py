@@ -112,17 +112,17 @@ def test_validate_norm_class_invariance_witness():
     assert rep.witnesses["class_invariant"] == (1, 3)
 
 
-def _loop_symmetry_and_class_witnesses(rho, tol):
+def _loop_symmetry_and_class_witnesses(rho):
     """Reference: the first x with rho(x) != rho(x^-1), and the first x with a
     conjugate y of other value, the smallest such y."""
     g, v = rho.group, rho.values
     out = {}
-    sym = [x for x in range(g.order) if abs(v[x] - v[g.inv(x)]) > tol]
+    sym = [x for x in range(g.order) if v[x] != v[g.inv(x)]]
     if sym:
         out["symmetric"] = sym[0]
     for x in range(g.order):
         orbit = sorted({g.conj(h, x) for h in range(g.order)})
-        ys = [y for y in orbit if abs(v[x] - v[y]) > tol]
+        ys = [y for y in orbit if v[x] != v[y]]
         if ys:
             out["class_invariant"] = (x, ys[0])
             break
@@ -138,12 +138,9 @@ def test_validate_norm_symmetry_and_class_match_loops(group):
         vals = list(base)
         for x in rng.choice(group.order, size=trial % 4, replace=False):
             vals[x] = Fraction(int(rng.integers(0, 6)), int(rng.integers(1, 4)))
-        if trial % 2:
-            # floats: moves below the tolerance are no moves
-            vals = [float(v) + (1e-13 if i % 3 else 0.0) for i, v in enumerate(vals)]
         rho = PseudoMetricNorm.from_values(group, tuple(vals))
         rep = validate_norm(rho)
-        want = _loop_symmetry_and_class_witnesses(rho, 1e-12 if trial % 2 else 0)
+        want = _loop_symmetry_and_class_witnesses(rho)
         got = {k: w for k, w in rep.witnesses.items() if k in ("symmetric", "class_invariant")}
         assert got == want
         assert rep.symmetric == ("symmetric" not in want)
@@ -160,11 +157,30 @@ def test_ball_membership_exact():
     assert len(ball(rho, Fraction(199, 100))) == 3
 
 
-def test_ball_float_tolerance():
+def test_from_values_takes_rationals_only():
     g = cyclic_group(6)
-    rho = PseudoMetricNorm.from_values(g, (0.0, 0.1, 0.2, 0.3, 0.2, 0.1))
-    b = ball(rho, 0.2)
-    assert b.indices() == (0, 1, 2, 4, 5)
+    for bad in (0.5, True):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            PseudoMetricNorm.from_values(g, (0, 1, bad, 3, 2, 1))
+    with pytest.raises(ValueError, match="integers"):
+        PseudoMetricNorm(g, np.array([0.0, 1.0, 2.0, 3.0, 2.0, 1.0]))
+
+
+def test_from_values_of_numpy_integers_is_exact():
+    g = cyclic_group(6)
+    rho = PseudoMetricNorm.from_values(g, np.array([0, 1, 2, 3, 2, 1]))
+    ints = PseudoMetricNorm.from_values(g, (0, 1, 2, 3, 2, 1))
+    assert rho.scaled.dtype == np.int64 and rho.denom == 1
+    assert rho.scaled.tolist() == ints.scaled.tolist()
+    assert rho.values == ints.values
+
+
+def test_ball_radius_is_rational():
+    rho = PseudoMetricNorm.from_values(cyclic_group(6), (0, 1, 2, 3, 2, 1))
+    with pytest.raises(TypeError):
+        ball(rho, 0.2)
+    # a radius just short of 3 leaves out the elements of norm 3
+    assert ball(rho, Fraction(29999999999999, 10 ** 13)).indices() == (0, 1, 2, 4, 5)
 
 
 def test_ball_axioms_zero_norm():
@@ -256,6 +272,10 @@ def test_bourgain_cyclic101():
     assert 1 < cert.lam <= 2
     assert all(p.ok for p in cert.grid)
     assert cert.margin >= 0
+    # pinned values of the certificate
+    assert (cert.lam, cert.margin) == (Fraction(33, 32), 0.09999999999999998)
+    assert [p.ratio for p in cert.grid[:3]] == [Fraction(29, 33), Fraction(29, 33),
+                                                 Fraction(31, 33)]
     # determinism
     again = bourgain_radius(rho, Fraction(16), d)
     assert again.lam == cert.lam
@@ -268,22 +288,14 @@ def test_bourgain_two_sided_bound_holds():
     cert = bourgain_radius(rho, Fraction(16), d)
     base = len(ball(rho, cert.lam * Fraction(16)))
     for p in cert.grid:
-        size = len(ball(rho, float(cert.lam) * 16 * (1 + p.eta)))
-        assert p.lower - 1e-12 <= size / base <= p.upper + 1e-12
+        size = len(ball(rho, cert.lam * 16 * (1 + p.eta)))
+        assert p.lower <= Fraction(size, base) <= p.upper
 
 
 def test_bourgain_rejects_underreported_dimension():
     rho = _c13_word()
     with pytest.raises(HypothesisError):
         bourgain_radius(rho, 2, 0.5)
-
-
-def test_norm_report_on_float_norm():
-    g = cyclic_group(5)
-    rho = PseudoMetricNorm.from_values(g, (0.0, 1.0, 2.0, 2.0, 1.0))
-    rep = validate_norm(rho)
-    assert rep.valid
-    assert not rho.is_rational
 
 
 def _norms_for_the_scalar_reference():
@@ -298,22 +310,32 @@ def _norms_for_the_scalar_reference():
         yield PseudoMetricNorm.from_values(c36, tuple(
             Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 7))) if rng.random() < 0.8
             else int(rng.integers(0, 3)) for _ in range(36)))
-        yield PseudoMetricNorm.from_values(c36, tuple(rng.choice([0.0, 0.25, 0.5, 1.5], 36)
-                                                      + rng.random(36).round(3)))
+
+
+def _ball_dimension_reference(rho, delta):
+    """The doubling exponent from balls: t runs over the breakpoints and
+    half-breakpoints in (0, delta], ascending, the first maximum kept."""
+    best, witness = 0.0, None
+    for t in sorted({r for v in rho.positive_breakpoints() for r in (v, v / 2) if r <= delta}):
+        d = math.log2(len(ball(rho, 2 * t)) / len(ball(rho, t)))
+        if d > best:
+            best, witness = d, t
+    return best, witness
 
 
 def test_breakpoints_and_balls_match_the_scalar_definitions():
     """The definitions on one scalar per element: breakpoints are the sorted
-    distinct values, and a ball compares each value with delta, exactly for
-    rationals and within 1e-12 once a float appears."""
+    distinct values, a ball compares each value with delta, and the ball
+    dimension is the one read off the balls themselves."""
     for rho in _norms_for_the_scalar_reference():
         values = rho.values
         points = rho.breakpoints()
         assert points == tuple(sorted(set(values)))
-        radii = list(points) + [Fraction(1, 3), Fraction(7, 4), 2, 0.6, 1.2500000000001]
+        radii = list(points) + [Fraction(1, 3), Fraction(7, 4), 2]
         radii += [(a + b) / 2 for a, b in zip(points, points[1:])]
         for delta in radii:
-            exact = rho.is_rational and isinstance(delta, (Fraction, int))
-            want = [x for x, v in enumerate(values)
-                    if (v <= delta if exact else float(v) <= float(delta) + 1e-12)]
+            want = [x for x, v in enumerate(values) if v <= delta]
             assert ball(rho, delta).indices() == tuple(want), (rho.source, delta)
+            if delta > 0:
+                assert ball_dimension(rho, delta) == _ball_dimension_reference(rho, delta), \
+                    (rho.source, delta)
