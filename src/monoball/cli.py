@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -122,13 +123,25 @@ def _set_from_file(group: FiniteGroup, path: Optional[str]) -> tuple[GroupSubset
 
 
 def _charset_from_file(group: FiniteGroup, path: Optional[str]) -> CharSet:
-    """For Bohr-side commands the set spec indexes into Lin(G), sorted by phase tuple."""
-    idx = _set_spec(path)["indices"]
-    count = len(linear_phases(group).keys)
+    """For Bohr-side commands the set spec indexes into Lin(G), sorted by phase
+    tuple. 'symmetrize' adds each character's negation and 'add_identity' the
+    trivial character 0; 'conjugation_close' adds nothing, since conjugation
+    fixes every linear character. There is no S on this side."""
+    spec = _set_spec(path)
+    if "s_indices" in spec:
+        raise InputError(f"bad set spec in {path}: 's_indices' has no meaning for characters")
+    idx = spec["indices"]
+    lp = linear_phases(group)
+    count = len(lp.keys)
     bad = [i for i in idx if not 0 <= i < count]
     if bad:
         raise InputError(
             f"bad set spec in {path}: character indices {bad} outside 0..{count - 1}")
+    norm = spec.get("normalize", {})
+    if norm.get("symmetrize"):
+        idx = idx + lp.negations(idx).tolist()
+    if norm.get("add_identity"):
+        idx = idx + [0]
     return CharSet(group, idx)
 
 
@@ -503,7 +516,11 @@ _HANDLERS = {
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser per process, built on the first `main` call: each
+    `add_argument` reads the terminal size, and `parse_args` leaves the parser
+    as it found it and returns a fresh namespace."""
     p = _Parser(prog="monoball", description="finite-group Bohr set and spectrum experiments")
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--group", help="path to a group spec JSON file")

@@ -219,42 +219,49 @@ def linear_phases(group: FiniteGroup) -> LinearPhases:
 def _linear_phases(group: FiniteGroup) -> LinearPhases:
     ab = abelianization(group)
     q = ab.quotient
-    e = math.lcm(*q.element_orders)
+    n = q.order
 
     # grow a subgroup chain of G^ab by the least coset y outside it (cosets are
     # numbered by least element) and its powers y^0, ..., y^(m-1), y^m the first
-    # one inside, with elems[i] = y_1^c_1 ... y_r^c_r for c = coords[i]. A
-    # character of the chain so far extends to y in m ways, one for each m-th root
-    # of its value at y^m; y^m has order dividing ord(y)/m, so that value is a
-    # multiple of m.
+    # one inside, with elems[i] = y_1^c_1 ... y_r^c_r for c = coords[i]. Phases
+    # are over n = |G^ab| until the chain ends. A character of the chain so far
+    # extends to y in m ways, one for each m-th root of its value at y^m; y^m has
+    # order dividing ord(y)/m, so that value is a multiple of m.
     elems, coords = np.array([q.identity]), np.zeros((1, 0), dtype=np.int64)
-    inside = np.arange(q.order) == q.identity
+    inside = np.arange(n) == q.identity
     keys = np.zeros((1, 0), dtype=np.int64)
     gens = []
-    while len(elems) < q.order:
+    while len(elems) < n:
         y = int(np.argmin(inside))
         powers, step = np.array([q.identity]), y      # y^0, y^1, ... by doubling
         while not inside[new := q.mul(powers, step)].any():
             powers, step = np.concatenate([powers, new]), q.mul(step, step)
         m = len(powers) + int(np.argmax(inside[new]))
         powers = np.concatenate([powers, new])
-        at_y_m = keys @ coords[np.flatnonzero(elems == powers[m])[0]] % e
-        roots = np.repeat(at_y_m // m, m) + np.tile(np.arange(m) * (e // m), len(keys))
+        at_y_m = keys @ coords[np.flatnonzero(elems == powers[m])[0]] % n
+        roots = np.repeat(at_y_m // m, m) + np.tile(np.arange(m) * (n // m), len(keys))
         keys = np.column_stack([np.repeat(keys, m, axis=0), roots])
         elems = q.mul(elems[None, :], powers[:m, None]).ravel()
         coords = np.column_stack([np.tile(coords, (m, 1)), np.repeat(np.arange(m), len(coords))])
         inside[elems] = True
         gens.append(int(ab.section[y]))
-    keys = keys[np.lexsort(keys.T[::-1])] if gens else keys
+    # by induction along the chain every key is n/e times its phases over the
+    # exponent e of G^ab, and some character has order e: so the gcd of n and
+    # every key entry is n/e, and e is read off without any element's order
+    scale = math.gcd(n, int(np.gcd.reduce(keys, axis=None)))
+    keys, e = keys // scale, n // scale
     coords = coords[np.argsort(elems)[np.array(ab.projection)]]
-    # every key is a homomorphism of G: gamma(xs) = gamma(x) + gamma(s) for each
-    # s in a generating set gives it for every product, by induction on word
-    # length. The carries c(xs) - c(x) - c(s) take few distinct values.
-    s = np.array(group.generators, dtype=np.int64)
-    carries = coords[group.mul(slice(None), s)] - coords[:, None] - coords[s]
-    carries = np.unique(carries.reshape(group.order * len(s), len(gens)), axis=0)
-    if (carries @ keys.T % e).any():
-        raise AssertionError(f"{group.name}: a linear character is not a homomorphism")
+    if gens:        # else G^ab is trivial, and so is its one character
+        keys = keys[np.lexsort(keys.T[::-1])]
+        # every key is a homomorphism of G: gamma(xs) = gamma(x) + gamma(s) for
+        # each s in a generating set gives it for every product, by induction on
+        # word length. The carries c(xs) - c(x) - c(s) take few distinct values,
+        # found as distinct byte strings of their int64 rows.
+        s, r = np.array(group.generators, dtype=np.int64), len(gens)
+        carries = (coords[group.mul(slice(None), s)] - coords[:, None] - coords[s]).reshape(-1, r)
+        distinct = np.unique(carries.view(np.dtype((np.void, carries.itemsize * r))))
+        if (distinct.view(np.int64).reshape(-1, r) @ keys.T % e).any():
+            raise AssertionError(f"{group.name}: a linear character is not a homomorphism")
     for table in (keys, coords):
         table.setflags(write=False)
     return LinearPhases(keys, coords, e, tuple(gens), {k.tobytes(): i for i, k in enumerate(keys)})

@@ -263,6 +263,8 @@ def bourgain_radius(rho: PseudoMetricNorm, delta: Scalar, d: float) -> BourgainC
     """A lambda in (1,2] at which the ball measure is stable under small dilations."""
     if not delta > 0:
         raise ValueError("bourgain_radius needs delta > 0")
+    if not math.isfinite(d):
+        raise ValueError(f"bourgain_radius needs a finite d, got d={d}")
     measured, _ = ball_dimension(rho, delta)
     if measured > d + _FLOAT_TOL:
         raise HypothesisError(

@@ -102,6 +102,36 @@ def test_bohr_matches_library(tmp_path, capsys):
     assert report["result"]["ball_indices"] == list(expected.indices())
 
 
+@pytest.mark.parametrize("command", ["bohr", "metric-dim"])
+def test_character_set_honours_normalize(tmp_path, capsys, command):
+    # on C12 character i is x -> i x / 12: the negation of 1 is 11, the trivial one 0
+    g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
+    args = [command, "--group", g, "--delta", "1/6"]
+
+    def report(spec):
+        code, cap, rep = _run(args + ["--set", _write(tmp_path, "set.json", spec)],
+                              tmp_path, capsys)
+        assert code == 0, cap.err
+        return rep
+
+    normal = {"symmetrize": True, "add_identity": True}
+    assert report({"indices": [1], "normalize": normal}) == report({"indices": [0, 1, 11]})
+    assert report({"indices": [1], "normalize": {"conjugation_close": True}}) == \
+        report({"indices": [1]})
+    assert report({"indices": [1], "normalize": normal})["result"]["charset_size"] == 3
+
+
+@pytest.mark.parametrize("command", ["bohr", "metric-dim"])
+def test_character_set_refuses_s_indices(tmp_path, capsys, command):
+    """The schema allows 's_indices' in every set spec; only the character side
+    has no S to read it as."""
+    g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
+    s = _set_file(tmp_path, [0, 1], s_indices=[0, 1])
+    code = cli.main([command, "--group", g, "--set", s, "--delta", "1/6"])
+    err = capsys.readouterr().err
+    assert code == 1 and "'s_indices'" in err and "Traceback" not in err
+
+
 def test_lspec_subgroup(tmp_path, capsys):
     g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
     s = _set_file(tmp_path, [0, 4, 8])
@@ -259,6 +289,21 @@ def test_argument_errors_exit1(tmp_path, capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """`main` reuses one parser: an option given in one call is not a default
+    in the next, and a bad argument after them still exits 1."""
+    g = _group_file(tmp_path, {"type": "cyclic", "n": 128})
+    s = _set_file(tmp_path, [127, 0, 1])
+    args = ["freiman", "--group", g, "--set", s]
+    code, _, report = _run(args + ["--eps", "1/128"], tmp_path, capsys)
+    assert code == 0 and report["result"]["eps"] == "1/128"
+    code, _, report = _run(args, tmp_path, capsys)
+    assert code == 0 and report["result"]["eps"] == "1/492"
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.main(args + ["--k", "abc"]) == 1
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_bad_indices_exit1(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Golden reports: the sha256 of each CLI run's JSON `result` body is pinned.
+"""Golden reports: the sha256 of each CLI run's JSON `result` body is pinned,
+and the file must be the canonical indent-2, ASCII encoding of what it parses to.
 
 A refactor that keeps the reports byte-identical keeps every digest here.
 A digest changes only with a deliberate change to what a report says; record
@@ -172,3 +173,8 @@ def test_golden_report(tmp_path, capsys, run_id, command, group, set_spec, extra
     capsys.readouterr()
     digest = _result_digest(out) if out.exists() else None
     assert (code, digest) == GOLDEN[run_id]
+    if out.exists():        # the bytes written, not only the result they parse to
+        text = out.read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert list(report) == ["tool", "version", "command", "result"]
+        assert text == json.dumps(report, indent=2, ensure_ascii=True) + "\n"

@@ -1,6 +1,7 @@
 import ast
 import gc
 import itertools
+import math
 import pathlib
 import re
 import tracemalloc
@@ -941,6 +942,56 @@ def test_linear_phases_characterise_lin():
         r = rng.choice(len(rows), size=min(3, len(rows)), replace=False)
         c = rng.choice(g.order, size=min(5, g.order), replace=False)
         assert np.array_equal(lp.block(r, c), rows[np.ix_(r, c)]), g.name
+
+
+def _a5():
+    return permutation_group(5, [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]])
+
+
+def _reference_linear_phases(g):
+    """The chain of `linear_phases` run over the exponent of G^ab, taken from
+    its element orders: (exponent, gens, keys, coords)."""
+    ab = abelianization(g)
+    q = ab.quotient
+    e = math.lcm(*q.element_orders)
+    elems, coords = np.array([q.identity]), np.zeros((1, 0), dtype=np.int64)
+    inside = np.arange(q.order) == q.identity
+    keys = np.zeros((1, 0), dtype=np.int64)
+    gens = []
+    while len(elems) < q.order:
+        y = int(np.argmin(inside))
+        powers = [q.identity]
+        while not inside[q.mul(powers[-1], y)]:
+            powers.append(q.mul(powers[-1], y))
+        m = len(powers)
+        at_y_m = keys @ coords[np.flatnonzero(elems == q.mul(powers[-1], y))[0]] % e
+        roots = np.repeat(at_y_m // m, m) + np.tile(np.arange(m) * (e // m), len(keys))
+        keys = np.column_stack([np.repeat(keys, m, axis=0), roots])
+        elems = q.mul(elems[None, :], np.array(powers)[:, None]).ravel()
+        coords = np.column_stack([np.tile(coords, (m, 1)), np.repeat(np.arange(m), len(coords))])
+        inside[elems] = True
+        gens.append(int(ab.section[y]))
+    keys = keys[np.lexsort(keys.T[::-1])] if gens else keys
+    coords = coords[np.argsort(elems)[np.array(ab.projection)]]
+    return e, tuple(gens), keys, coords
+
+
+def test_linear_phases_read_the_exponent_off_the_chain():
+    for g in _lin_groups() + [_a5(), cyclic_group(1)]:
+        lp = linear_phases(g)
+        assert lp.exponent == math.lcm(*abelianization(g).quotient.element_orders), g.name
+        e, gens, keys, coords = _reference_linear_phases(g)
+        assert (lp.exponent, lp.gens) == (e, gens), g.name
+        assert np.array_equal(lp.keys, keys) and lp.keys.shape == keys.shape, g.name
+        assert np.array_equal(lp.coords, coords), g.name
+        assert lp.index_of_key == {k.tobytes(): i for i, k in enumerate(keys)}, g.name
+    assert linear_phases(_a5()).keys.shape == (1, 0)
+
+
+def test_linear_phases_compute_no_element_orders():
+    g = cyclic_group(768)
+    linear_phases(g)
+    assert "element_orders" not in g.__dict__
 
 
 def test_linear_phases_retain_no_phase_matrix():

@@ -298,6 +298,12 @@ def test_bourgain_rejects_underreported_dimension():
         bourgain_radius(rho, 2, 0.5)
 
 
+@pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+def test_bourgain_rejects_a_d_that_is_not_finite(d):
+    with pytest.raises(ValueError, match="finite d"):
+        bourgain_radius(_c13_word(), 2, d)
+
+
 def _norms_for_the_scalar_reference():
     rng = np.random.default_rng(9)
     c36, d12 = cyclic_group(36), dihedral_group(12)
