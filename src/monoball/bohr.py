@@ -14,73 +14,61 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import CapExceededError, FalsifiedError, HypothesisError
-from .groups import FiniteGroup, GroupSubset, product_set
+from .groups import BitSet, FiniteGroup, GroupSubset, product_set
 from .harmonic import LinearCharacter, linear_phases
 from .metric import PseudoMetricNorm, ball
 
 SPAN_GUARD = 20
 
 
-@dataclass(frozen=True)
-class CharSet:
-    """Finite set of degree-one characters over one group, as sorted Lin(G) rows."""
+class CharSet(BitSet):
+    """Set of degree-one characters of one group: bit i is character i of
+    `linear_phases(group)`, so the trivial character is bit 0."""
 
-    group: FiniteGroup
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted({int(i) for i in self.indices})))
+    @classmethod
+    def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "CharSet":
+        count, mask = len(linear_phases(group).keys), 0
+        for i in map(int, indices):
+            if not 0 <= i < count:
+                raise ValueError(f"character index {i} out of range for |Lin(G)| = {count}")
+            mask |= 1 << i
+        return cls(group, mask)
 
     @classmethod
     def build(cls, group: FiniteGroup, chars: Iterable[LinearCharacter]) -> "CharSet":
         chars = list(chars)
         if any(c.group is not group for c in chars):
             raise ValueError("character belongs to a different group")
-        return cls(group, [c.index for c in chars])
+        return cls.from_indices(group, [c.index for c in chars])
 
     @classmethod
     def empty(cls, group: FiniteGroup) -> "CharSet":
-        return cls(group, ())
+        return cls(group, 0)
 
     @classmethod
     def trivial(cls, group: FiniteGroup) -> "CharSet":
-        return cls(group, (0,))
+        return cls(group, 1)
 
     @property
     def chars(self) -> tuple[LinearCharacter, ...]:
-        return tuple(LinearCharacter(self.group, i) for i in self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.chars)
-
-    def __contains__(self, c: LinearCharacter) -> bool:
-        return c.group is self.group and c.index in self.indices
+        return tuple(LinearCharacter(self.group, i) for i in self)
 
     @property
     def contains_identity(self) -> bool:
-        return self.indices[:1] == (0,)
+        return bool(self.mask & 1)
 
     @property
     def symmetric(self) -> bool:
-        return bool(np.isin(linear_phases(self.group).negations(self.indices),
-                            self.indices).all())
-
-    def union(self, other: "CharSet") -> "CharSet":
-        if self.group is not other.group:
-            raise ValueError("character sets over different groups")
-        return CharSet(self.group, self.indices + other.indices)
+        return self.negate().mask == self.mask
 
     def negate(self) -> "CharSet":
-        return CharSet(self.group, linear_phases(self.group).negations(self.indices))
+        return CharSet.from_indices(self.group,
+                                    linear_phases(self.group).negations(self.indices()))
 
 
 def charset_sum(a: CharSet, b: CharSet) -> CharSet:
-    if a.group is not b.group:
-        raise ValueError("character sets over different groups")
-    return CharSet(a.group, linear_phases(a.group).sums(a.indices, b.indices))
+    a._check_same(b)
+    return CharSet.from_indices(a.group, linear_phases(a.group).sums(a.indices(), b.indices()))
 
 
 def kfold_charset(lam: CharSet, k: int) -> CharSet:
@@ -97,8 +85,8 @@ def char_span(x: CharSet) -> CharSet:
     if len(x) > SPAN_GUARD:
         raise CapExceededError(f"char_span refused for |X| = {len(x)} > {SPAN_GUARD}")
     span = CharSet.trivial(x.group)
-    for i, neg in zip(x.indices, linear_phases(x.group).negations(x.indices)):
-        span = charset_sum(span, CharSet(x.group, (0, i, neg)))
+    for i, neg in zip(x, linear_phases(x.group).negations(x.indices())):
+        span = charset_sum(span, CharSet.from_indices(x.group, (0, i, neg)))
     return span
 
 
@@ -122,9 +110,9 @@ def bohr_norm(charset: CharSet) -> PseudoMetricNorm:
     group, lp = charset.group, linear_phases(charset.group)
 
     def numerators():
-        rows = lp.block(charset.indices)
+        rows = lp.block(charset.indices())
         return np.minimum(rows, lp.exponent - rows).max(axis=0, initial=0)
-    return PseudoMetricNorm(group, group.cached("_bohr_norms", numerators, charset.indices),
+    return PseudoMetricNorm(group, group.cached("_bohr_norms", numerators, charset.mask),
                             lp.exponent, "bohr")
 
 
@@ -172,7 +160,7 @@ def cor53_check(lam: CharSet, k: int, delta: Fraction) -> ContractionReport:
     equal = lhs.mask == rhs.mask
     witness = None
     if not equal:
-        diff = (lhs.mask | rhs.mask) & ~(lhs.mask & rhs.mask)
+        diff = lhs.mask ^ rhs.mask
         witness = (diff & -diff).bit_length() - 1
     if hypothesis_ok and not (equal and forward):
         raise FalsifiedError(
@@ -228,20 +216,20 @@ def prop51_check(gamma: CharSet, x: CharSet, delta: Fraction) -> BohrGrowthRepor
     span = char_span(x)
     # hypothesis: Gamma + Gamma inside Span(X) + Gamma, checked as exact char sets
     target = charset_sum(span, gamma)
-    pair_sums = linear_phases(group).sums(gamma.indices, gamma.indices)
-    missing = np.flatnonzero(~np.isin(pair_sums, target.indices))
-    hypothesis_ok = not missing.size
+    pair_sums = linear_phases(group).sums(gamma.indices(), gamma.indices()).tolist()
+    missing = next((k for k, s in enumerate(pair_sums) if s not in target), None)
+    hypothesis_ok = missing is None
     witness = None
-    if missing.size:
-        i, j = divmod(int(missing[0]), len(gamma))
+    if not hypothesis_ok:
+        i, j = divmod(missing, len(gamma))
         witness = (gamma.chars[i].phases, gamma.chars[j].phases)
 
     nx = len(x)
     grid_unit = delta / (4 * nx)
     grid_limit = 16 * nx
 
-    big = linbohr(gamma.union(x), 2 * delta)
-    small = linbohr(gamma.union(x), delta)
+    big = linbohr(gamma | x, 2 * delta)
+    small = linbohr(gamma | x, delta)
     ratio = Fraction(len(big), len(small))
     ratio_bound = (32 * nx + 1) ** nx
 
@@ -250,7 +238,7 @@ def prop51_check(gamma: CharSet, x: CharSet, delta: Fraction) -> BohrGrowthRepor
     # a signed phase s/e in (-1/2, 1/2] rounds half up on the grid to
     # floor((2 s gd + e gn) / (2 e gn)) for grid_unit = gn/gd
     e, gn, gd = linear_phases(group).exponent, grid_unit.numerator, grid_unit.denominator
-    signed = [[p if 2 * p <= e else p - e for p in c.row.tolist()] for c in x]
+    signed = [[p if 2 * p <= e else p - e for p in c.row.tolist()] for c in x.chars]
     classes: dict[tuple[int, ...], int] = {}
     for g in big:
         key = tuple(max(-grid_limit, min(grid_limit, (2 * row[g] * gd + e * gn) // (2 * e * gn)))

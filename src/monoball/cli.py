@@ -142,7 +142,7 @@ def _charset_from_file(group: FiniteGroup, path: Optional[str]) -> CharSet:
         idx = idx + lp.negations(idx).tolist()
     if norm.get("add_identity"):
         idx = idx + [0]
-    return CharSet(group, idx)
+    return CharSet.from_indices(group, idx)
 
 
 def _parse_fraction(text: Optional[str], flag: str) -> Optional[Fraction]:
@@ -242,6 +242,8 @@ def _cmd_group_info(args) -> tuple[str, dict, Optional[list], int]:
 
 
 def _cmd_growth(args) -> tuple[str, dict, Optional[list], int]:
+    if args.nmax is None:
+        raise InputError("growth needs --nmax")
     g = _group_from_file(args.group)
     a, _ = _set_from_file(g, args.set)
     profile, fitted = growth_profile(a, args.nmax)
@@ -285,7 +287,12 @@ def _cmd_chartable(args) -> tuple[str, dict, Optional[list], int]:
 
 def _cmd_monomial(args) -> tuple[str, dict, Optional[list], int]:
     g = _group_from_file(args.group)
-    ok, certs = is_monomial(g, max_order_cap=args.cap)
+    try:
+        ok, certs = is_monomial(g, max_order_cap=args.cap)
+    except CapExceededError as exc:
+        if g.order <= args.cap:     # another cap tripped, which --cap does not move
+            raise
+        raise CapExceededError(f"{exc} (raise --cap to allow a larger search)") from None
     cert_rows = []
     for c in certs:
         cert_rows.append({
@@ -555,11 +562,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CapExceededError as exc:
-        advice = " (raise --cap to allow a larger search)" if args.command == "monomial" else ""
-        print(f"error: {exc}{advice}", file=sys.stderr)
-        return 1
-    except (GroupValidationError, ValueError) as exc:
+    except ValueError as exc:       # GroupValidationError and CapExceededError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except HypothesisError as exc:

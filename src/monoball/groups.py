@@ -7,7 +7,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Self, Sequence, TypeVar
 
 import numpy as np
 
@@ -105,19 +105,64 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+def _bool_mask(bits: np.ndarray) -> int:
+    """The bitmask with bit i set where the bool array `bits` is True."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def _index_mask(indices: np.ndarray, n: int) -> int:
     """The bitmask with bit i set for each i in `indices`, all in 0..n-1."""
     bits = np.zeros(n, dtype=bool)
     bits[indices] = True
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    return _bool_mask(bits)
 
 
 @dataclass(frozen=True)
-class GroupSubset:
-    """Subset of a group's elements stored as a bitmask over indices."""
+class BitSet:
+    """Set of indices stored as a bitmask, bit i for index i. Each kind of set
+    is a subclass; two sets combine only if of one kind over one group."""
 
     group: FiniteGroup
     mask: int
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __contains__(self, index: int) -> bool:
+        return bool((self.mask >> index) & 1)
+
+    def __iter__(self) -> Iterator[int]:
+        m = self.mask
+        while m:
+            b = m & -m
+            yield b.bit_length() - 1
+            m ^= b
+
+    def indices(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    def __or__(self, other: Self) -> Self:
+        self._check_same(other)
+        return type(self)(self.group, self.mask | other.mask)
+
+    def __and__(self, other: Self) -> Self:
+        self._check_same(other)
+        return type(self)(self.group, self.mask & other.mask)
+
+    def is_subset_of(self, other: Self) -> bool:
+        self._check_same(other)
+        return self.mask & ~other.mask == 0
+
+    def _check_same(self, other: Self) -> None:
+        if type(self) is not type(other):
+            raise ValueError(f"cannot combine a {type(self).__name__} "
+                             f"with a {type(other).__name__}")
+        if self.group is not other.group:
+            raise ValueError("subsets belong to different groups")
+
+
+class GroupSubset(BitSet):
+    """Subset of a group's elements: bit i is element i."""
 
     @classmethod
     def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "GroupSubset":
@@ -136,41 +181,9 @@ class GroupSubset:
     def identity_only(cls, group: FiniteGroup) -> "GroupSubset":
         return cls(group, 1 << group.identity)
 
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, index: int) -> bool:
-        return bool((self.mask >> index) & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            b = m & -m
-            yield b.bit_length() - 1
-            m ^= b
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def __or__(self, other: "GroupSubset") -> "GroupSubset":
-        self._check_same(other)
-        return GroupSubset(self.group, self.mask | other.mask)
-
-    def __and__(self, other: "GroupSubset") -> "GroupSubset":
-        self._check_same(other)
-        return GroupSubset(self.group, self.mask & other.mask)
-
-    def is_subset_of(self, other: "GroupSubset") -> bool:
-        self._check_same(other)
-        return self.mask & ~other.mask == 0
-
     def inverse(self) -> "GroupSubset":
         idx = np.fromiter(self, dtype=np.int64, count=len(self))
         return GroupSubset(self.group, _index_mask(self.group.inv(idx), self.group.order))
-
-    def _check_same(self, other: "GroupSubset") -> None:
-        if self.group is not other.group:
-            raise ValueError("subsets belong to different groups")
 
     def __repr__(self) -> str:
         return f"GroupSubset(n={len(self)} of {self.group.name})"

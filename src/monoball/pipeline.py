@@ -27,8 +27,8 @@ class PipelineConfig:
     epsilon_override: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.constant_c <= 0:
-            raise ValueError("constant_c must be positive")
+        if not 0 < self.constant_c < math.inf:      # false for nan too
+            raise ValueError(f"constant_c must be positive and finite, not {self.constant_c}")
         if self.n_max < 4:
             raise ValueError("n_max must be at least 4")
 
@@ -215,8 +215,8 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
 
     spec = large_spectrum(a_l, eps)
     spec_wide = large_spectrum(a_l, 2 * eps)
-    union = spec.members.union(x)
-    in_wide = all(c in spec_wide.members for c in union)
+    union = spec.members | x
+    in_wide = union.is_subset_of(spec_wide.members)
     checks = [StageCheck("LSpec(eps) and X inside LSpec(2 eps)",
                          len(union), len(spec_wide.members), in_wide)]
 

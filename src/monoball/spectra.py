@@ -19,8 +19,8 @@ import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import FalsifiedError
-from .groups import (SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, closure, is_supersolvable,
-                     power_chain, product_set)
+from .groups import (SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, _bool_mask, closure,
+                     is_supersolvable, power_chain, product_set)
 from .harmonic import (
     _SPEC_RAD_TOL,
     ClassFunction,
@@ -190,10 +190,9 @@ def _lspec(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
         if key not in decided:
             decided[key] = _exact_at_least(reduced, threshold)
         verdict[i] = decided[key]
-    members = np.flatnonzero(verdict).tolist()
-    charset = CharSet(group, members)
-    assert charset.contains_identity   # hat 1_A(0) = P(A) clears every threshold
-    return LargeSpectrum(a, eps, charset, tuple(mags.transform_abs(i) for i in members),
+    members = CharSet(group, _bool_mask(verdict))
+    assert members.contains_identity   # hat 1_A(0) = P(A) clears every threshold
+    return LargeSpectrum(a, eps, members, tuple(mags.transform_abs(i) for i in members),
                          threshold)
 
 
@@ -388,7 +387,7 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     # power, u = 2^-53; fsum and float(mid) add u of each side. Beyond that the
     # estimate decides.
     mags = group.cached("_fourier_magnitudes", lambda: FourierMagnitudes(a), a.mask)
-    members = _lspec(a, eta).members.indices
+    members = _lspec(a, eta).members.indices()
     sq = len(a) ** 2
     x = mags.estimates[list(members)] / sq
     lhs_units = math.fsum(np.prod(np.tile(x, (k, 1)), axis=0))
@@ -440,15 +439,13 @@ def chang_cover(s: CharSet, t: CharSet, r: int) -> ChangCover:
     """Greedily absorb elements of S not reachable from Span(X) + T - T."""
     if len(s) == 0 or len(t) == 0:
         raise ValueError("chang_cover needs nonempty character sets")
-    chosen: list[int] = []
+    x = CharSet.empty(s.group)
     t_diff = charset_sum(t, t.negate())
     covered = t_diff
-    while missing := [i for i in s.indices if i not in covered.indices]:
-        chosen.append(missing[0])
-        covered = charset_sum(char_span(CharSet(s.group, chosen)), t_diff)
-    x = CharSet(s.group, chosen)
-    covering_ok = set(s.indices) <= set(covered.indices)
-    return ChangCover(x, r, len(x) <= r, covering_ok)
+    while missing := s.mask & ~covered.mask:
+        x = x | CharSet(s.group, missing & -missing)      # the least uncovered index
+        covered = charset_sum(char_span(x), t_diff)
+    return ChangCover(x, r, len(x) <= r, s.is_subset_of(covered))
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +480,8 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("lspec_doubling_cover needs eps in (0, 1]")
-    if d < 1:
-        raise ValueError("lspec_doubling_cover needs d >= 1")
+    if not 1 <= d < math.inf:       # false for nan too
+        raise ValueError(f"lspec_doubling_cover needs a finite d >= 1, got d={d}")
     records = standing_hypotheses(group, s, a)
 
     chain = power_chain(a)
@@ -539,7 +536,7 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     spec = _lspec(a, eps)
     lhs = charset_sum(spec.members, spec.members)
     rhs = charset_sum(char_span(cover.x), spec.members)
-    covering_ok = set(lhs.indices) <= set(rhs.indices)
+    covering_ok = lhs.is_subset_of(rhs)
     report = DoublingReport(records, eps, d, "covered", found_r, k_eta_d,
                             tuple(window_rows), clipped, tuple(scan_rows),
                             cover.x, covering_ok, None)

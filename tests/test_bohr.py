@@ -62,6 +62,45 @@ def test_charset_dedup_and_flags():
     assert not t.symmetric and not t.contains_identity
 
 
+def test_charset_from_indices_dedupes_and_iterates_ascending():
+    g = cyclic_group(12)
+    s = CharSet.from_indices(g, [7, 3, 7, 0, 3])
+    assert len(s) == 3 and list(s) == [0, 3, 7] and s.indices() == (0, 3, 7)
+    assert s.mask == 0b10001001
+    assert [c.index for c in s.chars] == [0, 3, 7]
+    assert 3 in s and 4 not in s
+    assert s == CharSet.from_indices(g, np.array([0, 7, 3]))
+
+
+@pytest.mark.parametrize("index", [-1, 12])
+def test_charset_from_indices_rejects_an_index_outside_lin_g(index):
+    with pytest.raises(ValueError, match=rf"character index {index} out of range "
+                                         r"for \|Lin\(G\)\| = 12"):
+        CharSet.from_indices(cyclic_group(12), (index,))
+
+
+def test_charset_set_operations_match_the_index_sets():
+    g = cyclic_group(12)
+    a, b = CharSet.from_indices(g, [0, 1, 5]), CharSet.from_indices(g, [1, 5, 9])
+    assert (a | b).indices() == (0, 1, 5, 9) and isinstance(a | b, CharSet)
+    assert (a & b).indices() == (1, 5) and isinstance(a & b, CharSet)
+    assert (a & b).is_subset_of(a) and not a.is_subset_of(b)
+    assert CharSet.empty(g).is_subset_of(a) and CharSet.trivial(g).is_subset_of(a)
+
+
+def test_charsets_refuse_element_sets_and_other_groups():
+    g, h = cyclic_group(12), cyclic_group(12)
+    chars, elements = CharSet.from_indices(g, [0, 1]), GroupSubset.from_indices(g, [0, 1])
+    other = CharSet.from_indices(h, [0, 1])
+    for op in (lambda x, y: x | y, lambda x, y: x & y, lambda x, y: x.is_subset_of(y)):
+        for x, y in ((chars, elements), (elements, chars)):
+            with pytest.raises(ValueError, match="cannot combine"):
+                op(x, y)
+        with pytest.raises(ValueError, match="different groups"):
+            op(chars, other)
+    assert chars != elements
+
+
 def test_bohr_norm_canonical_cyclic36():
     g = cyclic_group(36)
     canon = _lin_by_phase(g, Fraction(1, 36))
@@ -135,7 +174,8 @@ def _random_charsets():
     for g in groups:
         n_lin = len(linear_phases(g).keys)
         for size in (1, 2, 3, 4):
-            yield CharSet(g, rng.choice(n_lin, size=min(size, n_lin), replace=False))
+            yield CharSet.from_indices(g, rng.choice(n_lin, size=min(size, n_lin),
+                                                     replace=False))
 
 
 def test_linbohr_squared_matches_the_squared_rule_at_nonsquare_radii():
@@ -177,7 +217,7 @@ def test_freiman_ball_computes_each_bohr_norm_once_unvalidated(monkeypatch):
             return self.lp.block(rows, cols)
 
     def recording_norm(charset):
-        seen.add(charset.indices)
+        seen.add(charset.indices())
         return norm(charset)
 
     for name, module in list(sys.modules.items()):
@@ -206,7 +246,8 @@ def test_char_span_examples():
     assert len(char_span(CharSet.empty(g))) == 1
     lam = _lin_by_phase(g, Fraction(1, 12))
     sp1 = char_span(CharSet.build(g, [lam]))
-    assert sorted(c.phases[1] for c in sp1) == [Fraction(0), Fraction(1, 12), Fraction(11, 12)]
+    assert sorted(c.phases[1] for c in sp1.chars) == [Fraction(0), Fraction(1, 12),
+                                                      Fraction(11, 12)]
     sp2 = char_span(CharSet.build(g, [lam, _lin_by_phase(g, Fraction(4, 12))]))
     assert len(sp2) == 9
 
@@ -223,7 +264,7 @@ def test_kfold_charset():
     lam = CharSet.build(g, [_trivial(g), _lin_by_phase(g, Fraction(1, 10))])
     assert kfold_charset(lam, 1).chars == lam.chars
     k3 = kfold_charset(lam, 3)
-    assert sorted(c.phases[1] for c in k3) == [Fraction(0), Fraction(1, 10),
+    assert sorted(c.phases[1] for c in k3.chars) == [Fraction(0), Fraction(1, 10),
                                                Fraction(2, 10), Fraction(3, 10)]
     only_triv = CharSet.trivial(g)
     assert kfold_charset(only_triv, 5).chars == only_triv.chars

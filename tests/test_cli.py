@@ -425,13 +425,36 @@ def test_cap_exceeded_exit1_with_advice(tmp_path, capsys):
 
 
 def test_cap_advice_only_where_cap_applies(tmp_path, capsys):
-    # the character-table cap is fixed; --cap moves only the monomial search
+    # the character-table cap is fixed; --cap moves only the monomial search,
+    # so a monomial run that clears --cap and trips the table cap gets no advice
     g = _group_file(tmp_path, {"type": "cyclic", "n": 300})
-    code = cli.main(["chartable", "--group", g, "--cap", "1000"])
-    cap = capsys.readouterr()
-    assert code == 1
-    assert "refused at order 300 > 256" in cap.err
-    assert "--cap" not in cap.err
+    for command in ("chartable", "monomial"):
+        code = cli.main([command, "--group", g, "--cap", "1000"])
+        cap = capsys.readouterr()
+        assert code == 1
+        assert "refused at order 300 > 256" in cap.err
+        assert "--cap" not in cap.err
+
+
+def test_growth_without_nmax_exit1(tmp_path, capsys):
+    g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
+    s = _set_file(tmp_path, [0, 4, 8])
+    code = cli.main(["growth", "--group", g, "--set", s])
+    err = capsys.readouterr().err
+    assert code == 1 and "growth needs --nmax" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command, flag, message", [
+    ("cover", "--d", "finite d"),
+    ("freiman", "--constant-c", "constant_c must be positive and finite"),
+], ids=["cover-d", "freiman-constant-c"])
+def test_non_finite_float_option_exit1(tmp_path, capsys, value, command, flag, message):
+    g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
+    s = _set_file(tmp_path, [0, 4, 8])
+    code = cli.main([command, "--group", g, "--set", s, "--eps", "1/8", f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert code == 1 and message in err and "Traceback" not in err
 
 
 def test_bad_eps_exit1(tmp_path, capsys):

@@ -310,8 +310,8 @@ def _norms_for_the_scalar_reference():
     yield zero_norm(c36)
     yield word_norm(d12, GroupSubset.from_indices(d12, [1, 5, 6]))
     yield subgroup_indicator_norm(c36, closure(c36, [9]))
-    yield bohr_norm(CharSet(c36, (0, 5, 31)))
-    yield bohr_norm(CharSet(heisenberg_group(3), (1, 2, 4)))
+    yield bohr_norm(CharSet.from_indices(c36, (0, 5, 31)))
+    yield bohr_norm(CharSet.from_indices(heisenberg_group(3), (1, 2, 4)))
     for _ in range(3):
         yield PseudoMetricNorm.from_values(c36, tuple(
             Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 7))) if rng.random() < 0.8

@@ -247,8 +247,9 @@ def test_freiman_epsilon_override_and_config_guards():
         freiman_ball(g, a, PipelineConfig(epsilon_override=Fraction(1, 64)))
     with pytest.raises(ValueError):
         PipelineConfig(n_max=3)
-    with pytest.raises(ValueError):
-        PipelineConfig(constant_c=0.0)
+    for c in (0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="constant_c must be positive and finite"):
+            PipelineConfig(constant_c=c)
     with pytest.raises(ValueError):
         freiman_ball(g, _subset(g, [0, 1]))   # not symmetric
 

@@ -79,7 +79,7 @@ def test_lspec_cyclic12_subgroup_every_radius():
     a = _subset(g, [0, 4, 8])
     for eps in (Fraction(1, 100), Fraction(1, 2), Fraction(1), Fraction(7, 5)):
         spec = large_spectrum(a, eps)
-        assert sorted(_char_freq(g, c) for c in spec.members) == [0, 3, 6, 9]
+        assert sorted(_char_freq(g, c) for c in spec.members.chars) == [0, 3, 6, 9]
         assert all(v == pytest.approx(0.25, abs=1e-12) for v in spec.values)
 
 
@@ -99,8 +99,20 @@ def test_lspec_trivial_member_and_value():
     a = normalize_set(_subset(g, [1, 8]), symmetrize=True, add_identity=True)
     spec = large_spectrum(a, Fraction(1, 3))
     assert spec.members.contains_identity
-    triv = next(i for i, c in enumerate(spec.members) if c.is_trivial)
+    triv = next(i for i, c in enumerate(spec.members.chars) if c.is_trivial)
     assert spec.values[triv] == pytest.approx(len(a) / 12, abs=1e-12)
+
+
+def test_lspec_values_follow_members_in_ascending_index_order():
+    g = cyclic_group(16)
+    a = _subset(g, [15, 0, 1, 5])
+    mags = FourierMagnitudes(a)
+    for eps in (Fraction(1, 4), Fraction(3, 4), Fraction(5, 4)):
+        spec = large_spectrum(a, eps)
+        idx = spec.members.indices()
+        assert list(idx) == sorted(idx) == list(spec.members)
+        assert len(spec.values) == len(idx)
+        assert spec.values == tuple(mags.transform_abs(i) for i in idx)
 
 
 def test_lspec_heisenberg_center_annihilator():
@@ -110,7 +122,7 @@ def test_lspec_heisenberg_center_annihilator():
     assert len(spec.members) == 9
     assert all(v == pytest.approx(1 / 9, abs=1e-12) for v in spec.values)
     # every member is constant 1 on the center
-    for c in spec.members:
+    for c in spec.members.chars:
         assert all(c.phases[x] == 0 for x in center)
 
 
@@ -120,7 +132,7 @@ def test_lspec_monotone_in_radius():
     prev = None
     for i in range(1, 12):
         spec = large_spectrum(a, Fraction(i, 8))
-        cur = {c.phases for c in spec.members}
+        cur = {c.phases for c in spec.members.chars}
         if prev is not None:
             assert prev <= cur
         prev = cur
@@ -144,7 +156,7 @@ def test_lspec_matches_float_oracle_on_cyclic16():
     for i in (1, 2, 3, 5, 8, 11):
         eps = Fraction(i, 8)
         spec = large_spectrum(a, eps)
-        got = sorted(_char_freq(g, c) for c in spec.members)
+        got = sorted(_char_freq(g, c) for c in spec.members.chars)
         assert got == _brute_lspec(g, [14, 15, 0, 1, 2], eps)
 
 
@@ -180,7 +192,7 @@ def test_lspec_matches_100_digit_oracle(case):
     g = cyclic_group(n)
     spec = large_spectrum(_subset(g, ids), eps)
     lp = linear_phases(g)
-    members = set(spec.members.indices)
+    members = set(spec.members.indices())
     with mpmath.workdps(100):
         thr = mpmath.mpf(spec.threshold_sq.numerator) / spec.threshold_sq.denominator
         for i, row in enumerate(lp.block()):
@@ -189,7 +201,7 @@ def test_lspec_matches_100_digit_oracle(case):
             if abs(value - thr) > mpmath.mpf("1e-60"):
                 assert (i in members) == (value > thr), (i, value, thr)
             if i in members:
-                v = spec.values[spec.members.indices.index(i)]
+                v = spec.values[spec.members.indices().index(i)]
                 assert v == pytest.approx(float(mpmath.sqrt(value)) / n, rel=1e-12, abs=1e-15)
 
 
@@ -210,7 +222,7 @@ def test_lspec_ties_are_members(monkeypatch):
     assert len(spec.members) == 8
     assert len(verdicts) >= 1 and all(verdicts)     # the ties were decided exactly
     spec = large_spectrum(a, Fraction(13, 10))
-    assert sorted(_char_freq(g, c) for c in spec.members) == [0, 2, 6]
+    assert sorted(_char_freq(g, c) for c in spec.members.chars) == [0, 2, 6]
     # the tie value is rational, so it is exact though the phases are eighths
     mags = FourierMagnitudes(a)
     odd = next(i for i, lam in enumerate(linear_characters(g)) if _char_freq(g, lam) == 1)
@@ -222,7 +234,7 @@ def test_lspec_ties_are_members(monkeypatch):
     a = _subset(g, [0, 9, 13])
     spec = large_spectrum(a, Fraction(4, 3))
     low = [i for i, est in enumerate(FourierMagnitudes(a).estimates) if 1 - 1e-12 < est < 1]
-    assert low and set(low) <= set(spec.members.indices)
+    assert low and set(low) <= set(spec.members.indices())
 
 
 def test_exact_comparison_separates_near_ties():
@@ -550,7 +562,7 @@ def test_chang_cover_singleton():
     s = CharSet.build(g, [_cyc_char(g, 5)])
     t = CharSet.trivial(g)
     cover = chang_cover(s, t, 1)
-    assert [_char_freq(g, c) for c in cover.x] == [5]
+    assert [_char_freq(g, c) for c in cover.x.chars] == [5]
     assert cover.within_bound and cover.covering_ok
 
 
@@ -559,7 +571,7 @@ def test_chang_cover_reports_bound_violation():
     s = CharSet.build(g, [_cyc_char(g, k) for k in (1, 2, 3, 4, 5)])
     t = CharSet.trivial(g)
     cover = chang_cover(s, t, 1)
-    assert sorted(_char_freq(g, c) for c in cover.x) == [1, 2, 4]
+    assert sorted(_char_freq(g, c) for c in cover.x.chars) == [1, 2, 4]
     assert not cover.within_bound
     assert cover.covering_ok
 
@@ -575,7 +587,7 @@ def test_chang_cover_random_with_integer_oracle():
         cover = chang_cover(s, t, 6)
         assert cover.covering_ok
         # integer-arithmetic re-verification of the covering
-        x_ids = [_char_freq(g, c) for c in cover.x]
+        x_ids = [_char_freq(g, c) for c in cover.x.chars]
         span = {0}
         for k in x_ids:
             span = {(a + e) % 64 for a in span for e in (0, k, -k)}
@@ -617,6 +629,18 @@ def test_doubling_small_branch_when_scan_empty():
     assert rep.scan == ()
     assert rep.eps_inverse == 4
     assert rep.x is None
+
+
+@pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+def test_doubling_rejects_a_d_that_is_not_finite_before_any_work(monkeypatch, d):
+    def no_work(*args):
+        raise AssertionError("standing hypotheses checked before d")
+
+    monkeypatch.setattr(spectra, "standing_hypotheses", no_work)
+    g = cyclic_group(12)
+    with pytest.raises(ValueError, match="finite d"):
+        lspec_doubling_cover(g, _subset(g, [0, 4, 8]), _subset(g, [0, 4, 8]),
+                             Fraction(1, 8), d)
 
 
 def test_doubling_cyclic128_interval():
