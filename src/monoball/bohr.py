@@ -25,14 +25,11 @@ class CharSet(BitSet):
     """Set of degree-one characters of one group: bit i is character i of
     `linear_phases(group)`, so the trivial character is bit 0."""
 
-    @classmethod
-    def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "CharSet":
-        count, mask = len(linear_phases(group).keys), 0
-        for i in map(int, indices):
-            if not 0 <= i < count:
-                raise ValueError(f"character index {i} out of range for |Lin(G)| = {count}")
-            mask |= 1 << i
-        return cls(group, mask)
+    _out_of_range = "character index {i} out of range for |Lin(G)| = {n}"
+
+    @staticmethod
+    def _size(group: FiniteGroup) -> int:
+        return len(linear_phases(group).keys)
 
     @classmethod
     def build(cls, group: FiniteGroup, chars: Iterable[LinearCharacter]) -> "CharSet":

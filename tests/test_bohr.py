@@ -9,6 +9,7 @@ import pytest
 from monoball import bohr, pipeline
 from monoball.errors import CapExceededError, HypothesisError
 from monoball.groups import (
+    OR_BUILD_LIMIT,
     GroupSubset,
     cyclic_group,
     dihedral_group,
@@ -77,6 +78,29 @@ def test_charset_from_indices_rejects_an_index_outside_lin_g(index):
     with pytest.raises(ValueError, match=rf"character index {index} out of range "
                                          r"for \|Lin\(G\)\| = 12"):
         CharSet.from_indices(cyclic_group(12), (index,))
+
+
+@pytest.mark.parametrize("kind, message", [(CharSet, r"character index {} out of range "
+                                                     r"for \|Lin\(G\)\| = 300"),
+                                           (GroupSubset, "element index {} out of range "
+                                                         "for order 300")])
+@pytest.mark.parametrize("count", [OR_BUILD_LIMIT - 1, OR_BUILD_LIMIT, 255])
+def test_from_indices_is_one_build_for_both_kinds_on_either_side_of_the_or_limit(
+        kind, message, count):
+    g = cyclic_group(300)
+    rng = np.random.default_rng(count)
+    idx = rng.integers(0, 300, count)
+    want = sum(1 << i for i in set(idx.tolist()))
+    for given in (idx, idx.tolist(), iter(idx.tolist())):
+        built = kind.from_indices(g, given)
+        assert type(built) is kind and built.mask == want
+        assert list(built) == sorted(set(idx.tolist()))
+    for bad in (-1, 300):
+        given = np.append(idx, bad)
+        with pytest.raises(ValueError, match=message.format(bad)):
+            kind.from_indices(g, given)
+        with pytest.raises(ValueError, match=message.format(bad)):
+            kind.from_indices(g, given.tolist())
 
 
 def test_charset_set_operations_match_the_index_sets():

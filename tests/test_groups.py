@@ -822,6 +822,23 @@ def test_only_groups_reads_the_table():
     assert reads == []
 
 
+def test_package_imports_nothing_newer_than_python_3_10():
+    """pyproject allows Python 3.10, so no module may import a `typing` name or
+    a stdlib module that first appeared in 3.11 or later."""
+    newer = {"Self", "LiteralString", "Never", "assert_never", "assert_type", "reveal_type",
+             "Required", "NotRequired", "TypeVarTuple", "Unpack", "dataclass_transform",
+             "get_overloads", "clear_overloads", "override", "TypeAliasType", "ReadOnly",
+             "TypeIs", "tomllib"}
+    src = pathlib.Path(groups.__file__).parent
+    found = [f"{path.name}:{node.lineno} {alias.name}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names
+             if alias.name in newer or (isinstance(node, ast.ImportFrom)
+                                        and node.module == "tomllib")]
+    assert found == []
+
+
 def test_is_abelian_on_the_generators_matches_the_whole_table():
     verdicts = []
     for g in _suite_groups():
