@@ -7,9 +7,8 @@ decision and every set identity here is exact, never tolerance-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -132,8 +131,7 @@ def linbohr_squared(charset: CharSet, delta_sq: Fraction) -> GroupSubset:
 # Corollary-style contraction
 
 
-@dataclass(frozen=True, eq=False)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     hypothesis_ok: bool
     k_delta: Fraction
     forward_inclusion: bool
@@ -173,16 +171,14 @@ def cor53_check(lam: CharSet, k: int, delta: Fraction) -> ContractionReport:
 # growth of structured Bohr sets
 
 
-@dataclass(frozen=True, eq=False)
-class ChainStep:
+class ChainStep(NamedTuple):
     name: str
     holds: bool
     hypothesis_status: str   # "unconditional" | "holds" | "fails"
     note: str = ""
 
 
-@dataclass(frozen=True, eq=False)
-class BohrGrowthReport:
+class BohrGrowthReport(NamedTuple):
     hypothesis_ok: bool
     hypothesis_witness: Optional[tuple]
     delta: Fraction

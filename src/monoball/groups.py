@@ -7,7 +7,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -230,8 +230,7 @@ class ConjugacyPartition:
         return tuple(c[0] for c in self.classes)
 
 
-@dataclass(frozen=True, eq=False)
-class Subgroup:
+class Subgroup(NamedTuple):
     elements: GroupSubset
     index_in_parent: int
 
@@ -239,8 +238,7 @@ class Subgroup:
         return len(self.elements)
 
 
-@dataclass(frozen=True, eq=False)
-class SubgroupView:
+class SubgroupView(NamedTuple):
     """A subgroup rebuilt as a standalone group, with index maps to the parent."""
 
     parent: FiniteGroup
@@ -249,8 +247,7 @@ class SubgroupView:
     from_parent: dict
 
 
-@dataclass(frozen=True, eq=False)
-class Quotient:
+class Quotient(NamedTuple):
     """G/N with the projection G -> G/N and the least element of each coset."""
 
     kernel: GroupSubset
@@ -260,6 +257,8 @@ class Quotient:
 
 
 class Abelianization(Quotient):
+    __slots__ = ()
+
     @property
     def commutator(self) -> GroupSubset:
         return self.kernel
@@ -776,7 +775,7 @@ def quotient(group: FiniteGroup, normal: GroupSubset) -> Quotient:
 
 
 def abelianization(group: FiniteGroup) -> Abelianization:
-    return Abelianization(**vars(quotient(group, commutator_subgroup(group))))
+    return Abelianization(*quotient(group, commutator_subgroup(group)))
 
 
 def _prime_base(k: int) -> int:

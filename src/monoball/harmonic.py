@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -119,8 +119,7 @@ class LinearCharacter:
             raise AssertionError(f"phase additivity fails at ({x},{y})")
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     group: FiniteGroup
     partition: ConjugacyPartition
     characters: tuple[ClassFunction, ...]
@@ -135,8 +134,7 @@ class CharacterTable:
         return self.characters[i].values[list(reps)]
 
 
-@dataclass(frozen=True, eq=False)
-class FourierScalar:
+class FourierScalar(NamedTuple):
     gamma: ClassFunction
     dim: int
     mu: complex
@@ -146,8 +144,7 @@ class FourierScalar:
         return abs(self.mu)
 
 
-@dataclass(frozen=True, eq=False)
-class MonomialCertificate:
+class MonomialCertificate(NamedTuple):
     char_index: int
     dim: int
     matched: bool
@@ -155,16 +152,14 @@ class MonomialCertificate:
     linear: Optional[LinearCharacter]
 
 
-@dataclass(frozen=True, eq=False)
-class LinearityScanRow:
+class LinearityScanRow(NamedTuple):
     char_index: int
     dim: int
     spec_rad: float
     exceeds_threshold: bool
 
 
-@dataclass(frozen=True, eq=False)
-class LinearityScanReport:
+class LinearityScanReport(NamedTuple):
     threshold: Fraction
     rows: tuple[LinearityScanRow, ...]
     hypothesis_violations: tuple[str, ...]

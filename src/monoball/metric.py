@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,31 +61,28 @@ class PseudoMetricNorm:
         return tuple(Fraction(x, self.denom) for x in v.tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class NormReport:
+class NormReport(NamedTuple):
     valid: bool
     zero_at_identity: bool
     symmetric: bool
     class_invariant: bool
     subadditive: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
 
-@dataclass(frozen=True, eq=False)
-class BallAxiomsReport:
+class BallAxiomsReport(NamedTuple):
     symmetric_ok: bool
     nesting_ok: bool
     subadditive_ok: bool
     normal_ok: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
     @property
     def all_ok(self) -> bool:
         return self.symmetric_ok and self.nesting_ok and self.subadditive_ok and self.normal_ok
 
 
-@dataclass(frozen=True, eq=False)
-class GridPoint:
+class GridPoint(NamedTuple):
     eta: Fraction
     ratio: Fraction
     lower: Fraction
@@ -93,8 +90,7 @@ class GridPoint:
     ok: bool
 
 
-@dataclass(frozen=True, eq=False)
-class BourgainCertificate:
+class BourgainCertificate(NamedTuple):
     lam: Scalar
     delta: Scalar
     d: float

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bohr import CharSet, linbohr, linbohr_squared, bohr_norm
 from .errors import FalsifiedError
@@ -33,24 +33,21 @@ class PipelineConfig:
             raise ValueError("n_max must be at least 4")
 
 
-@dataclass(frozen=True, eq=False)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     stage: str
     hypothesis: str
     status: str            # holds | fails | clipped | unchecked
     witness: str = ""
 
 
-@dataclass(frozen=True, eq=False)
-class StageCheck:
+class StageCheck(NamedTuple):
     name: str
     lhs_size: int
     rhs_size: int
     ok: bool
 
 
-@dataclass(frozen=True, eq=False)
-class Prop81Report:
+class Prop81Report(NamedTuple):
     a: GroupSubset
     l: int
     eps: Fraction
@@ -61,8 +58,7 @@ class Prop81Report:
     contained: bool
 
 
-@dataclass(frozen=True, eq=False)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     group: FiniteGroup
     restricted: bool
     working_order: int

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .groups import GroupSubset, conjugates, normality_witness, power_chain, product_set
 
 
-@dataclass(frozen=True, eq=False)
-class GrowthProfile:
+class GrowthProfile(NamedTuple):
     """Sizes of the powers A^n; index n of `sizes` is the n-th power, sizes[0] = 1."""
 
     base_size: int
@@ -19,31 +17,27 @@ class GrowthProfile:
     saturated_at: Optional[int]
 
 
-@dataclass(frozen=True, eq=False)
-class FittedGrowth:
+class FittedGrowth(NamedTuple):
     d: float
     witness_n: Optional[int]
 
 
-@dataclass(frozen=True, eq=False)
-class CoveringCertificate:
+class CoveringCertificate(NamedTuple):
     cover_set: GroupSubset
     separation_ok: bool
     inclusion_ok: bool
 
 
-@dataclass(frozen=True, eq=False)
-class SetPredicates:
+class SetPredicates(NamedTuple):
     symmetric: bool
     contains_identity: bool
     normal: bool
     doubling: Fraction
     tripling: Fraction
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
 
-@dataclass(frozen=True, eq=False)
-class AppendixGrowthRow:
+class AppendixGrowthRow(NamedTuple):
     n: int
     size_a_n: int
     size_d_n: int
@@ -51,8 +45,7 @@ class AppendixGrowthRow:
     inclusion_ok: bool
 
 
-@dataclass(frozen=True, eq=False)
-class AppendixGrowthReport:
+class AppendixGrowthReport(NamedTuple):
     tripling: Fraction
     cover: CoveringCertificate
     cover_sizes: tuple[int, ...]

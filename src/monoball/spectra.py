@@ -3,20 +3,22 @@
 Membership and energy verdicts are exact: a squared character-sum magnitude is
 an element of Z[zeta_e], e the exponent of G^ab, whose float64 estimate has a
 proven error bound; comparisons within that bound are decided in Z[zeta_e],
-where a tie counts as >=. mpmath precision is only ever set locally.
+where a tie counts as >=.
+
+The cos(2 pi k/e) table behind every estimate, and floor(e/(2 pi)), are
+computed in 128-bit integer fixed point, with no mpmath. mpmath is imported
+only when a near tie needs interval arithmetic, and its precision is only
+ever set locally.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-import mpmath
 import numpy as np
-from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import FalsifiedError
 from .groups import (SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, _bool_mask, closure,
@@ -35,13 +37,12 @@ from .bohr import CharSet, char_span, charset_sum, linbohr
 from .metric import _FLOAT_TOL
 from .setops import power_set, set_predicates
 
-_MP_DPS = 50
+_PI_FIX = 1069028584064966747859680373161870783300     # floor(pi 2^128)
 
 MagSq = Union[Fraction, float]
 
 
-@dataclass(frozen=True, eq=False)
-class HypothesisRecord:
+class HypothesisRecord(NamedTuple):
     name: str
     status: str           # "holds" | "fails" | "unchecked" | "vacuous"
     detail: str = ""
@@ -57,9 +58,34 @@ class HypothesisRecord:
 
 @functools.lru_cache(maxsize=None)
 def _cos_table(e: int) -> np.ndarray:
-    """cos(2 pi k/e) for k = 0..e-1, each within 2^-53; exact at 0, +-1/2 and +-1."""
-    with mpmath.workprec(80):
-        half = [float(mpmath.cospi(mpmath.mpf(2 * k) / e)) for k in range(e // 2 + 1)]
+    """cos(2 pi k/e) for k = 0..e-1, each within 2^-53; exact at 0, +-1/2 and +-1.
+
+    In fixed point with unit u = 2^-128 and P = floor(pi/u) = _PI_FIX:
+    theta = floor(2P/e) u is within 3u of 2 pi/e. For e >= 5 (below that
+    every entry is one of Niven's values, set exactly), theta < 1.3, and the
+    Taylor series of cos theta and sin theta, each term floored, are within
+    2^7 u. zeta^k is k floored complex products by zeta = cos theta + i sin
+    theta, each off by under 2u, so it is within k 2^8 u of e^(2 pi i k/e):
+    2^-100 for k <= e/2 <= 2^19. Integer true division rounds each entry
+    correctly, to within 2^-54 + 2^-100 < 2^-53."""
+    assert e <= 1 << 20         # e <= |G|: a table of order 2^20 takes 4 TiB
+    one = 1 << 128
+    theta = 2 * _PI_FIX // e
+    c, s, term, n = 0, 0, one, 0
+    while term:                 # term = theta^n/n!, added with the sign of i^n
+        if n % 2:
+            s += term if n % 4 == 1 else -term
+        else:
+            c += term if n % 4 == 0 else -term
+        n += 1
+        term = term * theta // (n << 128)
+    half, x, y = [], one, 0
+    for _ in range(e // 2 + 1):
+        half.append(x / one)
+        x, y = (x * c - y * s) >> 128, (x * s + y * c) >> 128
+    for d, value in ((6, 0.5), (4, 0.0), (3, -0.5), (2, -1.0)):    # Niven's values
+        if e % d == 0:
+            half[e // d] = value
     table = np.array(half + half[1:(e + 1) // 2][::-1])
     table.setflags(write=False)
     return table
@@ -103,6 +129,7 @@ def _exact_at_least(coeffs, threshold: Fraction) -> bool:
     beta[0] -= threshold.numerator
     if not any(beta):
         return True
+    from mpmath.ctx_iv import MPIntervalContext     # only here: near ties are rare
     iv = MPIntervalContext()        # private, so mpmath.iv keeps its precision
     iv.prec = 64
     while True:
@@ -153,8 +180,7 @@ class FourierMagnitudes:
 # large spectra
 
 
-@dataclass(frozen=True, eq=False)
-class LargeSpectrum:
+class LargeSpectrum(NamedTuple):
     a: GroupSubset
     eps: Fraction
     members: CharSet
@@ -200,8 +226,7 @@ def _lspec(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
 # spectrum weight and metric
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumWeight:
+class SpectrumWeight(NamedTuple):
     a: GroupSubset
     weight: ClassFunction
     counts: tuple[int, ...]     # |A  intersect  xA| per element x
@@ -225,8 +250,7 @@ def spectrum_weight(a: GroupSubset) -> SpectrumWeight:
     return w
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumDistance:
+class SpectrumDistance(NamedTuple):
     rho: float
     rho_sq: MagSq
     exact: bool
@@ -337,8 +361,7 @@ def _counting_convolution_power(a: GroupSubset, k: int) -> list[int]:
     return counts.tolist()
 
 
-@dataclass(frozen=True, eq=False)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     hypotheses: list[HypothesisRecord]
     eta: Fraction
     k: int
@@ -427,8 +450,7 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
 # Chang covering
 
 
-@dataclass(frozen=True, eq=False)
-class ChangCover:
+class ChangCover(NamedTuple):
     x: CharSet
     r: int
     within_bound: bool
@@ -452,15 +474,13 @@ def chang_cover(s: CharSet, t: CharSet, r: int) -> ChangCover:
 # spectrum doubling
 
 
-@dataclass(frozen=True, eq=False)
-class WindowRow:
+class WindowRow(NamedTuple):
     k: int
     size: int
     bound_ok: bool
 
 
-@dataclass(frozen=True, eq=False)
-class DoublingReport:
+class DoublingReport(NamedTuple):
     hypotheses: list[HypothesisRecord]
     eps: Fraction
     d: float
@@ -551,8 +571,7 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
 # size of the Bohr set of the spectrum
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumSizeReport:
+class SpectrumSizeReport(NamedTuple):
     hypotheses: list[HypothesisRecord]
     eps: Fraction
     k: int
@@ -568,9 +587,15 @@ def _inv_two_pi_ball(group: FiniteGroup, members: CharSet) -> GroupSubset:
     """LinBohr(members, 1/(2 pi)): Bohr norms are d/e with d an integer, and
     e/(2 pi) is irrational, so this is the ball of radius floor(e/(2 pi))/e."""
     e = linear_phases(group).exponent
-    with mpmath.workdps(_MP_DPS):
-        threshold = int(mpmath.floor(e / (2 * mpmath.pi)))
-    return linbohr(members, Fraction(threshold, e))
+    return linbohr(members, Fraction(_floor_over_two_pi(e), e))
+
+
+def _floor_over_two_pi(e: int) -> int:
+    """floor(e/(2 pi)): 2 pi 2^128 lies in [2P, 2P + 2), P = _PI_FIX, and
+    e/(2 pi) is irrational, so it is the floor of both quotients when they agree."""
+    radius = (e << 128) // (2 * _PI_FIX)
+    assert radius == (e << 128) // (2 * _PI_FIX + 2)
+    return radius
 
 
 def _k_min(eps: Fraction, d: float) -> float:

@@ -1,0 +1,80 @@
+"""Package-wide properties: result records are immutable tuples, and a cold
+`freiman` run imports neither mpmath nor more dataclass machinery than the
+stateful classes need."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+# every result record: a NamedTuple, immutable, one namedtuple call per class
+RECORDS = {
+    "bohr": ("ContractionReport", "ChainStep", "BohrGrowthReport"),
+    "groups": ("Subgroup", "SubgroupView", "Quotient", "Abelianization"),
+    "harmonic": ("CharacterTable", "FourierScalar", "MonomialCertificate", "LinearityScanRow",
+                 "LinearityScanReport"),
+    "metric": ("NormReport", "BallAxiomsReport", "GridPoint", "BourgainCertificate"),
+    "pipeline": ("LedgerEntry", "StageCheck", "Prop81Report", "PipelineReport"),
+    "setops": ("GrowthProfile", "FittedGrowth", "CoveringCertificate", "SetPredicates",
+               "AppendixGrowthRow", "AppendixGrowthReport"),
+    "spectra": ("HypothesisRecord", "LargeSpectrum", "SpectrumWeight", "SpectrumDistance",
+                "EnergyReport", "ChangCover", "WindowRow", "DoublingReport",
+                "SpectrumSizeReport"),
+}
+# the classes that need __dict__ (cached properties), __post_init__, value
+# hashing or dataclasses.replace stay dataclasses
+DATACLASSES = {"groups.FiniteGroup", "groups.BitSet", "groups.ConjugacyPartition",
+               "harmonic.LinearCharacter", "harmonic.ClassFunction", "harmonic.LinearPhases",
+               "metric.PseudoMetricNorm", "pipeline.PipelineConfig"}
+MODULES = ("errors", "groups", "setops", "harmonic", "metric", "bohr", "spectra", "pipeline",
+           "cli")
+
+
+@pytest.mark.parametrize("name", [f"{mod}.{cls}" for mod, classes in RECORDS.items()
+                                  for cls in classes])
+def test_result_records_are_immutable(name):
+    mod, cls = name.split(".")
+    record_type = getattr(importlib.import_module(f"monoball.{mod}"), cls)
+    record = record_type(*[None] * len(record_type._fields))
+    for field in record_type._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+    with pytest.raises(AttributeError):
+        record.unknown_field = 1
+
+
+def test_only_stateful_classes_are_dataclasses():
+    # a subclass such as GroupSubset inherits BitSet's fields but is not processed again
+    found = {f"{obj.__module__.removeprefix('monoball.')}.{obj.__name__}" for mod in MODULES
+             for obj in vars(importlib.import_module(f"monoball.{mod}")).values()
+             if isinstance(obj, type) and "__dataclass_fields__" in vars(obj)}
+    assert found == DATACLASSES
+
+
+def test_cold_freiman_runs_import_no_mpmath(tmp_path, package_env):
+    """Only a near tie of a large spectrum needs mpmath's interval arithmetic;
+    the cos table and floor(e/(2 pi)) are integer computations."""
+    normal = {"symmetrize": True, "add_identity": True, "conjugation_close": True}
+    jobs = {"c768": ({"type": "cyclic", "n": 768}, {"indices": [767, 0, 1]}),
+            "heis3": ({"type": "heisenberg", "p": 3}, {"indices": [9, 3], "normalize": normal})}
+    argvs = []
+    for label, (group, subset) in jobs.items():
+        for suffix, spec in (("group", group), ("set", subset)):
+            (tmp_path / f"{label}.{suffix}.json").write_text(json.dumps(spec))
+        argvs.append(["freiman", "--group", str(tmp_path / f"{label}.group.json"),
+                      "--set", str(tmp_path / f"{label}.set.json"),
+                      "--out", str(tmp_path / f"{label}.report.json")])
+    code = (
+        "import sys\n"
+        "import monoball\n"
+        "from monoball import cli\n"
+        "assert 'mpmath' not in sys.modules\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert 'mpmath' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env)
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath import libmp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -247,6 +248,33 @@ def test_exact_comparison_separates_near_ties():
     assert spectra._exact_at_least([2, 0, 0, 0, 0, 0, 0, 0], Fraction(2))
     assert not spectra._exact_at_least([0, 1, 0, 0, 0, 0, 0, 1], Fraction(3, 2))
     assert mpmath.iv.prec == prec
+
+
+def _mpmath_cos(k, e):
+    """float(mpmath.cospi(mpf(2k)/e)) at 80 bits, the entry of the table
+    `_cos_table` replaced, by the libmp calls that expression runs."""
+    nearest = libmp.round_nearest
+    x = libmp.mpf_div(libmp.from_int(2 * k), libmp.from_int(e), 80, nearest)
+    return libmp.to_float(libmp.mpf_cos_pi(x, 80, nearest), rnd=nearest)
+
+
+def test_integer_cos_table_matches_mpmath_bit_for_bit():
+    # mpf(2k)/e rounds k/e alone, so with g = gcd(k, e) > 1 the entry is that
+    # of k/g in the table for e/g, already computed
+    halves = {}
+    # every e up to 512, and C768's, the one golden-run or bench-job exponent above it
+    for e in [*range(1, 513), 768]:
+        halves[e] = half = [halves[e // g][k // g] if (g := math.gcd(k, e)) > 1
+                            else _mpmath_cos(k, e) for k in range(e // 2 + 1)]
+        want = np.array(half + half[1:(e + 1) // 2][::-1])
+        assert spectra._cos_table(e).tobytes() == want.tobytes(), e
+
+
+def test_floor_over_two_pi_matches_mpmath():
+    with mpmath.workdps(50):
+        two_pi = 2 * mpmath.pi
+        want = [int(mpmath.floor(e / two_pi)) for e in range(1, 20001)]
+    assert [spectra._floor_over_two_pi(e) for e in range(1, 20001)] == want
 
 
 def test_cyclotomic_polynomials():
