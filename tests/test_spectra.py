@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from mpmath import libmp
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import libmp
 
 from monoball import spectra
 from monoball.bohr import CharSet, charset_sum, linbohr, linbohr_squared
