@@ -23,15 +23,12 @@ from .bohr import CharSet, bohr_norm, linbohr
 from .errors import CapExceededError, FalsifiedError, GroupValidationError, HypothesisError
 from .groups import (SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, _is_integer, build_group,
                      conjugacy_classes)
-from .harmonic import character_table, is_monomial, linear_characters, linear_phases
+from .harmonic import (TABLE_ORDER_CAP, character_table, is_monomial, linear_characters,
+                       linear_phases)
 from .metric import ball_dimension
 from .pipeline import PipelineConfig, freiman_ball
 from .setops import appendix_growth_check, growth_profile, normalize_set
 from .spectra import large_spectrum, lspec_doubling_cover, spectral_energy_check
-
-COMMANDS = ("group-info", "growth", "chartable", "monomial", "bohr", "lspec",
-            "metric-dim", "energy", "cover", "freiman", "appendix")
-
 
 class InputError(Exception):
     """Maps to exit 1."""
@@ -41,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
     """Bad arguments exit 1: argparse's exit 2 means a failed hypothesis here."""
 
     def error(self, message):
-        raise InputError(message)
+        raise InputError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +57,7 @@ def _load_json(path: str) -> Any:
         ) from exc
 
 
-def _group_from_file(path: Optional[str]) -> FiniteGroup:
-    if path is None:
-        raise InputError("this command needs --group")
+def _group_from_file(path: str) -> FiniteGroup:
     spec = _load_json(path)
     try:
         return build_group(spec)
@@ -70,12 +65,10 @@ def _group_from_file(path: Optional[str]) -> FiniteGroup:
         raise InputError(f"bad group spec in {path}: {exc}") from exc
 
 
-def _set_spec(path: Optional[str]) -> dict:
+def _set_spec(path: str) -> dict:
     """A set spec as schemas/set_spec.json reads it: 'indices', and optionally
     's_indices' and a 'normalize' object of boolean flags; nothing else. The
     index lists come back as lists of ints."""
-    if path is None:
-        raise InputError("this command needs --set")
     spec = _load_json(path)
     if not isinstance(spec, dict) or "indices" not in spec:
         raise InputError(f"bad set spec in {path}: expected an object with 'indices'")
@@ -110,7 +103,7 @@ def _indices_subset(group: FiniteGroup, indices: list[int], key: str, path: str)
     return GroupSubset.from_indices(group, indices)
 
 
-def _set_from_file(group: FiniteGroup, path: Optional[str]) -> tuple[GroupSubset, Optional[GroupSubset]]:
+def _set_from_file(group: FiniteGroup, path: str) -> tuple[GroupSubset, Optional[GroupSubset]]:
     """Returns (A, S). S comes from the optional 's_indices' key and defaults to None."""
     spec = _set_spec(path)
     a = _indices_subset(group, spec["indices"], "indices", path)
@@ -122,7 +115,7 @@ def _set_from_file(group: FiniteGroup, path: Optional[str]) -> tuple[GroupSubset
     return a, s
 
 
-def _charset_from_file(group: FiniteGroup, path: Optional[str]) -> CharSet:
+def _charset_from_file(group: FiniteGroup, path: str) -> CharSet:
     """For Bohr-side commands the set spec indexes into Lin(G), sorted by phase
     tuple. 'symmetrize' adds each character's negation and 'add_identity' the
     trivial character 0; 'conjugation_close' adds nothing, since conjugation
@@ -145,13 +138,11 @@ def _charset_from_file(group: FiniteGroup, path: Optional[str]) -> CharSet:
     return CharSet.from_indices(group, idx)
 
 
-def _parse_fraction(text: Optional[str], flag: str) -> Optional[Fraction]:
-    if text is None:
-        return None
+def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{flag} expects a rational like 1/16, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expects a rational like 1/16, got {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +233,6 @@ def _cmd_group_info(args) -> tuple[str, dict, Optional[list], int]:
 
 
 def _cmd_growth(args) -> tuple[str, dict, Optional[list], int]:
-    if args.nmax is None:
-        raise InputError("growth needs --nmax")
     g = _group_from_file(args.group)
     a, _ = _set_from_file(g, args.set)
     profile, fitted = growth_profile(a, args.nmax)
@@ -290,7 +279,7 @@ def _cmd_monomial(args) -> tuple[str, dict, Optional[list], int]:
     try:
         ok, certs = is_monomial(g, max_order_cap=args.cap)
     except CapExceededError as exc:
-        if g.order <= args.cap:     # another cap tripped, which --cap does not move
+        if not args.cap < g.order <= TABLE_ORDER_CAP:   # raising --cap cannot help
             raise
         raise CapExceededError(f"{exc} (raise --cap to allow a larger search)") from None
     cert_rows = []
@@ -311,9 +300,7 @@ def _cmd_monomial(args) -> tuple[str, dict, Optional[list], int]:
 def _cmd_bohr(args) -> tuple[str, dict, Optional[list], int]:
     g = _group_from_file(args.group)
     chars = _charset_from_file(g, args.set)
-    delta = _parse_fraction(args.delta, "--delta")
-    if delta is None:
-        raise InputError("bohr needs --delta")
+    delta = args.delta
     b = linbohr(chars, delta)
     result = {
         "delta": _frac(delta),
@@ -328,9 +315,7 @@ def _cmd_bohr(args) -> tuple[str, dict, Optional[list], int]:
 def _cmd_lspec(args) -> tuple[str, dict, Optional[list], int]:
     g = _group_from_file(args.group)
     a, _ = _set_from_file(g, args.set)
-    eps = _parse_fraction(args.eps, "--eps")
-    if eps is None:
-        raise InputError("lspec needs --eps")
+    eps = args.eps
     spec = large_spectrum(a, eps)
     result = {
         "eps": _frac(eps),
@@ -348,9 +333,7 @@ def _cmd_lspec(args) -> tuple[str, dict, Optional[list], int]:
 def _cmd_metric_dim(args) -> tuple[str, dict, Optional[list], int]:
     g = _group_from_file(args.group)
     chars = _charset_from_file(g, args.set)
-    delta = _parse_fraction(args.delta, "--delta")
-    if delta is None:
-        raise InputError("metric-dim needs --delta")
+    delta = args.delta
     dim, witness = ball_dimension(bohr_norm(chars), delta)
     result = {
         "delta": _frac(delta),
@@ -366,12 +349,7 @@ def _cmd_metric_dim(args) -> tuple[str, dict, Optional[list], int]:
 def _cmd_energy(args) -> tuple[str, dict, Optional[list], int]:
     g = _group_from_file(args.group)
     a, s = _set_from_file(g, args.set)
-    eta = _parse_fraction(args.eps, "--eps")
-    if eta is None:
-        raise InputError("energy needs --eps (the level eta)")
-    if args.k is None:
-        raise InputError("energy needs --k")
-    rep = spectral_energy_check(g, s if s is not None else a, a, eta, args.k)
+    rep = spectral_energy_check(g, s if s is not None else a, a, args.eps, args.k)
     result = {
         "eta": _frac(rep.eta),
         "k": rep.k,
@@ -396,10 +374,7 @@ def _cmd_energy(args) -> tuple[str, dict, Optional[list], int]:
 def _cmd_cover(args) -> tuple[str, dict, Optional[list], int]:
     g = _group_from_file(args.group)
     a, s = _set_from_file(g, args.set)
-    eps = _parse_fraction(args.eps, "--eps")
-    if eps is None:
-        raise InputError("cover needs --eps")
-    rep = lspec_doubling_cover(g, s if s is not None else a, a, eps, args.d)
+    rep = lspec_doubling_cover(g, s if s is not None else a, a, args.eps, args.d)
     result = {
         "eps": _frac(rep.eps),
         "d": _f(rep.d),
@@ -462,11 +437,8 @@ def _freiman_result(rep) -> dict:
 def _cmd_freiman(args) -> tuple[str, dict, Optional[list], int]:
     g = _group_from_file(args.group)
     a, _ = _set_from_file(g, args.set)
-    config = PipelineConfig(
-        constant_c=args.constant_c,
-        n_max=args.nmax if args.nmax is not None else 12,
-        epsilon_override=_parse_fraction(args.eps, "--eps"),
-    )
+    config = PipelineConfig(constant_c=args.constant_c, n_max=args.nmax,
+                            epsilon_override=args.eps)
     rep = freiman_ball(g, a, config)
     result = _freiman_result(rep)
     # the theorem is conditional on monomiality; an unmet hypothesis is exit 2
@@ -483,8 +455,7 @@ def _cmd_freiman(args) -> tuple[str, dict, Optional[list], int]:
 def _cmd_appendix(args) -> tuple[str, dict, Optional[list], int]:
     g = _group_from_file(args.group)
     a, _ = _set_from_file(g, args.set)
-    n_max = args.nmax if args.nmax is not None else 10
-    rep = appendix_growth_check(a, n_max)
+    rep = appendix_growth_check(a, args.nmax)
     result = {
         "tripling": _frac(rep.tripling),
         "cover_size": len(rep.cover.cover_set),
@@ -500,7 +471,7 @@ def _cmd_appendix(args) -> tuple[str, dict, Optional[list], int]:
     if not rep.all_ok:
         raise FalsifiedError("covering chain failed", rep)
     summary = (f"appendix on {g.name}: tripling {_frac(rep.tripling)}, "
-               f"cover size {len(rep.cover.cover_set)}, all inclusions hold up to n={n_max}")
+               f"cover size {len(rep.cover.cover_set)}, all inclusions hold up to n={args.nmax}")
     return summary, result, rows, 0
 
 
@@ -523,26 +494,53 @@ _HANDLERS = {
 # entry point
 
 
+# how argparse reads and describes each option
+_OPTIONS = {
+    "--group": {"help": "path to a group spec JSON file"},
+    "--set": {"help": "path to a set spec JSON file"},
+    "--eps": {"type": _fraction, "help": "rational epsilon (or eta), e.g. 1/16"},
+    "--delta": {"type": _fraction, "help": "rational radius, e.g. 1/6"},
+    "--k": {"type": int, "help": "convolution power / fold count"},
+    "--d": {"type": float, "help": "dimension parameter"},
+    "--nmax": {"type": int, "help": "largest power to examine"},
+    "--constant-c": {"type": float, "help": "constant in the radius formula"},
+    "--cap": {"type": int, "help": "order cap for the subgroup search"},
+    "--out": {"help": "report file path (default: stdout)"},
+    "--format": {"choices": ("json", "csv")},
+}
+_REQUIRED = object()
+
+# the options each command reads besides --group, --out and --format, each
+# with its default or _REQUIRED; a command missing here reads only those three
+_COMMAND_OPTIONS = {
+    "growth": {"--set": _REQUIRED, "--nmax": _REQUIRED},
+    "monomial": {"--cap": SUBGROUP_ORDER_CAP},
+    "bohr": {"--set": _REQUIRED, "--delta": _REQUIRED},
+    "lspec": {"--set": _REQUIRED, "--eps": _REQUIRED},
+    "metric-dim": {"--set": _REQUIRED, "--delta": _REQUIRED},
+    "energy": {"--set": _REQUIRED, "--eps": _REQUIRED, "--k": _REQUIRED},
+    "cover": {"--set": _REQUIRED, "--eps": _REQUIRED, "--d": 1.0},
+    "freiman": {"--set": _REQUIRED, "--eps": None, "--nmax": PipelineConfig.n_max,
+                "--constant-c": PipelineConfig.constant_c},
+    "appendix": {"--set": _REQUIRED, "--nmax": 10},
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """One parser per process, built on the first `main` call: each
     `add_argument` reads the terminal size, and `parse_args` leaves the parser
-    as it found it and returns a fresh namespace."""
+    as it found it and returns a fresh namespace. A command's options are
+    spelled in full, so that `bohr --d` is refused, not read as `--delta`."""
     p = _Parser(prog="monoball", description="finite-group Bohr set and spectrum experiments")
-    p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--group", help="path to a group spec JSON file")
-    p.add_argument("--set", help="path to a set spec JSON file")
-    p.add_argument("--eps", help="rational epsilon (or eta), e.g. 1/16")
-    p.add_argument("--delta", help="rational radius, e.g. 1/6")
-    p.add_argument("--k", type=int, help="convolution power / fold count")
-    p.add_argument("--d", type=float, default=1.0, help="dimension parameter")
-    p.add_argument("--nmax", type=int, help="largest power to examine")
-    p.add_argument("--constant-c", type=float, default=1.0, dest="constant_c",
-                   help="constant in the radius formula")
-    p.add_argument("--out", help="report file path (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--cap", type=int, default=SUBGROUP_ORDER_CAP,
-                   help="order cap for the subgroup search of the monomial command")
+    commands = p.add_subparsers(dest="command", required=True)
+    for name in _HANDLERS:
+        sub = commands.add_parser(name, allow_abbrev=False)
+        options = {"--group": _REQUIRED, **_COMMAND_OPTIONS.get(name, {}),
+                   "--out": None, "--format": "json"}
+        for flag, default in options.items():
+            given = {"required": True} if default is _REQUIRED else {"default": default}
+            sub.add_argument(flag, **given, **_OPTIONS[flag])
     return p
 
 

@@ -201,7 +201,7 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
     doubling = lspec_doubling_cover(work, wa, a_l, eps, d_eff)
     x = doubling.x if doubling.branch == "covered" else CharSet.empty(work)
     for rec in doubling.hypotheses:
-        status = "unchecked" if rec.status == "vacuous" else rec.status
+        status = rec.status
         if status == "holds" and doubling.window_clipped and "window" in rec.name:
             status = "clipped"
         ledger.append(LedgerEntry("doubling", rec.name, status, rec.detail))

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -281,7 +282,7 @@ def test_argument_errors_exit1(tmp_path, capsys):
     g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
     for argv, message in ((["group-info", "--group", g, "--seed", "0"],
                            "unrecognized arguments: --seed 0"),
-                          (["freiman", "--k", "abc"], "invalid int value: 'abc'"),
+                          (["freiman", "--nmax", "abc"], "invalid int value: 'abc'"),
                           (["nonsense"], "invalid choice: 'nonsense'")):
         assert cli.main(argv) == 1
         assert message in capsys.readouterr().err
@@ -302,7 +303,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     code, _, report = _run(args, tmp_path, capsys)
     assert code == 0 and report["result"]["eps"] == "1/492"
     assert cli._build_parser() is cli._build_parser()
-    assert cli.main(args + ["--k", "abc"]) == 1
+    assert cli.main(args + ["--nmax", "abc"]) == 1
     assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
@@ -426,13 +427,16 @@ def test_cap_exceeded_exit1_with_advice(tmp_path, capsys):
 
 def test_cap_advice_only_where_cap_applies(tmp_path, capsys):
     # the character-table cap is fixed; --cap moves only the monomial search,
-    # so a monomial run that clears --cap and trips the table cap gets no advice
+    # so a monomial run above the table cap gets no advice, whether it clears
+    # --cap and trips the table cap or trips --cap first
     g = _group_file(tmp_path, {"type": "cyclic", "n": 300})
-    for command in ("chartable", "monomial"):
-        code = cli.main([command, "--group", g, "--cap", "1000"])
+    for argv, message in ((["chartable"], "refused at order 300 > 256"),
+                          (["monomial", "--cap", "1000"], "refused at order 300 > 256"),
+                          (["monomial"], "refused at order 300 > 128")):
+        code = cli.main(argv + ["--group", g])
         cap = capsys.readouterr()
         assert code == 1
-        assert "refused at order 300 > 256" in cap.err
+        assert message in cap.err
         assert "--cap" not in cap.err
 
 
@@ -441,7 +445,70 @@ def test_growth_without_nmax_exit1(tmp_path, capsys):
     s = _set_file(tmp_path, [0, 4, 8])
     code = cli.main(["growth", "--group", g, "--set", s])
     err = capsys.readouterr().err
-    assert code == 1 and "growth needs --nmax" in err and "Traceback" not in err
+    assert code == 1 and "Traceback" not in err
+    assert "monoball growth: the following arguments are required: --nmax" in err
+
+
+# the flags each command takes beyond --group, --out and --format: its
+# required ones, then its optional ones; 54 (command, flag) pairs in all
+_COMMAND_FLAGS = {
+    "group-info": ((), ()),
+    "growth": (("--set", "--nmax"), ()),
+    "chartable": ((), ()),
+    "monomial": ((), ("--cap",)),
+    "bohr": (("--set", "--delta"), ()),
+    "lspec": (("--set", "--eps"), ()),
+    "metric-dim": (("--set", "--delta"), ()),
+    "energy": (("--set", "--eps", "--k"), ()),
+    "cover": (("--set", "--eps"), ("--d",)),
+    "freiman": (("--set",), ("--eps", "--nmax", "--constant-c")),
+    "appendix": (("--set",), ("--nmax",)),
+}
+# one valid value for every flag; parsing stops before any file is read
+_FLAG_VALUES = {"--group": "g.json", "--set": "s.json", "--eps": "1/8", "--delta": "1/8",
+                "--k": "3", "--d": "2", "--nmax": "4", "--constant-c": "2", "--cap": "1000",
+                "--out": "r.json", "--format": "csv"}
+
+
+def _required(command):
+    return ("--group",) + _COMMAND_FLAGS[command][0]
+
+
+def _argv(command, flags):
+    return [command] + [x for flag in flags for x in (flag, _FLAG_VALUES[flag])]
+
+
+_UNREAD = [(c, f) for c, (req, opt) in _COMMAND_FLAGS.items() for f in _FLAG_VALUES
+           if f not in ("--group", "--out", "--format") + req + opt]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD, ids=[f"{c}{f}" for c, f in _UNREAD])
+def test_unread_flag_exit1(capsys, command, flag):
+    assert cli.main(_argv(command, _required(command) + (flag,))) == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {_FLAG_VALUES[flag]}" in err
+    assert "Traceback" not in err
+
+
+_MISSING = [(c, f) for c in _COMMAND_FLAGS for f in _required(c)]
+
+
+@pytest.mark.parametrize("command, flag", _MISSING, ids=[f"{c}{f}" for c, f in _MISSING])
+def test_missing_required_flag_exit1(capsys, command, flag):
+    given = tuple(f for f in _required(command) if f != flag)
+    assert cli.main(_argv(command, given)) == 1
+    err = capsys.readouterr().err
+    assert f"monoball {command}: the following arguments are required: {flag}\n" in err
+
+
+@pytest.mark.parametrize("command", cli._HANDLERS)
+def test_command_help_lists_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    req, opt = _COMMAND_FLAGS[command]
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--group", "--out", "--format", *req, *opt}
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -494,3 +561,11 @@ def test_module_entrypoint_subprocess(tmp_path, package_env):
                           capture_output=True, text=True, env=package_env)
     assert proc.returncode == 0
     assert "order 6" in proc.stdout
+
+
+def test_module_entrypoint_help_subprocess(package_env):
+    proc = subprocess.run([sys.executable, "-m", "monoball.cli", "freiman", "--help"],
+                          capture_output=True, text=True, env=package_env)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: monoball freiman")
+    assert "--constant-c" in proc.stdout and "--cap" not in proc.stdout
