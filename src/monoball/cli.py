@@ -35,7 +35,15 @@ class InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Bad arguments exit 1: argparse's exit 2 means a failed hypothesis here."""
+    """Bad arguments exit 1: argparse's exit 2 means a failed hypothesis here.
+    Each parser refuses the arguments it leaves unread, so that a command's are
+    refused in its name, not by the top-level parser they are handed back to."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, unread = super().parse_known_args(args, namespace)
+        if unread:
+            self.error(f"unrecognized arguments: {' '.join(unread)}")
+        return namespace, unread
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")

@@ -143,21 +143,33 @@ class FourierMagnitudes:
     """|sum_{x in A} gamma(x)|^2 for every degree-one character, cached per (G, A).
 
     For gamma with phase row r over e this is sum_y w(y) zeta_e^{r(y)}, w the
-    counts of `spectrum_weight`. Held by the group, it holds no reference back, so
-    that no cycle keeps a dropped group alive until the cyclic collector runs."""
+    autocorrelation counts of `spectrum_weight`. The exact coefficients read all
+    of supp w; the float estimates read one element of each inverse pair
+    {y, y^-1} in it, since w and the real part agree on both. Held by the group,
+    it holds no reference back, so that no cycle keeps a dropped group alive
+    until the cyclic collector runs."""
 
     def __init__(self, a: GroupSubset):
-        self.order = a.group.order
-        counts = np.array(spectrum_weight(a).counts)
+        g = a.group
+        self.order = g.order
+        counts = _autocorrelation_counts(a)
         self._support = np.flatnonzero(counts)
         self.weights = counts[self._support]
-        self._phases = lp = linear_phases(a.group)
+        self._phases = lp = linear_phases(g)
         self.exponent = lp.exponent
-        # a column-major block: the matvec sums in layout order, which fixes each estimate's bits
-        self.estimates = _cos_table(lp.exponent)[lp.block(None, self._support)] @ self.weights
-        # with u = 2^-53 an estimate errs by at most (|supp w| + 1) u |A|^2: u per
-        # table entry and |supp w| u from the product; doubled, and 3 more for slack
-        self.error = 2.0 ** -52 * (len(self.weights) + 4) * len(a) ** 2
+        # w(y^-1) = w(y), and gamma(y^-1) has phase e - r(y), whose table entry
+        # is that of r(y): the sum over supp w is a sum over its least element
+        # of each inverse pair, weighted 2 w(y), or w(y) where y = y^-1
+        inv = g.inv(self._support)
+        least = self._support <= inv
+        folded = np.where(self._support == inv, 1.0, 2.0)[least] * self.weights[least]
+        self.estimates = _cos_table(lp.exponent)[lp.block(None, self._support[least])] @ folded
+        # with u = 2^-53 and k = len(folded) terms whose weights sum to |A|^2, an
+        # estimate errs by at most u |A|^2 from the table entries (each within u,
+        # of size at most 1) and by gamma_k |A|^2 < (k + 1) u |A|^2 from the k
+        # roundings of the products and k - 1 of the sums, in whatever order
+        # they are summed: (k + 2) u |A|^2 in all; doubled, and 2 more for slack
+        self.error = 2.0 ** -52 * (len(folded) + 4) * len(a) ** 2
 
     def coefficients(self, indices) -> np.ndarray:
         """Row j is c with mag_sq(indices[j]) = sum_k c_k zeta_e^k."""
@@ -239,15 +251,20 @@ class SpectrumWeight(NamedTuple):
 def spectrum_weight(a: GroupSubset) -> SpectrumWeight:
     if len(a) == 0:
         raise ValueError("spectrum_weight needs a nonempty set")
+    counts = _autocorrelation_counts(a)
+    return SpectrumWeight(a, ClassFunction(a.group, counts.astype(np.complex128) / len(a)),
+                          tuple(counts.tolist()))
+
+
+def _autocorrelation_counts(a: GroupSubset) -> np.ndarray:
+    """|A intersect xA| for each element x of G, as int64: the number of pairs
+    (x1, x2) of A with x1 x2^-1 = x."""
     g = a.group
     idx = np.fromiter(a, dtype=np.int64, count=len(a))
-    prods = g.mul(idx[:, None], g.inv(idx))
-    counts = np.bincount(prods.ravel(), minlength=g.order)
-    vals = counts.astype(np.complex128) / len(a)
-    w = SpectrumWeight(a, ClassFunction(g, vals), tuple(int(c) for c in counts))
-    assert w.counts[g.identity] == len(a)           # w(identity) = 1 after scaling
-    assert w.mean == Fraction(len(a), g.order)      # E_x w = P(A)
-    return w
+    counts = np.bincount(g.mul(idx[:, None], g.inv(idx)).ravel(), minlength=g.order)
+    assert counts[g.identity] == len(a)         # w(identity) = 1 after scaling
+    assert counts.sum() == len(a) ** 2          # E_x w = P(A)
+    return counts
 
 
 class SpectrumDistance(NamedTuple):

@@ -487,6 +487,7 @@ def test_unread_flag_exit1(capsys, command, flag):
     assert cli.main(_argv(command, _required(command) + (flag,))) == 1
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {flag} {_FLAG_VALUES[flag]}" in err
+    assert f"monoball {command}: unrecognized arguments: {flag} {_FLAG_VALUES[flag]}\n" in err
     assert "Traceback" not in err
 
 

@@ -16,6 +16,7 @@ from monoball import spectra
 from monoball.bohr import CharSet, charset_sum, linbohr, linbohr_squared
 from monoball.groups import (
     GroupSubset,
+    build_group,
     cyclic_group,
     dihedral_group,
     heisenberg_group,
@@ -30,7 +31,7 @@ from monoball.harmonic import (
     linear_phases,
 )
 from monoball.pipeline import find_l, freiman_ball
-from monoball.setops import growth_profile, normalize_set, power_set
+from monoball.setops import growth_profile, normalize_set, power_set, set_predicates
 from monoball.spectra import (
     FourierMagnitudes,
     chang_cover,
@@ -44,6 +45,7 @@ from monoball.spectra import (
     spectrum_weight,
     standing_hypotheses,
 )
+from test_golden import _c4xc6_relabelled      # C4 x C6 relabelled: the identity is 23
 
 
 def _subset(g, ids):
@@ -175,6 +177,42 @@ def test_lspec_linear_energy_bounded_nonabelian():
     mags = FourierMagnitudes(a)
     total = sum(float(mags.mag_sq(i)) for i in range(9)) / 27 ** 2
     assert total <= len(a) / 27 + 1e-9
+
+
+def test_folded_estimates_lie_within_the_certified_error():
+    """The estimates read one element of each inverse pair of supp w; each lies
+    within `error` of |sum_{x in A} gamma(x)|^2 at 40 digits, summed directly
+    over A, and the exact coefficients count every pair (x, x') of A."""
+    rng = np.random.default_rng(23)
+    groups = [cyclic_group(360), cyclic_group(64), dihedral_group(24), quaternion_group(),
+              permutation_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]]), heisenberg_group(3),
+              product_group([cyclic_group(2), heisenberg_group(3)]),
+              product_group([cyclic_group(5), dihedral_group(8)]), build_group(_c4xc6_relabelled())]
+    plain = 0
+    for g in groups:
+        lp = linear_phases(g)
+        e = lp.exponent
+        table = spectra._cos_table(e)
+        assert np.array_equal(table[-np.arange(e) % e], table)     # the fold's premise
+        with mpmath.workdps(40):
+            roots = [mpmath.expjpi(mpmath.mpf(2 * k) / e) for k in range(e)]
+        for size in (1, 2, 3, g.order // 4, g.order // 2, g.order - 1):
+            a = _subset(g, rng.choice(g.order, size, replace=False))
+            preds = set_predicates(a)
+            plain += not (preds.symmetric or preds.normal)
+            mags = FourierMagnitudes(a)
+            support = np.flatnonzero(spectrum_weight(a).counts)
+            pairs = len(set(np.minimum(support, g.inv(support)).tolist()))
+            assert mags.error == 2.0 ** -52 * (pairs + 4) * len(a) ** 2
+            phases = lp.block(None, list(a))
+            with mpmath.workdps(40):
+                for i, row in enumerate(phases):
+                    value = abs(mpmath.fsum(roots[k] for k in row)) ** 2
+                    assert abs(value - float(mags.estimates[i])) <= mags.error, (g.name, size, i)
+            reference = np.array([np.bincount((row[:, None] - row).ravel() % e, minlength=e)
+                                  for row in phases])
+            assert np.array_equal(mags.coefficients(range(len(phases))), reference)
+    assert plain >= 20       # 25 of the 54 sets are neither symmetric nor normal
 
 
 @st.composite
