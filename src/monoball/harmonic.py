@@ -176,14 +176,15 @@ class LinearPhases:
     gens[j], with c = coords[x], and character i has phase keys[i] . c over the
     exponent e of G^ab. Each gen is the least element outside the subgroup the
     earlier ones generate, so sorted keys are sorted phase tuples: key 0 is
-    trivial. Nothing here refers back to the group, so a dropped group is freed
-    at once, not by the cyclic garbage collector."""
+    trivial; y_j^m_j, m_j = radices[j], is the first power of y_j inside the
+    earlier ones' subgroup. Nothing here refers back to the group, so a dropped
+    group is freed at once, not by the cyclic garbage collector."""
 
     keys: np.ndarray
     coords: np.ndarray
     exponent: int
     gens: tuple[int, ...]
-    index_of_key: dict
+    radices: np.ndarray
 
     def block(self, rows: Optional[Sequence[int]] = None,
               cols: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -194,8 +195,15 @@ class LinearPhases:
         return (coords @ keys.T % self.exponent).T
 
     def find(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.ascontiguousarray(keys % self.exponent)
-        return np.array([self.index_of_key[k.tobytes()] for k in keys], dtype=np.int64)
+        """The index of each row of `keys` mod e, or KeyError. Key column j is
+        c + t e/m_j, t < m_j, with c < e/m_j fixed by the earlier columns, so
+        the index is the mixed-radix number of the digits t = key_j m_j // e."""
+        keys, m = keys % self.exponent, self.radices
+        idx = (keys * m // self.exponent) @ (len(self.keys) // m.cumprod())
+        miss = (self.keys[idx] != keys).any(axis=1)
+        if miss.any():
+            raise KeyError(f"no linear character has phases {keys[miss.argmax()].tolist()}")
+        return idx
 
     def sums(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
         """Rows of gamma_i + gamma_j for every i in a and j in b, a-major."""
@@ -225,7 +233,7 @@ def _linear_phases(group: FiniteGroup) -> LinearPhases:
     elems, coords = np.array([q.identity]), np.zeros((1, 0), dtype=np.int64)
     inside = np.arange(n) == q.identity
     keys = np.zeros((1, 0), dtype=np.int64)
-    gens = []
+    gens, radices = [], []
     while len(elems) < n:
         y = int(np.argmin(inside))
         powers, step = np.array([q.identity]), y      # y^0, y^1, ... by doubling
@@ -240,6 +248,7 @@ def _linear_phases(group: FiniteGroup) -> LinearPhases:
         coords = np.column_stack([np.tile(coords, (m, 1)), np.repeat(np.arange(m), len(coords))])
         inside[elems] = True
         gens.append(int(ab.section[y]))
+        radices.append(m)
     # by induction along the chain every key is n/e times its phases over the
     # exponent e of G^ab, and some character has order e: so the gcd of n and
     # every key entry is n/e, and e is read off without any element's order
@@ -257,9 +266,10 @@ def _linear_phases(group: FiniteGroup) -> LinearPhases:
         distinct = np.unique(carries.view(np.dtype((np.void, carries.itemsize * r))))
         if (distinct.view(np.int64).reshape(-1, r) @ keys.T % e).any():
             raise AssertionError(f"{group.name}: a linear character is not a homomorphism")
-    for table in (keys, coords):
+    radices = np.array(radices, dtype=np.int64)
+    for table in (keys, coords, radices):
         table.setflags(write=False)
-    return LinearPhases(keys, coords, e, tuple(gens), {k.tobytes(): i for i, k in enumerate(keys)})
+    return LinearPhases(keys, coords, e, tuple(gens), radices)
 
 
 def linear_characters(group: FiniteGroup) -> list[LinearCharacter]:

@@ -151,7 +151,6 @@ class FourierMagnitudes:
 
     def __init__(self, a: GroupSubset):
         g = a.group
-        self.order = g.order
         counts = _autocorrelation_counts(a)
         self._support = np.flatnonzero(counts)
         self.weights = counts[self._support]
@@ -184,9 +183,6 @@ class FourierMagnitudes:
         rem = _reduce(self.coefficients([index]))[0]
         return float(self.estimates[index]) if any(rem[1:]) else Fraction(int(rem[0]))
 
-    def transform_abs(self, index: int) -> float:
-        return math.sqrt(max(float(self.estimates[index]), 0.0)) / self.order
-
 
 # ---------------------------------------------------------------------------
 # large spectra
@@ -210,28 +206,37 @@ def large_spectrum(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
 
 
 def _lspec(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
+    """LSpec(A, eps), decided once per (A, eps) and cached on the group as the
+    members' mask, the values and the threshold, none of which refers back."""
+    mask, values, threshold = a.group.cached("_large_spectra", lambda: _decide(a, eps),
+                                             (a.mask, eps))
+    return LargeSpectrum(a, eps, CharSet(a.group, mask), values, threshold)
+
+
+def _decide(a: GroupSubset, eps: Fraction) -> tuple[int, tuple[float, ...], Fraction]:
     group = a.group
     mags = group.cached("_fourier_magnitudes", lambda: FourierMagnitudes(a), a.mask)
-    threshold = max(Fraction(0), (1 - eps * eps / 2)) * len(a) ** 2
-    # float(threshold) errs by at most 2^-53 threshold; beyond both errors the
+    p, q = eps.numerator, eps.denominator       # threshold (1 - eps^2/2) |A|^2 = num / den
+    num, den = max(0, 2 * q * q - p * p) * len(a) ** 2, 2 * q * q
+    # the float num / den errs by at most 2^-53 of it; beyond both errors the
     # estimate's side is the exact side, and the rest are decided in Z[zeta_e]
-    t = float(threshold)
+    t = num / den
     bound = mags.error + 2.0 ** -52 * t
-    verdict = (mags.estimates - t > bound) | (threshold == 0)   # no square is below 0
+    verdict = (mags.estimates - t > bound) | (num == 0)     # no square is below 0
     near = np.flatnonzero(~verdict & (np.abs(mags.estimates - t) <= bound))
     # reduction mod Phi_e is linear, so one pass reduces every near tie (and with
     # none, Phi_e is not built); the reduced row is canonical, so equal values are
     # decided once
-    decided: dict[tuple, bool] = {}
+    threshold, decided = Fraction(num, den), {}
     for i, reduced in zip(near, _reduce(mags.coefficients(near)) if near.size else ()):
         key = tuple(reduced)
         if key not in decided:
             decided[key] = _exact_at_least(reduced, threshold)
         verdict[i] = decided[key]
-    members = CharSet(group, _bool_mask(verdict))
-    assert members.contains_identity   # hat 1_A(0) = P(A) clears every threshold
-    return LargeSpectrum(a, eps, members, tuple(mags.transform_abs(i) for i in members),
-                         threshold)
+    assert verdict[0]      # hat 1_A(0) = P(A) clears every threshold
+    est = mags.estimates[verdict]
+    values = np.sqrt(np.where(est < 0, 0.0, est)) / group.order    # as max(est, 0.0)
+    return _bool_mask(verdict), tuple(values.tolist()), threshold
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +265,7 @@ def _autocorrelation_counts(a: GroupSubset) -> np.ndarray:
     """|A intersect xA| for each element x of G, as int64: the number of pairs
     (x1, x2) of A with x1 x2^-1 = x."""
     g = a.group
-    idx = np.fromiter(a, dtype=np.int64, count=len(a))
+    idx = a.array()
     counts = np.bincount(g.mul(idx[:, None], g.inv(idx)).ravel(), minlength=g.order)
     assert counts[g.identity] == len(a)         # w(identity) = 1 after scaling
     assert counts.sum() == len(a) ** 2          # E_x w = P(A)

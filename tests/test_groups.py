@@ -300,6 +300,50 @@ def test_supersolvable_steps_through_quotients(monkeypatch):
     assert not is_supersolvable(_sl23()) and seen == [(24, 2)]
 
 
+def _supersolvable_by_power_table(g):
+    """The verdict through the n x n table of powers: for x of prime order with
+    every conjugate of x a power of x, pass to G/<x>."""
+    while not g.is_abelian:
+        orders, bits = g.element_orders, groups._cyclic_bits(g)
+        part = conjugacy_classes(g)
+        normal = next((x for x in range(g.order) if groups._prime_base(orders[x]) == orders[x]
+                       and bits[x, part.classes[part.class_of[x]]].all()), None)
+        if normal is None:
+            return False
+        g = quotient(g, GroupSubset(g, groups._bool_mask(bits[normal]))).quotient
+    return True
+
+
+def _a4():
+    return permutation_group(4, [[1, 2, 0, 3], [1, 0, 3, 2]])
+
+
+def test_supersolvable_agrees_with_the_power_table_route():
+    named = [g for g in _suite_groups() if g.order <= 128] + [
+        _a4(), _s5(), _relabelled(_sl23(), 3), dihedral_group(128), _relabelled(_a4(), 4),
+        product_group([_s3(), cyclic_group(7)]), product_group([_a4(), cyclic_group(2)]),
+        product_group([_s3(), _s3()]), product_group([quaternion_group(), cyclic_group(3)])]
+    for g in named:
+        assert is_supersolvable(g) is _supersolvable_by_power_table(g), g.name
+    verdicts = {g.name: is_supersolvable(g) for g in named}
+    assert not verdicts[_a4().name] and not verdicts[_s4().name] and not verdicts[_sl23().name]
+    assert verdicts[_s3().name] and verdicts["heisenberg(3)"]
+
+
+def test_supersolvable_builds_no_square_table():
+    """S3 x C255: an n x n bool table of powers alone would take n^2 bytes."""
+    g = product_group([_s3(), cyclic_group(255)])
+    n = g.order
+    tracemalloc.start()
+    try:
+        verdict = is_supersolvable(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict and "element_orders" not in g.__dict__
+    assert peak < n * n / 4
+
+
 def test_cyclic_linear_phases_validate_one_table(monkeypatch):
     calls = []
     real = groups._validate_table
@@ -810,6 +854,27 @@ def test_mul_inv_conj_broadcast_as_table_gathers():
         assert g.mul(a, b) == g.mul_table[a, b] and g.conj(a, b) == g.mul(g.mul(a, b), g.inv(a))
 
 
+def test_mul_of_two_index_arrays_is_the_per_axis_gather():
+    """Two index arrays with over 1024 products between them are multiplied by
+    one gather on the flat table; on either side of that size the product must
+    be the per-axis 2-D index's values, shape and dtype for every broadcast."""
+    rng = np.random.default_rng(7)
+    shapes = [((5,), (5,)), ((4, 1), (3,)), ((1, 3), (4, 1)), ((2, 3, 1), (1, 4)),
+              ((), (6,)), ((3,), ()), ((), ()), ((0,), (2, 1)), ((40, 1), (30,)),
+              ((1, 40), (30, 1)), ((2, 30, 1), (1, 40)), ((), (2000,)), ((1100,), (1100,)),
+              ((33,), (33,)), ((0, 1), (3000,))]
+    for g in _suite_groups():
+        for (sa, sb), dtype in itertools.product(shapes, (np.int32, np.int64)):
+            x = np.asarray(rng.integers(g.order, size=sa), dtype=dtype)
+            y = np.asarray(rng.integers(g.order, size=sb), dtype=dtype)
+            got, want = g.mul(x, y), g.mul_table[x, y]
+            if want.ndim:
+                assert got.shape == want.shape and got.dtype == want.dtype, (g.name, sa, sb)
+                assert np.array_equal(got, want), (g.name, sa, sb)
+            else:
+                assert type(got) is int and got == want, g.name
+
+
 def test_only_groups_reads_the_table():
     """Every product, inverse and per-group cache outside `groups` goes through
     `FiniteGroup`'s methods, so a group stored another way changes one module."""
@@ -925,6 +990,30 @@ def test_conjugation_escape_matches_the_conjugate_loop():
             assert (groups.normality_witness(a) is None) == (_loop_escape(a) is None)
 
 
+def _least_moved(a):
+    """The least x with xA != Ax, by comparing the two sets at every x."""
+    g, members = a.group, a.indices()
+    return next((x for x in range(g.order)
+                 if {g.mul(x, y) for y in members} != {g.mul(y, x) for y in members}), None)
+
+
+def test_normality_witness_is_the_least_x_that_moves_the_set():
+    """Only the generators are tested, and the least x with xA != Ax is always
+    one of them, since each is the least element outside the subgroup of the
+    earlier ones: the witness equals the scan over every x."""
+    rng = np.random.default_rng(13)
+    for base in (_s4(), dihedral_group(8), quaternion_group(), _sl23(), heisenberg_group(3),
+                 product_group([cyclic_group(2), heisenberg_group(3)])):
+        for g in (base, _relabelled(base, 5)):
+            cases = [sub.elements for sub in enumerate_subgroups(g)]
+            cases += [GroupSubset.from_indices(g, rng.choice(g.order, size=k, replace=False))
+                      for k in (1, 2, 3, 4, 6) for _ in range(4)]
+            witnesses = [groups.normality_witness(a) for a in cases]
+            assert witnesses == [_least_moved(a) for a in cases], g.name
+            assert None in witnesses and set(witnesses) - {None} <= set(g.generators), g.name
+            assert len(set(witnesses)) > 2, g.name
+
+
 def test_classes_and_commutators_need_no_square_table():
     g = cyclic_group(2048)
     tracemalloc.start()
@@ -1001,8 +1090,23 @@ def test_linear_phases_read_the_exponent_off_the_chain():
         assert (lp.exponent, lp.gens) == (e, gens), g.name
         assert np.array_equal(lp.keys, keys) and lp.keys.shape == keys.shape, g.name
         assert np.array_equal(lp.coords, coords), g.name
-        assert lp.index_of_key == {k.tobytes(): i for i, k in enumerate(keys)}, g.name
+        assert np.array_equal(lp.find(keys), np.arange(len(keys))), g.name
+        assert np.array_equal(lp.find(keys + lp.exponent), np.arange(len(keys))), g.name
     assert linear_phases(_a5()).keys.shape == (1, 0)
+
+
+def test_linear_phases_find_refuses_a_row_that_is_no_key():
+    """In C2 x C4 the chain takes (0, 1) of order 4, then (1, 0) of order 2,
+    whose phase over e = 4 is 0 or 2: a row with an odd second entry is no key."""
+    g = product_group([cyclic_group(2), cyclic_group(4)])
+    lp = linear_phases(g)
+    assert lp.exponent == 4 and lp.radices.tolist() == [4, 2]
+    rows = {tuple(k) for k in lp.keys.tolist()}
+    misses = [(a, b) for a in range(4) for b in range(4) if (a, b) not in rows]
+    assert len(misses) == 16 - len(rows) > 0
+    for row in misses:
+        with pytest.raises(KeyError, match="no linear character"):
+            lp.find(np.array([row]))
 
 
 def test_linear_phases_compute_no_element_orders():

@@ -115,7 +115,8 @@ def test_lspec_values_follow_members_in_ascending_index_order():
         idx = spec.members.indices()
         assert list(idx) == sorted(idx) == list(spec.members)
         assert len(spec.values) == len(idx)
-        assert spec.values == tuple(mags.transform_abs(i) for i in idx)
+        assert spec.values == tuple(math.sqrt(max(float(mags.estimates[i]), 0.0)) / g.order
+                                    for i in idx)
 
 
 def test_lspec_heisenberg_center_annihilator():
@@ -368,6 +369,29 @@ def test_lspec_without_near_ties_builds_no_cyclotomic():
     # a spectrum with ties does build Phi_e
     large_spectrum(_subset(cyclic_group(8), [0, 1, 4]), Fraction(4, 3))
     assert spectra._cyclotomic.cache_info().currsize > 0
+
+
+def test_cold_freiman_decides_each_spectrum_once(monkeypatch):
+    """The C768 ladder job asks for seven large spectra at four radii; each
+    (A, eps) is decided once, and the repeats are read from the group."""
+    asked, decided = [], []
+    lspec, decide = spectra._lspec, spectra._decide
+    monkeypatch.setattr(spectra, "_lspec", lambda a, eps: asked.append(eps) or lspec(a, eps))
+    monkeypatch.setattr(spectra, "_decide", lambda a, eps: decided.append(eps) or decide(a, eps))
+    g = cyclic_group(768)
+    freiman_ball(g, _subset(g, [767, 0, 1]))
+    assert len(asked) == 7 and len(decided) == 4
+    assert sorted(decided) == sorted(set(asked))
+
+
+def test_a_repeated_large_spectrum_is_the_cached_decision(monkeypatch):
+    g = cyclic_group(360)
+    first = large_spectrum(_subset(g, [359, 0, 1, 7]), Fraction(1, 8))
+    monkeypatch.setattr(spectra, "_decide", None)       # a second decision would raise
+    again = large_spectrum(_subset(g, [0, 1, 7, 359]), Fraction(2, 16))
+    assert again.members == first.members and len(first.members) > 1
+    assert again.values == first.values and again.threshold_sq == first.threshold_sq
+    assert first.threshold_sq == (1 - Fraction(1, 128)) * 16
 
 
 def test_large_spectrum_rejects_bad_radius():
