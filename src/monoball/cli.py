@@ -443,10 +443,11 @@ def _freiman_result(rep) -> dict:
 
 
 def _cmd_freiman(args) -> tuple[str, dict, Optional[list], int]:
-    g = _group_from_file(args.group)
-    a, _ = _set_from_file(g, args.set)
+    # the config checks its options before any group is built
     config = PipelineConfig(constant_c=args.constant_c, n_max=args.nmax,
                             epsilon_override=args.eps)
+    g = _group_from_file(args.group)
+    a, _ = _set_from_file(g, args.set)
     rep = freiman_ball(g, a, config)
     result = _freiman_result(rep)
     # the theorem is conditional on monomiality; an unmet hypothesis is exit 2

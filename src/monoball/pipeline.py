@@ -31,6 +31,12 @@ class PipelineConfig:
             raise ValueError(f"constant_c must be positive and finite, not {self.constant_c}")
         if self.n_max < 4:
             raise ValueError("n_max must be at least 4")
+        if self.epsilon_override is not None:
+            eps = Fraction(self.epsilon_override)
+            if eps <= 0:
+                raise ValueError(f"eps must be positive, not {eps}")
+            if 8 * eps > Fraction(1, 16):
+                raise ValueError("epsilon too large: the chain needs 8*eps <= 1/16")
 
 
 class LedgerEntry(NamedTuple):

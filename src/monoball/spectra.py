@@ -5,10 +5,9 @@ an element of Z[zeta_e], e the exponent of G^ab, whose float64 estimate has a
 proven error bound; comparisons within that bound are decided in Z[zeta_e],
 where a tie counts as >=.
 
-The cos(2 pi k/e) table behind every estimate, and floor(e/(2 pi)), are
-computed in 128-bit integer fixed point, with no mpmath. mpmath is imported
-only when a near tie needs interval arithmetic, and its precision is only
-ever set locally.
+One integer fixed-point route computes every transcendental value read here:
+cos(2 pi k/e) at 128 bits for the float estimates and at doubling precision
+for a near tie, and floor(e/(2 pi)), from pi by the Bailey-Borwein-Plouffe series.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from .bohr import CharSet, char_span, charset_sum, linbohr
 from .metric import _FLOAT_TOL
 from .setops import power_set, set_predicates
 
-_PI_FIX = 1069028584064966747859680373161870783300     # floor(pi 2^128)
-
 MagSq = Union[Fraction, float]
 
 
@@ -57,32 +54,51 @@ class HypothesisRecord(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _cos_table(e: int) -> np.ndarray:
-    """cos(2 pi k/e) for k = 0..e-1, each within 2^-53; exact at 0, +-1/2 and +-1.
+def _pi_fixed(bits: int, guard: int = 16) -> int:
+    """floor(pi 2^bits), from pi = sum_k 16^-k (4/(8k+1) - 2/(8k+4) - 1/(8k+5)
+    - 1/(8k+6)) at p = bits + guard bits: the p/4 + 1 terms, each of four
+    floored quotients, and the dropped tail put the sum within 3p/4 + 4 <= p
+    units of pi 2^p. pi is irrational, so enough guard bits fix its floor."""
+    p = bits + guard
+    s = sum((4 << q) // (8 * k + 1) - (2 << q) // (8 * k + 4) - (1 << q) // (8 * k + 5)
+            - (1 << q) // (8 * k + 6) for k, q in enumerate(range(p, -1, -4)))
+    if (s - p) >> guard == (s + p) >> guard:
+        return s >> guard
+    return _pi_fixed(bits, 2 * guard)
 
-    In fixed point with unit u = 2^-128 and P = floor(pi/u) = _PI_FIX:
-    theta = floor(2P/e) u is within 3u of 2 pi/e. For e >= 5 (below that
-    every entry is one of Niven's values, set exactly), theta < 1.3, and the
-    Taylor series of cos theta and sin theta, each term floored, are within
-    2^7 u. zeta^k is k floored complex products by zeta = cos theta + i sin
-    theta, each off by under 2u, so it is within k 2^8 u of e^(2 pi i k/e):
-    2^-100 for k <= e/2 <= 2^19. Integer true division rounds each entry
-    correctly, to within 2^-54 + 2^-100 < 2^-53."""
+
+def _cos_fixed(e: int, bits: int) -> list[int]:
+    """cos(2 pi k/e) 2^bits for k = 0..e/2, each within 2 k bits units if e >= 5
+    and bits >= 64. In units u = 2^-bits, theta = floor(2 _pi_fixed(bits)/e) u
+    is within 3u of 2 pi/e and under 1.3. Its Taylor terms, each floored from
+    the last, are low by under 1.5u, and from the fifth on each is under 0.26
+    of the last, so the series ends within 0.52 bits + 4 terms: zeta = cos theta
+    + i sin theta is within (0.8 bits + 12)u of e^(2 pi i/e). Each of the k
+    floored complex products that give zeta^k adds under 1.5u, for
+    k (0.8 bits + 14)u <= 2 k bits u in all (k <= e/2 <= 2^19)."""
     assert e <= 1 << 20         # e <= |G|: a table of order 2^20 takes 4 TiB
-    one = 1 << 128
-    theta = 2 * _PI_FIX // e
-    c, s, term, n = 0, 0, one, 0
+    theta = 2 * _pi_fixed(bits) // e
+    c, s, term, n = 0, 0, 1 << bits, 0
     while term:                 # term = theta^n/n!, added with the sign of i^n
         if n % 2:
             s += term if n % 4 == 1 else -term
         else:
             c += term if n % 4 == 0 else -term
         n += 1
-        term = term * theta // (n << 128)
-    half, x, y = [], one, 0
+        term = term * theta // (n << bits)
+    half, x, y = [], 1 << bits, 0
     for _ in range(e // 2 + 1):
-        half.append(x / one)
-        x, y = (x * c - y * s) >> 128, (x * s + y * c) >> 128
+        half.append(x)
+        x, y = (x * c - y * s) >> bits, (x * s + y * c) >> bits
+    return half
+
+
+@functools.lru_cache(maxsize=None)
+def _cos_table(e: int) -> np.ndarray:
+    """cos(2 pi k/e) for k = 0..e-1, each within 2^-53; exact at 0, +-1/2 and +-1.
+    Below e = 5 every entry is one of Niven's values. Above, _cos_fixed(e, 128)
+    is within 2^8 k units, 2^-101, and integer true division rounds it correctly."""
+    half = [x / (1 << 128) for x in _cos_fixed(e, 128)]
     for d, value in ((6, 0.5), (4, 0.0), (3, -0.5), (2, -1.0)):    # Niven's values
         if e % d == 0:
             half[e // d] = value
@@ -123,20 +139,23 @@ def _cyclotomic(e: int) -> tuple[int, ...]:
 
 def _exact_at_least(coeffs, threshold: Fraction) -> bool:
     """sum_k coeffs[k] zeta_e^k >= threshold (e = len(coeffs)) for a real element
-    of Z[zeta_e]; a tie counts as >=. The difference is reduced modulo Phi_e: if
-    it is not 0, its enclosure excludes 0 at some precision."""
+    of Z[zeta_e]; a tie counts as >=. The difference beta, reduced modulo Phi_e,
+    is a constant for every real beta when e <= 4 or e = 6; any other beta is not
+    0, so sum_k b_k cos(2 pi k/e) 2^bits outgrows its error as bits doubles."""
+    e = len(coeffs)
     beta = threshold.denominator * _reduce(coeffs)
     beta[0] -= threshold.numerator
-    if not any(beta):
-        return True
-    from mpmath.ctx_iv import MPIntervalContext     # only here: near ties are rare
-    iv = MPIntervalContext()        # private, so mpmath.iv keeps its precision
-    iv.prec = 64
+    if not any(beta[1:]):
+        return bool(beta[0] >= 0)
+    terms = [(int(b), min(k, e - k)) for k, b in enumerate(beta) if b]
+    # by `_cos_fixed`'s bound, value is within error * bits of beta 2^bits
+    error, bits = 2 * sum(abs(b) * k for b, k in terms), 64
     while True:
-        value = sum(int(b) * iv.cos(2 * iv.pi * k / len(coeffs)) for k, b in enumerate(beta) if b)
-        if value.a > 0 or value.b < 0:
-            return bool(value.a > 0)
-        iv.prec *= 2
+        cos = _cos_fixed(e, bits)
+        value = sum(b * cos[k] for b, k in terms)
+        if abs(value) > error * bits:
+            return value > 0
+        bits *= 2
 
 
 class FourierMagnitudes:
@@ -613,10 +632,10 @@ def _inv_two_pi_ball(group: FiniteGroup, members: CharSet) -> GroupSubset:
 
 
 def _floor_over_two_pi(e: int) -> int:
-    """floor(e/(2 pi)): 2 pi 2^128 lies in [2P, 2P + 2), P = _PI_FIX, and
+    """floor(e/(2 pi)): 2 pi 2^128 lies in [2P, 2P + 2), P = _pi_fixed(128), and
     e/(2 pi) is irrational, so it is the floor of both quotients when they agree."""
-    radius = (e << 128) // (2 * _PI_FIX)
-    assert radius == (e << 128) // (2 * _PI_FIX + 2)
+    radius = (e << 128) // (2 * _pi_fixed(128))
+    assert radius == (e << 128) // (2 * _pi_fixed(128) + 2)
     return radius
 
 

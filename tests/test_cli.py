@@ -533,6 +533,25 @@ def test_bad_eps_exit1(tmp_path, capsys):
     assert code == 1 and "--eps" in cap.err
 
 
+@pytest.mark.parametrize("eps, message", [("0", "eps must be positive"),
+                                          ("-1/128", "eps must be positive"),
+                                          ("1/64", "epsilon too large"), ("1/128", None)])
+def test_freiman_eps_is_checked_before_any_group(tmp_path, capsys, monkeypatch, eps, message):
+    built = []
+    build = cli.build_group
+    monkeypatch.setattr(cli, "build_group", lambda spec: built.append(spec) or build(spec))
+    g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
+    s = _set_file(tmp_path, [0, 1, 11])
+    code = cli.main(["freiman", "--group", g, "--set", s, f"--eps={eps}",
+                     "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0 and len(built) == 1
+    else:
+        assert code == 1 and message in err and "Traceback" not in err
+        assert built == []
+
+
 def test_falsified_maps_to_exit3(tmp_path, capsys, monkeypatch):
     g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
 

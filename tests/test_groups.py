@@ -4,6 +4,7 @@ import itertools
 import math
 import pathlib
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -902,6 +903,25 @@ def test_package_imports_nothing_newer_than_python_3_10():
              if alias.name in newer or (isinstance(node, ast.ImportFrom)
                                         and node.module == "tomllib")]
     assert found == []
+
+
+def test_package_imports_only_the_stdlib_numpy_and_itself():
+    """Every module imports from the stdlib, numpy and monoball alone, and numpy
+    is the one runtime dependency; tests keep mpmath as their reference."""
+    allowed = {*sys.stdlib_module_names, "numpy", "monoball"}
+    src = pathlib.Path(groups.__file__).parent
+    found = [f"{path.name}:{node.lineno} {name}" for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                          else [node.module] if isinstance(node, ast.ImportFrom)
+                          and node.level == 0 else [])
+             if name.partition(".")[0] not in allowed]
+    assert found == []
+    tomllib = pytest.importorskip("tomllib")        # Python 3.11 on
+    project = tomllib.loads((src.parents[1] / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]
+    assert "mpmath" in [re.match(r"[\w.-]+", dep)[0]
+                        for dep in project["optional-dependencies"]["test"]]
 
 
 def test_is_abelian_on_the_generators_matches_the_whole_table():

@@ -1,6 +1,6 @@
 """Package-wide properties: result records are immutable tuples, and a cold
-`freiman` run imports neither mpmath nor more dataclass machinery than the
-stateful classes need."""
+run imports neither mpmath nor more dataclass machinery than the stateful
+classes need."""
 
 import importlib
 import json
@@ -54,18 +54,23 @@ def test_only_stateful_classes_are_dataclasses():
 
 
 def test_cold_freiman_runs_import_no_mpmath(tmp_path, package_env):
-    """Only a near tie of a large spectrum needs mpmath's interval arithmetic;
-    the cos table and floor(e/(2 pi)) are integer computations."""
+    """The cos table, floor(e/(2 pi)) and near ties of a large spectrum are all
+    integer computations: neither `freiman` runs nor a near tie load mpmath.
+    On C8 with A = {0, 1} the threshold 4 - 2 eps^2 of the `lspec` run is
+    within 10^-16 of |1 + zeta_8|^2 = 2 + sqrt(2)."""
     normal = {"symmetrize": True, "add_identity": True, "conjugation_close": True}
-    jobs = {"c768": ({"type": "cyclic", "n": 768}, {"indices": [767, 0, 1]}),
-            "heis3": ({"type": "heisenberg", "p": 3}, {"indices": [9, 3], "normalize": normal})}
+    jobs = {"c768": ({"type": "cyclic", "n": 768}, {"indices": [767, 0, 1]}, "freiman", []),
+            "heis3": ({"type": "heisenberg", "p": 3}, {"indices": [9, 3], "normalize": normal},
+                      "freiman", []),
+            "c8": ({"type": "cyclic", "n": 8}, {"indices": [0, 1]}, "lspec",
+                   ["--eps", "27059805007309849/50000000000000000"])}
     argvs = []
-    for label, (group, subset) in jobs.items():
+    for label, (group, subset, command, extra) in jobs.items():
         for suffix, spec in (("group", group), ("set", subset)):
             (tmp_path / f"{label}.{suffix}.json").write_text(json.dumps(spec))
-        argvs.append(["freiman", "--group", str(tmp_path / f"{label}.group.json"),
+        argvs.append([command, "--group", str(tmp_path / f"{label}.group.json"),
                       "--set", str(tmp_path / f"{label}.set.json"),
-                      "--out", str(tmp_path / f"{label}.report.json")])
+                      "--out", str(tmp_path / f"{label}.report.json"), *extra])
     code = (
         "import sys\n"
         "import monoball\n"

@@ -254,6 +254,15 @@ def test_freiman_epsilon_override_and_config_guards():
         freiman_ball(g, _subset(g, [0, 1]))   # not symmetric
 
 
+def test_config_refuses_an_eps_override_outside_the_chain():
+    for eps in (Fraction(0), Fraction(-1, 128)):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            PipelineConfig(epsilon_override=eps)
+    with pytest.raises(ValueError, match="epsilon too large"):
+        PipelineConfig(epsilon_override=Fraction(1, 127))
+    assert PipelineConfig(epsilon_override=Fraction(1, 128)).epsilon_override == Fraction(1, 128)
+
+
 def test_freiman_ball_builds_one_power_chain_per_set(monkeypatch):
     built = []
     init = groups.PowerChain.__init__

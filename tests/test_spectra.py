@@ -316,6 +316,91 @@ def test_floor_over_two_pi_matches_mpmath():
     assert [spectra._floor_over_two_pi(e) for e in range(1, 20001)] == want
 
 
+def test_pi_fixed_matches_mpmath():
+    for bits in (64, 128, 256, 1024, 4096):
+        with mpmath.workprec(bits + 64):
+            assert spectra._pi_fixed(bits) == int(mpmath.floor(mpmath.pi * 2 ** bits)), bits
+    assert spectra._pi_fixed(128) == 1069028584064966747859680373161870783300
+
+
+def test_cos_fixed_lies_within_its_bound():
+    """Entry k of _cos_fixed(e, bits) is within 2 k bits units of cos(2 pi k/e) 2^bits,
+    against mpmath at bits + 64 bits."""
+    for e in (5, 7, 8, 12, 360, 768, 4096):
+        for bits in (64, 128, 256):
+            got = spectra._cos_fixed(e, bits)
+            assert len(got) == e // 2 + 1 and got[0] == 1 << bits
+            with mpmath.workprec(bits + 64):
+                for k, x in enumerate(got):
+                    want = mpmath.cospi(mpmath.mpf(2 * k) / e) * 2 ** bits
+                    assert abs(x - want) <= 2 * k * bits, (e, bits, k)
+
+
+def _real_at_least(coeffs, threshold, cos):
+    """The reference for _exact_at_least: sum_k coeffs[k] cos(2 pi k/e) >= threshold
+    at the working precision, a difference under 10^-350 counted as a tie."""
+    diff = mpmath.fsum(int(c) * cos[k] for k, c in enumerate(coeffs)) - (
+        mpmath.mpf(threshold.numerator) / threshold.denominator)
+    return diff > -mpmath.mpf(10) ** -350
+
+
+@pytest.fixture
+def cos_fixed_calls(monkeypatch):
+    """The (e, bits) of every `_cos_fixed` call, in order."""
+    calls = []
+    cos_fixed = spectra._cos_fixed
+
+    def recording(e, bits):
+        calls.append((e, bits))
+        return cos_fixed(e, bits)
+
+    monkeypatch.setattr(spectra, "_cos_fixed", recording)
+    return calls
+
+
+def test_exact_at_least_matches_a_400_digit_reference(cos_fixed_calls):
+    """Random real elements (symmetric coefficient vectors) against thresholds
+    that round their value down and up at scales 1 to 10^40; e <= 4 and e = 6
+    need no cosine, since every real element is rational there."""
+    rng = np.random.default_rng(25)
+    checked = 0
+    for e in (1, 2, 3, 4, 6, 5, 7, 8, 9, 12, 15, 16, 20, 30, 360, 768):
+        with mpmath.workdps(400):
+            cos = [mpmath.cospi(mpmath.mpf(2 * k) / e) for k in range(e)]
+            for _ in range(3):
+                coeffs = rng.integers(-6, 7, size=e)
+                coeffs[1:] = coeffs[1:] + coeffs[1:][::-1]      # c_k = c_(e-k)
+                value = mpmath.fsum(int(c) * cos[k] for k, c in enumerate(coeffs))
+                for scale in (10 ** j for j in range(0, 41, 4)):
+                    for rounding in (mpmath.floor, mpmath.ceil):
+                        threshold = Fraction(int(rounding(value * scale)), scale)
+                        want = _real_at_least(coeffs, threshold, cos)
+                        assert spectra._exact_at_least(coeffs, threshold) == want, (e, threshold)
+                        checked += 1
+        if e in (1, 2, 3, 4, 6):
+            assert cos_fixed_calls == [], e
+    assert checked == 16 * 3 * 11 * 2
+    assert {e for e, _ in cos_fixed_calls} == {5, 7, 8, 9, 12, 15, 16, 20, 30, 360, 768}
+
+
+def test_exact_at_least_counts_ties_and_refines_near_ones(cos_fixed_calls):
+    # -40 (zeta_8^2 + zeta_8^-2) = 0: a tie, decided by reduction alone
+    assert spectra._exact_at_least([0, 0, -40, 0, 0, 0, -40, 0], Fraction(0))
+    assert not spectra._exact_at_least([0, 0, -40, 0, 0, 0, -40, 0], Fraction(1, 10 ** 40))
+    # zeta_12 + zeta_12^-1 + zeta_12^4 + zeta_12^-4 = sqrt(3) - 1 against nearby rationals
+    sqrt3m1 = [0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1]
+    assert spectra._exact_at_least(sqrt3m1, Fraction(732050807568877293, 10 ** 18))
+    assert not spectra._exact_at_least(sqrt3m1, Fraction(732050807568877294, 10 ** 18))
+    assert max(bits for _, bits in cos_fixed_calls) == 128
+    # the 10^-50 gap of test_exact_comparison_separates_near_ties needs 256 bits
+    cos_fixed_calls.clear()
+    root2 = [0, 1, 0, 0, 0, 0, 0, 1]
+    below = Fraction("1.41421356237309504880168872420969807856967187537694")
+    assert spectra._exact_at_least(root2, below)
+    assert not spectra._exact_at_least(root2, below + Fraction(1, 10 ** 50))
+    assert max(bits for _, bits in cos_fixed_calls) >= 256
+
+
 def test_cyclotomic_polynomials():
     assert spectra._cyclotomic(1) == (-1, 1)
     assert spectra._cyclotomic(8) == (1, 0, 0, 0, 1)
