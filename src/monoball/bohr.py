@@ -109,7 +109,7 @@ def bohr_norm(charset: CharSet) -> PseudoMetricNorm:
         rows = lp.block(charset.indices())
         return np.minimum(rows, lp.exponent - rows).max(axis=0, initial=0)
     return PseudoMetricNorm(group, group.cached("_bohr_norms", numerators, charset.mask),
-                            lp.exponent, "bohr")
+                            lp.exponent)
 
 
 def linbohr(charset: CharSet, delta) -> GroupSubset:
@@ -157,14 +157,12 @@ def cor53_check(lam: CharSet, k: int, delta: Fraction) -> ContractionReport:
     if not equal:
         diff = lhs.mask ^ rhs.mask
         witness = (diff & -diff).bit_length() - 1
+    report = ContractionReport(hypothesis_ok, k_delta, forward, equal, len(lhs), len(rhs), witness)
     if hypothesis_ok and not (equal and forward):
         raise FalsifiedError(
             "LinBohr(k*Lambda, k*delta) != LinBohr(Lambda, delta) under a valid hypothesis",
-            ContractionReport(hypothesis_ok, k_delta, forward, equal,
-                              len(lhs), len(rhs), witness),
-        )
-    return ContractionReport(hypothesis_ok, k_delta, forward, equal,
-                             len(lhs), len(rhs), witness)
+            report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +268,9 @@ def prop51_check(gamma: CharSet, x: CharSet, delta: Fraction) -> BohrGrowthRepor
     )
 
     ratio_ok = ratio <= ratio_bound
-    if hypothesis_ok and contraction_status == "holds" and not (ratio_ok and all(
-            s.holds for s in steps)):
-        raise FalsifiedError(
-            "Bohr growth chain failed with all hypotheses in force",
-            BohrGrowthReport(hypothesis_ok, witness, delta, nx, len(t_set), t_bound,
-                             ratio, ratio_bound, ratio_ok, steps),
-        )
-    return BohrGrowthReport(hypothesis_ok, witness, delta, nx, len(t_set), t_bound,
-                            ratio, ratio_bound, ratio_ok, steps)
+    report = BohrGrowthReport(hypothesis_ok, witness, delta, nx, len(t_set), t_bound,
+                              ratio, ratio_bound, ratio_ok, steps)
+    if hypothesis_ok and contraction_status == "holds" and not (
+            ratio_ok and report.all_inclusions_ok):
+        raise FalsifiedError("Bohr growth chain failed with all hypotheses in force", report)
+    return report

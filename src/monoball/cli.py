@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -37,7 +38,13 @@ class InputError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Bad arguments exit 1: argparse's exit 2 means a failed hypothesis here.
     Each parser refuses the arguments it leaves unread, so that a command's are
-    refused in its name, not by the top-level parser they are handed back to."""
+    refused in its name, not by the top-level parser they are handed back to.
+    A negative rational such as -1/128 is read as a value, not as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            rf"{self._negative_number_matcher.pattern}|^-\d+/\d+$")
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, unread = super().parse_known_args(args, namespace)
@@ -566,10 +573,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         emit_report(report, args.format, args.out, csv_rows=rows)
         print(summary)
         return code
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:       # GroupValidationError and CapExceededError among them
+    except (InputError, ValueError) as exc:     # GroupValidationError, CapExceededError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except HypothesisError as exc:

@@ -15,6 +15,8 @@ from .errors import CapExceededError, GroupValidationError
 
 SUBGROUP_ORDER_CAP = 128    # also the cap of every monomiality search
 PERMUTATION_CLOSURE_CAP = 4096
+# bytes of the dense int32 table a constructor may build: order <= 23170
+TABLE_BYTES_CAP = 1 << 31
 # from_indices ORs fewer indices into an int, more by a numpy scatter: the OR
 # takes 0.2 against 5 us at one index, 28 against 6 us at 255 (2 vCPU Xeon)
 OR_BUILD_LIMIT = 64
@@ -29,7 +31,7 @@ Index = int | np.ndarray | slice      # an element, an array of them, or slice(N
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Immutable finite group; the multiplication table is the source of truth."""
+    """Immutable finite group; the multiplication table defines it."""
 
     mul_table: np.ndarray
     inv_table: np.ndarray
@@ -268,14 +270,6 @@ class Quotient(NamedTuple):
     section: tuple[int, ...]
 
 
-class Abelianization(Quotient):
-    __slots__ = ()
-
-    @property
-    def commutator(self) -> GroupSubset:
-        return self.kernel
-
-
 # ---------------------------------------------------------------------------
 # table validation
 
@@ -384,9 +378,16 @@ def _finish(mul: np.ndarray, labels: Sequence[str], name: str) -> FiniteGroup:
 # constructors
 
 
+def _check_table_bytes(n: int, name: str) -> None:
+    if 4 * n * n > TABLE_BYTES_CAP:     # before any array of n entries is built
+        raise CapExceededError(f"{name}: the table of order {n} needs {4 * n * n} bytes, "
+                               f"beyond the cap of {TABLE_BYTES_CAP}")
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupValidationError("cyclic: n must be >= 1")
+    _check_table_bytes(n, f"cyclic({n})")
     # row x is x, x+1, ..., x-1: a window sliding over 0..n-1 twice, copied once
     idx = np.arange(n, dtype=np.int32)
     mul = np.lib.stride_tricks.sliding_window_view(np.concatenate([idx, idx]), n)[:n].copy()
@@ -397,6 +398,7 @@ def dihedral_group(order: int) -> FiniteGroup:
     """Dihedral group given by its order 2n (rotations first, then reflections)."""
     if order < 2 or order % 2:
         raise GroupValidationError("dihedral: order must be even and >= 2")
+    _check_table_bytes(order, f"dihedral({order})")
     n = order // 2
     a = np.arange(n)
     rot, flip = (a[:, None] + a) % n, (a - a[:, None]) % n     # r^a r^b, r^{b-a}
@@ -420,6 +422,7 @@ def heisenberg_group(p: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over Z_p; element (a,b,c) has index a*p^2+b*p+c."""
     if p < 2:
         raise GroupValidationError("heisenberg: p must be >= 2")
+    _check_table_bytes(p ** 3, f"heisenberg({p})")
     i = np.arange(p ** 3)
     a, b, c = (v[:, None] for v in (i // (p * p), i // p % p, i % p))
     # (a,b,c)(a2,b2,c2) = (a+a2, b+b2, c+c2+a*b2)
@@ -433,6 +436,8 @@ def product_group(factors: Sequence[FiniteGroup]) -> FiniteGroup:
         raise GroupValidationError("product: needs at least one factor")
     orders = [g.order for g in factors]
     n = math.prod(orders)
+    name = "x".join(g.name for g in factors)
+    _check_table_bytes(n, f"product({name})")
     # element indices are mixed-radix digits, the first factor most significant;
     # the int32 table is written in blocks of rows, digit by digit
     digits = np.unravel_index(np.arange(n), orders)
@@ -445,7 +450,6 @@ def product_group(factors: Sequence[FiniteGroup]) -> FiniteGroup:
             block += g.mul(d[rows, None], d)
     labels = ["(" + ",".join(g.labels[t] for g, t in zip(factors, tup)) + ")"
               for tup in zip(*(d.tolist() for d in digits))]
-    name = "x".join(g.name for g in factors)
     return _finish(mul, labels, f"product({name})")
 
 
@@ -788,8 +792,8 @@ def quotient(group: FiniteGroup, normal: GroupSubset) -> Quotient:
     return Quotient(normal, q, tuple(parr.tolist()), tuple(reps.tolist()))
 
 
-def abelianization(group: FiniteGroup) -> Abelianization:
-    return Abelianization(*quotient(group, commutator_subgroup(group)))
+def abelianization(group: FiniteGroup) -> Quotient:
+    return quotient(group, commutator_subgroup(group))
 
 
 def _prime_base(k: int) -> int:

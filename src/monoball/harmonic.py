@@ -373,10 +373,6 @@ def indicator(group: FiniteGroup, a: GroupSubset) -> ClassFunction:
     return ClassFunction(group, vals)
 
 
-def constant_one(group: FiniteGroup) -> ClassFunction:
-    return ClassFunction(group, np.ones(group.order, dtype=np.complex128))
-
-
 def inner(f: ClassFunction, g: ClassFunction) -> complex:
     """E_x conj(f(x)) g(x); conjugate-linear in the first slot."""
     if f.group is not g.group:
@@ -553,6 +549,8 @@ def _hereditary_search(group: FiniteGroup) -> tuple[bool, Optional[GroupSubset]]
 def high_value_linearity_check(group: FiniteGroup, s: GroupSubset,
                                a: GroupSubset) -> LinearityScanReport:
     """Scan for irreducibles whose indicator transform is larger than half P(S A)."""
+    if s.group is not group or a.group is not group:
+        raise ValueError("subset belongs to a different group")
     violations = []
     if group.identity not in s:
         violations.append("identity not in S")

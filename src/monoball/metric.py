@@ -27,7 +27,6 @@ class PseudoMetricNorm:
     group: FiniteGroup
     scaled: np.ndarray
     denom: int = 1
-    source: str = "custom"
 
     def __post_init__(self):
         if self.scaled.shape != (self.group.order,):
@@ -37,15 +36,14 @@ class PseudoMetricNorm:
         self.scaled.setflags(write=False)
 
     @classmethod
-    def from_values(cls, group: FiniteGroup, values: Sequence[Scalar],
-                    source: str = "custom") -> "PseudoMetricNorm":
+    def from_values(cls, group: FiniteGroup, values: Sequence[Scalar]) -> "PseudoMetricNorm":
         """rho(x) = values[x], each a Fraction, an int or a numpy integer."""
         for x in values:
             if isinstance(x, bool) or not isinstance(x, numbers.Rational):
                 raise ValueError(f"norm values must be rational, got {x!r}")
         denom = math.lcm(*(int(x.denominator) for x in values))
         return cls(group, np.array([int(x.numerator) * (denom // int(x.denominator))
-                                    for x in values], dtype=np.int64), denom, source)
+                                    for x in values], dtype=np.int64), denom)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -103,7 +101,7 @@ class BourgainCertificate(NamedTuple):
 
 
 def zero_norm(group: FiniteGroup) -> PseudoMetricNorm:
-    return PseudoMetricNorm(group, np.zeros(group.order, dtype=np.int64), 1, "zero")
+    return PseudoMetricNorm(group, np.zeros(group.order, dtype=np.int64))
 
 
 def word_norm(group: FiniteGroup, gens: GroupSubset) -> PseudoMetricNorm:
@@ -115,13 +113,7 @@ def word_norm(group: FiniteGroup, gens: GroupSubset) -> PseudoMetricNorm:
     chain.cycle()
     if (chain.dist < 0).any():
         raise ValueError("word norm needs a generating set")
-    return PseudoMetricNorm(group, chain.dist.copy(), 1, "word")
-
-
-def subgroup_indicator_norm(group: FiniteGroup, h: GroupSubset) -> PseudoMetricNorm:
-    dist = np.ones(group.order, dtype=np.int64)
-    dist[list(h)] = 0
-    return PseudoMetricNorm(group, dist, 1, "subgroup-indicator")
+    return PseudoMetricNorm(group, chain.dist.copy())
 
 
 # ---------------------------------------------------------------------------

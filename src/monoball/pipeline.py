@@ -191,17 +191,17 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
 
     if config.epsilon_override is not None:
         eps = Fraction(config.epsilon_override)
-        eps_source = "override"
+        eps_origin = "override"
     else:
         inv = math.ceil(2 ** 9 * (1 + config.constant_c) * d_eff
                         * math.log(2 * d_eff) ** 2)
         eps = Fraction(1, inv)
-        eps_source = "formula"
-    if 8 * eps > Fraction(1, 16):
-        raise ValueError("epsilon too large: the chain needs 8*eps <= 1/16")
+        eps_origin = "formula"
+    # the config caps an override at 1/128; the formula gives <= 1/246 as 2^9 log^2 2 > 245.9
+    assert 8 * eps <= Fraction(1, 16)
     ledger.append(LedgerEntry(
         "epsilon", "8 eps <= 2^-4", "holds",
-        f"eps = {eps} ({eps_source}, C = {config.constant_c:g})"))
+        f"eps = {eps} ({eps_origin}, C = {config.constant_c:g})"))
 
     # spectrum covering of A^l; S = A works since P(A.A^l) < sqrt(2) P(A^l)
     doubling = lspec_doubling_cover(work, wa, a_l, eps, d_eff)
@@ -216,7 +216,9 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
         f"branch = {doubling.branch}, |X| = {len(x)}"))
 
     spec = large_spectrum(a_l, eps)
-    spec_wide = large_spectrum(a_l, 2 * eps)
+    # Proposition 8.1 at 2 eps is the chain's first link; it raises if AA^-1 escapes
+    wide = prop81_check(wa, l, 2 * eps)
+    spec_wide, diff, step_sq = wide.spectrum, wide.difference_set, wide.ball
     union = spec.members | x
     in_wide = union.is_subset_of(spec_wide.members)
     checks = [StageCheck("LSpec(eps) and X inside LSpec(2 eps)",
@@ -225,10 +227,8 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
     ball = linbohr(union, Fraction(1, 16))
 
     # the chain from the difference set to the final ball
-    diff = product_set(wa, wa.inverse())
-    step_sq = linbohr_squared(spec_wide.members, 32 * eps * eps * k_ratio)
     checks.append(StageCheck("AA^-1 inside LinBohr(LSpec(2 eps), 4 eps sqrt(2K))",
-                             len(diff), len(step_sq), diff.is_subset_of(step_sq)))
+                             len(diff), len(step_sq), wide.contained))
     assert k_ratio <= 2      # makes 4 eps sqrt(2K) <= 8 eps
     step_8eps = linbohr(spec_wide.members, 8 * eps)
     checks.append(StageCheck("radius widens to 8 eps",

@@ -41,12 +41,8 @@ MagSq = Union[Fraction, float]
 
 class HypothesisRecord(NamedTuple):
     name: str
-    status: str           # "holds" | "fails" | "unchecked" | "vacuous"
+    status: str           # "holds" | "fails" | "unchecked"
     detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "holds"
 
 
 # ---------------------------------------------------------------------------
@@ -315,24 +311,6 @@ def spectrum_distance_exact(a: GroupSubset, gamma: LinearCharacter,
     return SpectrumDistance(math.sqrt(max(float(rho_sq), 0.0)), rho_sq, isinstance(mag, Fraction))
 
 
-def spectrum_distance_identity_check(a: GroupSubset,
-                                     gamma: LinearCharacter) -> dict:
-    """rho(0, gamma)^2 against 2(1 - P(A)^-2 |hat 1_A(gamma)|^2); both forms reported."""
-    g = a.group
-    dist = spectrum_distance_exact(a, LinearCharacter(g, 0), gamma)
-    # summed directly over A, not through the autocorrelation counts behind rho
-    hat = np.exp(2j * np.pi * gamma.row[list(a.indices())] / gamma.exponent).sum() / g.order
-    p = len(a) / g.order
-    reference = 2 * (1 - abs(hat) ** 2 / p ** 2)
-    return {
-        "rho": dist.rho,
-        "rho_squared": float(dist.rho_sq),
-        "reference_squared": reference,
-        "reference_unsquared_form": math.sqrt(max(reference, 0.0)),
-        "residual": abs(float(dist.rho_sq) - reference),
-    }
-
-
 # ---------------------------------------------------------------------------
 # standing hypotheses of the growth section
 
@@ -341,6 +319,8 @@ def standing_hypotheses(group: FiniteGroup, s: GroupSubset,
                         a: GroupSubset) -> list[HypothesisRecord]:
     """The records, decided once per (S, A) and cached on the group as a
     tuple; each call returns a fresh list, since callers append to it."""
+    if s.group is not group or a.group is not group:
+        raise ValueError("subset belongs to a different group")
     return list(group.cached("_standing_hypotheses",
                              lambda: _standing_hypotheses(group, s, a), (s.mask, a.mask)))
 
@@ -547,6 +527,7 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
 
     chain = power_chain(a)
     start, period = chain.cycle()
+    # with eps <= 1 and d >= 1, k_hi >= 128 d log(32 d) - 1 > k_lo: never empty
     k_lo = math.ceil(64 * d * math.log(32 * d))
     eps_f = float(eps)
     k_hi = math.floor(128 * d * math.log(32 * d / eps_f ** 2) / eps_f ** 2)
@@ -562,15 +543,11 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
         ok = math.log(size_k / len(a)) <= d * math.log(k) + _FLOAT_TOL
         window_rows.append(WindowRow(k, size_k, ok))
         ok_all = ok_all and ok
-    if k_lo > k_hi:
-        records.append(HypothesisRecord("growth window", "vacuous",
-                                        f"empty window [{k_lo}, {k_hi}]"))
-    else:
-        records.append(HypothesisRecord(
-            "P(A^k) <= k^d P(A) on the growth window",
-            "holds" if ok_all else "fails",
-            f"window [{k_lo}, {k_hi}], power cycle from {start} period {period}" + (
-                " (clipped)" if clipped else "")))
+    records.append(HypothesisRecord(
+        "P(A^k) <= k^d P(A) on the growth window",
+        "holds" if ok_all else "fails",
+        f"window [{k_lo}, {k_hi}], power cycle from {start} period {period}" + (
+            " (clipped)" if clipped else "")))
 
     k_eta_d = math.ceil(_k_min(eps / 2, d))  # eps/2: the smallest radius touched
 

@@ -425,6 +425,15 @@ def test_cap_exceeded_exit1_with_advice(tmp_path, capsys):
     assert "raise --cap" in cap.err
 
 
+def test_table_budget_exit1(tmp_path, capsys):
+    # a well-formed spec whose int32 table would take 40 GB
+    g = _group_file(tmp_path, {"type": "product", "factors": [{"type": "cyclic", "n": 1000},
+                                                              {"type": "cyclic", "n": 100}]})
+    code = cli.main(["group-info", "--group", g])
+    err = capsys.readouterr().err
+    assert code == 1 and "the table of order 100000 needs 40000000000 bytes" in err
+
+
 def test_cap_advice_only_where_cap_applies(tmp_path, capsys):
     # the character-table cap is fixed; --cap moves only the monomial search,
     # so a monomial run above the table cap gets no advice, whether it clears
@@ -535,14 +544,18 @@ def test_bad_eps_exit1(tmp_path, capsys):
 
 @pytest.mark.parametrize("eps, message", [("0", "eps must be positive"),
                                           ("-1/128", "eps must be positive"),
-                                          ("1/64", "epsilon too large"), ("1/128", None)])
+                                          ("1/64", "epsilon too large"), ("1/128", None),
+                                          # a separate negative value is not an option
+                                          (["--eps", "-1/128"],
+                                           "eps must be positive, not -1/128")])
 def test_freiman_eps_is_checked_before_any_group(tmp_path, capsys, monkeypatch, eps, message):
     built = []
     build = cli.build_group
     monkeypatch.setattr(cli, "build_group", lambda spec: built.append(spec) or build(spec))
     g = _group_file(tmp_path, {"type": "cyclic", "n": 12})
     s = _set_file(tmp_path, [0, 1, 11])
-    code = cli.main(["freiman", "--group", g, "--set", s, f"--eps={eps}",
+    flags = eps if isinstance(eps, list) else [f"--eps={eps}"]
+    code = cli.main(["freiman", "--group", g, "--set", s, *flags,
                      "--out", str(tmp_path / "report.json")])
     err = capsys.readouterr().err
     if message is None:

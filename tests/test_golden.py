@@ -24,6 +24,9 @@ C360_A = {"indices": [359, 0, 1]}
 HEIS3_FAT = {"indices": [x for x in range(27) if x not in (12, 13, 14, 24, 25, 26)],
              "s_indices": [0, 9, 3]}
 S5 = {"type": "permutation", "degree": 5, "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
+# SL(2,3) acting on the nonzero vectors of F_3^2: not monomial
+SL23 = {"type": "permutation", "degree": 8,
+        "generators": [[3, 7, 2, 6, 1, 5, 0, 4], [5, 2, 0, 6, 3, 1, 7, 4]]}
 # D8 relabelled by r^a -> 3, 6, 0, 1 and s r^a -> 7, 2, 5, 4: the identity is 3,
 # and the least elements of the reflection classes swap their order
 D8_RELABELLED = {"type": "table", "mul": [
@@ -105,6 +108,8 @@ RUNS = [
     ("monomial-s4", "monomial", S4, None, []),
     # S4 is not supersolvable, so its hypotheses go to the brute-force search
     ("freiman-s4", "freiman", S4, {"indices": [1], "normalize": NORMAL}, []),
+    # every monomiality entry reads "fails", so the run is descriptive: exit 2
+    ("freiman-sl23", "freiman", SL23, {"indices": [1], "normalize": NORMAL}, []),
 ]
 
 # exit code and sha256 of json.dumps(report["result"], indent=2); None when
@@ -149,6 +154,7 @@ GOLDEN = {
         (0, "183af5ce443331145d32d83df9ca7147873a5a0728b7b08ef2ce21a686daf731"),
     "monomial-s4": (0, "b5864d7c42fe5967249c0dca610674e8b32047f0a10b9bb499061df09e65cddd"),
     "freiman-s4": (0, "ea1af5991b30d901253a4ce0387a87165c7eaf5304521ae7701c1e0d40638cd6"),
+    "freiman-sl23": (2, "3457dab9f2db0a736da72627ab134691ab0b5bfad6233a278f96612c3b35eacd"),
 }
 
 

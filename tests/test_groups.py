@@ -5,6 +5,7 @@ import math
 import pathlib
 import re
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -159,12 +160,12 @@ def test_heisenberg_class_and_commutator_structure():
     assert len(cc.classes) == 11
     assert sorted(cc.sizes) == [1, 1, 1] + [3] * 8
     ab = abelianization(g)
-    assert len(ab.commutator) == 3
+    assert len(ab.kernel) == 3
     assert ab.quotient.order == 9
     assert ab.quotient.is_abelian
     # commutator subgroup here is exactly the center
     center = [x for x in range(27) if all(g.mul(x, y) == g.mul(y, x) for y in range(27))]
-    assert set(ab.commutator.indices()) == set(center)
+    assert set(ab.kernel.indices()) == set(center)
 
 
 def test_conjugacy_matches_brute_force():
@@ -219,9 +220,37 @@ def test_subgroup_cap():
     assert len(subs) == 12  # one per divisor of 200
 
 
+@pytest.mark.parametrize("build", [
+    lambda: cyclic_group(10 ** 5),
+    lambda: build_group({"type": "product", "factors": [{"type": "cyclic", "n": 1000},
+                                                        {"type": "cyclic", "n": 100}]}),
+], ids=["c100000", "c1000xc100"])
+def test_table_budget_refuses_an_order_before_its_table(build):
+    """Order 10^5 would need a 40 GB int32 table; it is refused by its order
+    alone, so the product's largest array is its C1000 factor's 4 MB table."""
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="order 100000 needs 40000000000 bytes"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.1
+    assert peak < 10 * 2 ** 20
+
+
+def test_table_budget_ends_at_order_23170():
+    groups._check_table_bytes(23170, "c")      # 4 * 23170^2 <= 2^31 < 4 * 23171^2
+    for build in (lambda: groups._check_table_bytes(23171, "c"),
+                  lambda: dihedral_group(23172), lambda: heisenberg_group(29)):
+        with pytest.raises(CapExceededError, match="beyond the cap of 2147483648"):
+            build()
+
+
 def test_abelianization_of_s3():
     ab = abelianization(_s3())
-    assert len(ab.commutator) == 3
+    assert len(ab.kernel) == 3
     assert ab.quotient.order == 2
     assert ab.projection[ab.section[1]] == 1
     # projection respects multiplication
@@ -1163,7 +1192,7 @@ def test_linear_phases_reject_a_projection_that_is_no_homomorphism(monkeypatch):
         for i in rng.permutation(len(pairs))[:30]:
             swap = dict(zip(pairs[i], pairs[i][::-1]))
             p = np.array([swap.get(x, x) for x in ab.projection])
-            swapped = groups.Abelianization(ab.kernel, q, tuple(p.tolist()), ab.section)
+            swapped = groups.Quotient(ab.kernel, q, tuple(p.tolist()), ab.section)
             monkeypatch.setattr(harmonic, "abelianization", lambda group: swapped)
             g.__dict__.pop("_linear_phases", None)
             if np.array_equal(p[g.mul_table], q.mul_table[p[:, None], p]):

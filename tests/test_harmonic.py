@@ -23,7 +23,6 @@ from monoball.groups import (
 from monoball.harmonic import (
     ClassFunction,
     character_table,
-    constant_one,
     convolve,
     fourier_scalar,
     frobenius_residual,
@@ -40,6 +39,10 @@ from monoball.harmonic import (
 
 def _s3():
     return permutation_group(3, [[1, 0, 2], [0, 2, 1]])
+
+
+def constant_one(group):
+    return ClassFunction(group, np.ones(group.order, dtype=np.complex128))
 
 
 def _sl23():
@@ -593,6 +596,17 @@ def test_high_value_linearity_reports_violated_hypotheses():
     rep = high_value_linearity_check(g, s, a)
     assert "A is not symmetric" in rep.hypothesis_violations
     assert "S does not generate the group" in rep.hypothesis_violations
+
+
+def test_high_value_linearity_refuses_sets_of_another_group():
+    """Sets of D12 with C12 as the group: refused before C12's character table."""
+    c12, d12 = cyclic_group(12), dihedral_group(12)
+    s, a = GroupSubset.full(d12), GroupSubset.from_indices(d12, [0])
+    before = dict(c12.__dict__)
+    for args in ((c12, s, a), (c12, GroupSubset.full(c12), a)):
+        with pytest.raises(ValueError, match="subset belongs to a different group"):
+            high_value_linearity_check(*args)
+    assert c12.__dict__ == before
 
 
 def test_inner_product_convention():

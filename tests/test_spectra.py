@@ -25,6 +25,7 @@ from monoball.groups import (
     quaternion_group,
 )
 from monoball.harmonic import (
+    LinearCharacter,
     character_table,
     is_monomial,
     linear_characters,
@@ -41,7 +42,6 @@ from monoball.spectra import (
     spectral_energy_check,
     spectrum_distance,
     spectrum_distance_exact,
-    spectrum_distance_identity_check,
     spectrum_weight,
     standing_hypotheses,
 )
@@ -544,6 +544,23 @@ def test_spectrum_distance_translation_invariant():
         assert base.rho_sq == moved.rho_sq
 
 
+def spectrum_distance_identity_check(a, gamma):
+    """rho(0, gamma)^2 against 2(1 - P(A)^-2 |hat 1_A(gamma)|^2); both forms reported."""
+    g = a.group
+    dist = spectrum_distance_exact(a, LinearCharacter(g, 0), gamma)
+    # summed directly over A, not through the autocorrelation counts behind rho
+    hat = np.exp(2j * np.pi * gamma.row[list(a.indices())] / gamma.exponent).sum() / g.order
+    p = len(a) / g.order
+    reference = 2 * (1 - abs(hat) ** 2 / p ** 2)
+    return {
+        "rho": dist.rho,
+        "rho_squared": float(dist.rho_sq),
+        "reference_squared": reference,
+        "reference_unsquared_form": math.sqrt(max(reference, 0.0)),
+        "residual": abs(float(dist.rho_sq) - reference),
+    }
+
+
 def test_spectrum_distance_identity_formula():
     fixtures = [
         (cyclic_group(16), [14, 15, 0, 1, 2]),
@@ -616,6 +633,19 @@ def test_standing_hypotheses_are_decided_once_per_pair(monkeypatch):
     assert standing_hypotheses(g, s, a) == second and len(second) == 4
     standing_hypotheses(g, a, a)
     assert calls == [a.mask, a.mask]
+
+
+def test_standing_hypotheses_refuse_sets_of_another_group():
+    """Sets of D12 with C12 as the group: nothing is decided or cached on C12."""
+    c12, d12 = cyclic_group(12), dihedral_group(12)
+    s, a = _subset(d12, [0, 1, 6]), _subset(d12, [0, 1, 5])
+    before = dict(c12.__dict__)
+    for args in ((c12, s, a), (c12, _subset(c12, [0, 1]), a), (c12, s, _subset(c12, [0]))):
+        with pytest.raises(ValueError, match="subset belongs to a different group"):
+            standing_hypotheses(*args)
+        with pytest.raises(ValueError, match="subset belongs to a different group"):
+            lspec_size_check(*args, Fraction(1), 34, 1.0)
+    assert c12.__dict__ == before
 
 
 def test_standing_hypotheses_beyond_cap_unchecked():
