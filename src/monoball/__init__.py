@@ -2,12 +2,7 @@
 
 __version__ = "0.3.0"
 
-from .errors import (
-    CapExceededError,
-    FalsifiedError,
-    GroupValidationError,
-    HypothesisError,
-)
+from .errors import CapExceededError, FalsifiedError, GroupValidationError
 from .groups import (
     FiniteGroup,
     GroupSubset,
@@ -88,7 +83,7 @@ from .pipeline import (
 
 __all__ = [
     "__version__",
-    "CapExceededError", "FalsifiedError", "GroupValidationError", "HypothesisError",
+    "CapExceededError", "FalsifiedError", "GroupValidationError",
     "FiniteGroup", "GroupSubset", "build_group", "closure", "conjugacy_classes",
     "cyclic_group", "dihedral_group", "enumerate_subgroups", "heisenberg_group",
     "permutation_group", "product_group", "quaternion_group", "subgroup_view",

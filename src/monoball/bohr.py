@@ -12,7 +12,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapExceededError, FalsifiedError, HypothesisError
+from .errors import CapExceededError, HypothesisRecord, StageCheck, conclude
 from .groups import BitSet, FiniteGroup, GroupSubset, product_set
 from .harmonic import LinearCharacter, linear_phases
 from .metric import PseudoMetricNorm, ball
@@ -132,7 +132,7 @@ def linbohr_squared(charset: CharSet, delta_sq: Fraction) -> GroupSubset:
 
 
 class ContractionReport(NamedTuple):
-    hypothesis_ok: bool
+    hypotheses: tuple[HypothesisRecord, ...]
     k_delta: Fraction
     forward_inclusion: bool
     equal: bool
@@ -147,7 +147,10 @@ def cor53_check(lam: CharSet, k: int, delta: Fraction) -> ContractionReport:
         raise ValueError("cor53_check needs k >= 1")
     delta = Fraction(delta)
     k_delta = k * delta
-    hypothesis_ok = lam.contains_identity and k_delta < Fraction(1, 3)
+    records = (HypothesisRecord.of("Lambda contains the trivial character",
+                                   lam.contains_identity),
+               HypothesisRecord.of("k delta < 1/3", k_delta < Fraction(1, 3),
+                                   f"k delta = {k_delta}"))
 
     lhs = linbohr(kfold_charset(lam, k), k_delta)
     rhs = linbohr(lam, delta)
@@ -157,28 +160,17 @@ def cor53_check(lam: CharSet, k: int, delta: Fraction) -> ContractionReport:
     if not equal:
         diff = lhs.mask ^ rhs.mask
         witness = (diff & -diff).bit_length() - 1
-    report = ContractionReport(hypothesis_ok, k_delta, forward, equal, len(lhs), len(rhs), witness)
-    if hypothesis_ok and not (equal and forward):
-        raise FalsifiedError(
-            "LinBohr(k*Lambda, k*delta) != LinBohr(Lambda, delta) under a valid hypothesis",
-            report)
-    return report
+    report = ContractionReport(records, k_delta, forward, equal, len(lhs), len(rhs), witness)
+    return conclude(report, equal and forward,
+                    "LinBohr(k*Lambda, k*delta) != LinBohr(Lambda, delta) under a valid hypothesis")
 
 
 # ---------------------------------------------------------------------------
 # growth of structured Bohr sets
 
 
-class ChainStep(NamedTuple):
-    name: str
-    holds: bool
-    hypothesis_status: str   # "unconditional" | "holds" | "fails"
-    note: str = ""
-
-
 class BohrGrowthReport(NamedTuple):
-    hypothesis_ok: bool
-    hypothesis_witness: Optional[tuple]
+    hypotheses: tuple[HypothesisRecord, ...]
     delta: Fraction
     x_size: int
     t_size: int
@@ -186,20 +178,18 @@ class BohrGrowthReport(NamedTuple):
     ratio: Fraction
     ratio_bound: int
     ratio_ok: bool
-    steps: tuple[ChainStep, ...]
+    steps: tuple[StageCheck, ...]
 
     @property
     def all_inclusions_ok(self) -> bool:
-        return all(s.holds for s in self.steps)
+        return all(s.ok for s in self.steps)
 
 
 def prop51_check(gamma: CharSet, x: CharSet, delta: Fraction) -> BohrGrowthReport:
     """Replay the covering-by-translates growth bound for structured Bohr sets."""
     delta = Fraction(delta)
-    if not gamma.symmetric or not gamma.contains_identity:
-        raise HypothesisError("Gamma must be symmetric and contain the identity character")
-    if not 0 < delta <= Fraction(1, 16):
-        raise HypothesisError("delta must lie in (0, 2^-4]")
+    if delta <= 0:
+        raise ValueError("prop51_check needs delta > 0")
     if len(x) < 1:
         raise ValueError("X must contain at least one character")
     group = gamma.group
@@ -209,11 +199,17 @@ def prop51_check(gamma: CharSet, x: CharSet, delta: Fraction) -> BohrGrowthRepor
     target = charset_sum(span, gamma)
     pair_sums = linear_phases(group).sums(gamma.indices(), gamma.indices()).tolist()
     missing = next((k for k, s in enumerate(pair_sums) if s not in target), None)
-    hypothesis_ok = missing is None
-    witness = None
-    if not hypothesis_ok:
+    witness = ""
+    if missing is not None:
         i, j = divmod(missing, len(gamma))
-        witness = (gamma.chars[i].phases, gamma.chars[j].phases)
+        witness = f"characters {gamma.indices()[i]} + {gamma.indices()[j]} fall outside"
+    records = (
+        HypothesisRecord.of("Gamma is symmetric and contains the trivial character",
+                            gamma.symmetric and gamma.contains_identity),
+        HypothesisRecord.of("delta <= 2^-4", delta <= Fraction(1, 16), f"delta = {delta}"),
+        HypothesisRecord.of("Gamma + Gamma inside Span(X) + Gamma", missing is None, witness),
+        HypothesisRecord.of("8 delta < 1/3", 8 * delta < Fraction(1, 3)),
+    )
 
     nx = len(x)
     grid_unit = delta / (4 * nx)
@@ -241,36 +237,23 @@ def prop51_check(gamma: CharSet, x: CharSet, delta: Fraction) -> BohrGrowthRepor
     t_bound = (2 * grid_limit + 1) ** nx
 
     inner1 = linbohr(gamma, 4 * delta) & linbohr(x, grid_unit * 2)  # delta / 2|X|
-    step1 = big.is_subset_of(product_set(t_set, inner1))
-
     span8 = kfold_charset(span, 8)
     inner2 = linbohr(charset_sum(gamma, span8), 8 * delta)
-    step2 = inner1.is_subset_of(inner2)
-
     inner3 = linbohr(kfold_charset(gamma, 8), 8 * delta) & linbohr(span8, 8 * delta)
-    step3 = inner2.is_subset_of(inner3)
-    step3_status = "holds" if hypothesis_ok else "fails"
-
     inner4 = linbohr(gamma, delta) & linbohr(x, delta)
-    step4 = inner3.is_subset_of(inner4)
-    contraction_status = "holds" if 8 * delta < Fraction(1, 3) else "fails"
-
-    final_match = inner4.mask == small.mask
-
+    # the third step needs Gamma + Gamma inside Span(X) + Gamma, the fourth 8 delta < 1/3
     steps = (
-        ChainStep("ball covered by translates of the refined ball", step1, "unconditional"),
-        ChainStep("refined ball inside the span-augmented ball", step2, "unconditional"),
-        ChainStep("span-augmented ball inside the 8-fold balls", step3, step3_status,
-                  "needs Gamma+Gamma inside Span(X)+Gamma"),
-        ChainStep("8-fold contraction back to radius delta", step4, contraction_status,
-                  "needs 8*delta < 1/3"),
-        ChainStep("intersection equals the small ball", final_match, "unconditional"),
+        StageCheck.of("ball covered by translates of the refined ball",
+                      big, product_set(t_set, inner1)),
+        StageCheck.of("refined ball inside the span-augmented ball", inner1, inner2),
+        StageCheck.of("span-augmented ball inside the 8-fold balls", inner2, inner3),
+        StageCheck.of("8-fold contraction back to radius delta", inner3, inner4),
+        StageCheck("intersection equals the small ball", len(inner4), len(small),
+                   inner4.mask == small.mask),
     )
 
     ratio_ok = ratio <= ratio_bound
-    report = BohrGrowthReport(hypothesis_ok, witness, delta, nx, len(t_set), t_bound,
+    report = BohrGrowthReport(records, delta, nx, len(t_set), t_bound,
                               ratio, ratio_bound, ratio_ok, steps)
-    if hypothesis_ok and contraction_status == "holds" and not (
-            ratio_ok and report.all_inclusions_ok):
-        raise FalsifiedError("Bohr growth chain failed with all hypotheses in force", report)
-    return report
+    return conclude(report, ratio_ok and report.all_inclusions_ok,
+                    "Bohr growth chain failed with all hypotheses in force")

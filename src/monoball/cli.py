@@ -21,7 +21,7 @@ from typing import Any, Optional
 
 from . import __version__
 from .bohr import CharSet, bohr_norm, linbohr
-from .errors import CapExceededError, FalsifiedError, GroupValidationError, HypothesisError
+from .errors import CapExceededError, FalsifiedError, GroupValidationError
 from .groups import (SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, _is_integer, build_group,
                      conjugacy_classes)
 from .harmonic import (TABLE_ORDER_CAP, character_table, is_monomial, linear_characters,
@@ -576,9 +576,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputError, ValueError) as exc:     # GroupValidationError, CapExceededError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except HypothesisError as exc:
-        print(f"hypothesis not met: {exc}", file=sys.stderr)
-        return 2
     except FalsifiedError as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
         return 3

@@ -384,6 +384,15 @@ def _check_table_bytes(n: int, name: str) -> None:
                                f"beyond the cap of {TABLE_BYTES_CAP}")
 
 
+def _blocked_table(n: int, rows: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The n x n int32 table whose rows x are rows(x), written a block of rows
+    at a time so that no n x n temporary is built."""
+    mul = np.empty((n, n), dtype=np.int32)
+    for block in _blocks(n):
+        mul[block] = rows(np.arange(n)[block])
+    return mul
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupValidationError("cyclic: n must be >= 1")
@@ -400,10 +409,13 @@ def dihedral_group(order: int) -> FiniteGroup:
         raise GroupValidationError("dihedral: order must be even and >= 2")
     _check_table_bytes(order, f"dihedral({order})")
     n = order // 2
-    a = np.arange(n)
-    rot, flip = (a[:, None] + a) % n, (a - a[:, None]) % n     # r^a r^b, r^{b-a}
-    # r^a (s r^b) = s r^{b-a}, (s r^a) r^b = s r^{a+b}, (s r^a)(s r^b) = r^{b-a}
-    mul = np.block([[rot, n + flip], [n + rot, flip]])
+    y = np.arange(order)
+    flips, sign = y // n, 1 - 2 * (y // n)
+    # r^a r^b = r^{a+b}, r^a (s r^b) = s r^{b-a}, (s r^a) r^b = s r^{a+b} and
+    # (s r^a)(s r^b) = r^{b-a}: the reflection bits add, and a right factor
+    # that is a reflection negates the left factor's exponent
+    mul = _blocked_table(order, lambda x: n * ((x // n)[:, None] ^ flips)
+                         + ((x % n)[:, None] * sign + y % n) % n)
     labels = [f"r{a}" for a in range(n)] + [f"sr{a}" for a in range(n)]
     return _finish(mul, labels, f"dihedral({order})")
 
@@ -424,9 +436,12 @@ def heisenberg_group(p: int) -> FiniteGroup:
         raise GroupValidationError("heisenberg: p must be >= 2")
     _check_table_bytes(p ** 3, f"heisenberg({p})")
     i = np.arange(p ** 3)
-    a, b, c = (v[:, None] for v in (i // (p * p), i // p % p, i % p))
-    # (a,b,c)(a2,b2,c2) = (a+a2, b+b2, c+c2+a*b2)
-    mul = (((a + a.T) % p * p + (b + b.T) % p) * p + (c + c.T + a * b.T) % p)
+    a, b, c = i // (p * p), i // p % p, i % p
+
+    def rows(x):    # (a,b,c)(a2,b2,c2) = (a+a2, b+b2, c+c2+a*b2)
+        xa, xb, xc = a[x, None], b[x, None], c[x, None]
+        return ((xa + a) % p * p + (xb + b) % p) * p + (xc + c + xa * b) % p
+    mul = _blocked_table(p ** 3, rows)
     labels = [f"({a},{b},{c})" for a in range(p) for b in range(p) for c in range(p)]
     return _finish(mul, labels, f"heisenberg({p})")
 
@@ -438,16 +453,15 @@ def product_group(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     n = math.prod(orders)
     name = "x".join(g.name for g in factors)
     _check_table_bytes(n, f"product({name})")
-    # element indices are mixed-radix digits, the first factor most significant;
-    # the int32 table is written in blocks of rows, digit by digit
+    # element indices are mixed-radix digits, the first factor most significant
     digits = np.unravel_index(np.arange(n), orders)
-    mul = np.empty((n, n), dtype=np.int32)
-    for rows in _blocks(n):
-        block = mul[rows]
-        block[:] = 0
+
+    def rows(x):
+        out = 0
         for g, d in zip(factors, digits):
-            block *= g.order
-            block += g.mul(d[rows, None], d)
+            out = out * g.order + g.mul(d[x, None], d)
+        return out
+    mul = _blocked_table(n, rows)
     labels = ["(" + ",".join(g.labels[t] for g, t in zip(factors, tup)) + ")"
               for tup in zip(*(d.tolist() for d in digits))]
     return _finish(mul, labels, f"product({name})")
@@ -537,24 +551,38 @@ def _spec_integer(spec: dict, key: str) -> int:
 
 def build_group(spec: dict) -> FiniteGroup:
     """Build a group from a declarative spec dict (see the JSON interface)."""
+    return _planned(spec)[1]()
+
+
+def _planned(spec: dict) -> tuple[int, Callable[[], FiniteGroup]]:
+    """The order of a spec's group and a call that builds it. Arithmetic groups
+    are read from their parameters and a product from its factors, so that a
+    product over the table budget is refused before any factor is built;
+    permutation groups (bounded by their closure cap) and tables are built here."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise GroupValidationError("group spec must be an object with a 'type' field")
     kind = spec["type"]
-    if kind == "cyclic":
-        return cyclic_group(_spec_integer(spec, "n"))
-    if kind == "dihedral":
-        return dihedral_group(_spec_integer(spec, "order"))
-    if kind == "quaternion8":
-        return quaternion_group()
-    if kind == "heisenberg":
-        return heisenberg_group(_spec_integer(spec, "p"))
+    arithmetic = {"cyclic": ("n", cyclic_group, 1), "dihedral": ("order", dihedral_group, 1),
+                  "heisenberg": ("p", heisenberg_group, 3)}
+    if kind in arithmetic:
+        key, build, power = arithmetic[kind]
+        value = _spec_integer(spec, key)
+        return value ** power, lambda: build(value)
     if kind == "product":
-        return product_group([build_group(s) for s in spec["factors"]])
-    if kind == "permutation":
-        return permutation_group(_spec_integer(spec, "degree"), spec["generators"])
-    if kind == "table":
-        return table_group(spec["mul"], spec.get("labels"))
-    raise GroupValidationError(f"unknown group spec type {kind!r}")
+        plans = [_planned(s) for s in spec["factors"]]
+        order = math.prod(n for n, _ in plans)
+        if all(n > 0 for n, _ in plans):    # else a factor is refused when it is built
+            _check_table_bytes(order, "product")
+        return order, lambda: product_group([build() for _, build in plans])
+    if kind == "quaternion8":
+        group = quaternion_group()
+    elif kind == "permutation":
+        group = permutation_group(_spec_integer(spec, "degree"), spec["generators"])
+    elif kind == "table":
+        group = table_group(spec["mul"], spec.get("labels"))
+    else:
+        raise GroupValidationError(f"unknown group spec type {kind!r}")
+    return group.order, lambda: group
 
 
 # ---------------------------------------------------------------------------

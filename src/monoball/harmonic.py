@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, HypothesisRecord
 from .groups import (
     SUBGROUP_ORDER_CAP,
     ConjugacyPartition,
@@ -160,9 +160,9 @@ class LinearityScanRow(NamedTuple):
 
 
 class LinearityScanReport(NamedTuple):
+    hypotheses: tuple[HypothesisRecord, ...]
     threshold: Fraction
     rows: tuple[LinearityScanRow, ...]
-    hypothesis_violations: tuple[str, ...]
     consistent: bool
 
 
@@ -551,16 +551,14 @@ def high_value_linearity_check(group: FiniteGroup, s: GroupSubset,
     """Scan for irreducibles whose indicator transform is larger than half P(S A)."""
     if s.group is not group or a.group is not group:
         raise ValueError("subset belongs to a different group")
-    violations = []
-    if group.identity not in s:
-        violations.append("identity not in S")
-    if len(closure(group, s.indices())) != group.order:
-        violations.append("S does not generate the group")
     preds = set_predicates(a)
-    if not preds.symmetric:
-        violations.append("A is not symmetric")
-    if not preds.normal:
-        violations.append("A is not a union of conjugacy classes")
+    records = (
+        HypothesisRecord.of("S contains the identity", group.identity in s),
+        HypothesisRecord.of("S generates the group",
+                            len(closure(group, s.indices())) == group.order),
+        HypothesisRecord.of("A is symmetric", preds.symmetric),
+        HypothesisRecord.of("A is a union of conjugacy classes", preds.normal),
+    )
 
     threshold = Fraction(len(product_set(s, a)), group.order)
     table = character_table(group)
@@ -573,4 +571,4 @@ def high_value_linearity_check(group: FiniteGroup, s: GroupSubset,
         rows.append(LinearityScanRow(i, d, mu.spec_rad, exceeds))
         if exceeds and d > 1:
             consistent = False
-    return LinearityScanReport(threshold, tuple(rows), tuple(violations), consistent)
+    return LinearityScanReport(records, threshold, tuple(rows), consistent)

@@ -10,7 +10,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import FalsifiedError, HypothesisError
+from .errors import HypothesisRecord, conclude
 from .groups import (FiniteGroup, GroupSubset, _index_mask, conjugacy_classes,
                      conjugation_escape, power_chain, product_set)
 
@@ -89,6 +89,7 @@ class GridPoint(NamedTuple):
 
 
 class BourgainCertificate(NamedTuple):
+    hypotheses: tuple[HypothesisRecord, ...]
     lam: Scalar
     delta: Scalar
     d: float
@@ -248,16 +249,15 @@ def ball_dimension(rho: PseudoMetricNorm, delta: Scalar) -> tuple[float, Optiona
 
 
 def bourgain_radius(rho: PseudoMetricNorm, delta: Scalar, d: float) -> BourgainCertificate:
-    """A lambda in (1,2] at which the ball measure is stable under small dilations."""
+    """A lambda in (1,2] at which the ball measure is stable under small dilations;
+    when none is and the dimension record fails, the one with the best margin."""
     if not delta > 0:
         raise ValueError("bourgain_radius needs delta > 0")
     if not math.isfinite(d):
         raise ValueError(f"bourgain_radius needs a finite d, got d={d}")
     measured, _ = ball_dimension(rho, delta)
-    if measured > d + _FLOAT_TOL:
-        raise HypothesisError(
-            f"ball is {measured:.6f}-dimensional at delta, exceeding requested d={d}"
-        )
+    records = (HypothesisRecord.of("ball dimension at delta <= d", measured <= d + _FLOAT_TOL,
+                                   f"ball is {measured:.6f}-dimensional, d = {d}"),)
 
     # candidate dilation factors: jump points of t -> |B(t*delta)| in (1,2],
     # midpoints of consecutive jumps, and 2 itself
@@ -287,12 +287,10 @@ def bourgain_radius(rho: PseudoMetricNorm, delta: Scalar, d: float) -> BourgainC
         # ok is exact; the float margin only ranks failures and prints in messages
         margin = min(min(float(p.upper) - float(p.ratio), float(p.ratio) - float(p.lower))
                      for p in rows)
-        cert = BourgainCertificate(lam, delta, d, tuple(rows), margin)
+        cert = BourgainCertificate(records, lam, delta, d, tuple(rows), margin)
         if all(p.ok for p in rows):
             return cert
         if margin > best_margin:
             best_margin, best_cert = margin, cert
-    raise FalsifiedError(
-        f"no dilation factor passed the stability grid; best margin {best_margin:.6g}",
-        best_cert,
-    )
+    return conclude(best_cert, False,
+                    f"no dilation factor passed the stability grid; best margin {best_margin:.6g}")

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .bohr import CharSet, linbohr, linbohr_squared, bohr_norm
-from .errors import FalsifiedError
+from .errors import FalsifiedError, StageCheck
 from .groups import (SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, closure, power_chain,
                      product_set, subgroup_view)
 from .harmonic import is_hereditarily_monomial
@@ -44,13 +44,6 @@ class LedgerEntry(NamedTuple):
     hypothesis: str
     status: str            # holds | fails | clipped | unchecked
     witness: str = ""
-
-
-class StageCheck(NamedTuple):
-    name: str
-    lhs_size: int
-    rhs_size: int
-    ok: bool
 
 
 class Prop81Report(NamedTuple):
@@ -220,9 +213,7 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
     wide = prop81_check(wa, l, 2 * eps)
     spec_wide, diff, step_sq = wide.spectrum, wide.difference_set, wide.ball
     union = spec.members | x
-    in_wide = union.is_subset_of(spec_wide.members)
-    checks = [StageCheck("LSpec(eps) and X inside LSpec(2 eps)",
-                         len(union), len(spec_wide.members), in_wide)]
+    checks = [StageCheck.of("LSpec(eps) and X inside LSpec(2 eps)", union, spec_wide.members)]
 
     ball = linbohr(union, Fraction(1, 16))
 
@@ -231,15 +222,11 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
                              len(diff), len(step_sq), wide.contained))
     assert k_ratio <= 2      # makes 4 eps sqrt(2K) <= 8 eps
     step_8eps = linbohr(spec_wide.members, 8 * eps)
-    checks.append(StageCheck("radius widens to 8 eps",
-                             len(step_sq), len(step_8eps),
-                             step_sq.is_subset_of(step_8eps)))
+    checks.append(StageCheck.of("radius widens to 8 eps", step_sq, step_8eps))
     step_16 = linbohr(spec_wide.members, Fraction(1, 16))
-    checks.append(StageCheck("radius widens to 2^-4",
-                             len(step_8eps), len(step_16),
-                             step_8eps.is_subset_of(step_16)))
-    checks.append(StageCheck("dropping to the smaller frequency set reaches B",
-                             len(step_16), len(ball), step_16.is_subset_of(ball)))
+    checks.append(StageCheck.of("radius widens to 2^-4", step_8eps, step_16))
+    checks.append(StageCheck.of("dropping to the smaller frequency set reaches B",
+                                step_16, ball))
     aa_inv_in_ball = diff.is_subset_of(ball)
 
     dim_ball, _ = ball_dimension(bohr_norm(union), Fraction(1, 16))

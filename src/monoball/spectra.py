@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import FalsifiedError
+from .errors import HypothesisRecord, conclude
 from .groups import (SUBGROUP_ORDER_CAP, FiniteGroup, GroupSubset, _bool_mask, closure,
                      is_supersolvable, power_chain, product_set)
 from .harmonic import (
@@ -37,12 +37,6 @@ from .metric import _FLOAT_TOL
 from .setops import power_set, set_predicates
 
 MagSq = Union[Fraction, float]
-
-
-class HypothesisRecord(NamedTuple):
-    name: str
-    status: str           # "holds" | "fails" | "unchecked"
-    detail: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +325,22 @@ def _standing_hypotheses(group: FiniteGroup, s: GroupSubset,
     if group.order <= SUBGROUP_ORDER_CAP:
         # a supersolvable group is an M-group (Isaacs, Thm 6.22): no search
         mono = is_supersolvable(group) or is_monomial(group)[0]
-        records.append(HypothesisRecord(
-            "group is monomial", "holds" if mono else "fails"))
+        records.append(HypothesisRecord.of("group is monomial", mono))
     else:
         records.append(HypothesisRecord(
             "group is monomial", "unchecked", f"order {group.order} beyond the check cap"))
     generates = len(closure(group, s.indices())) == group.order
     has_id = group.identity in s
-    records.append(HypothesisRecord(
-        "S generates G and contains the identity",
-        "holds" if generates and has_id else "fails"))
+    records.append(HypothesisRecord.of("S generates G and contains the identity",
+                                       generates and has_id))
     preds = set_predicates(a)
-    records.append(HypothesisRecord(
-        "A is symmetric and normal",
-        "holds" if preds.symmetric and preds.normal else "fails"))
+    records.append(HypothesisRecord.of("A is symmetric and normal",
+                                       preds.symmetric and preds.normal))
     sa = product_set(s, a)
     tight = Fraction(len(sa)) ** 2 < 2 * Fraction(len(a)) ** 2
-    records.append(HypothesisRecord(
-        "P(S.A) < sqrt(2) P(A)", "holds" if tight else "fails",
-        f"|S.A| = {len(sa)}, |A| = {len(a)}"))
+    records.append(HypothesisRecord.of("P(S.A) < sqrt(2) P(A)", tight,
+                                       f"|S.A| = {len(sa)}, |A| = {len(a)}"))
     return tuple(records)
-
-
-def _all_hold(records: list[HypothesisRecord]) -> bool:
-    return all(r.status != "fails" for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +398,9 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
 
     a_k = power_set(a, k)
     growth_hyp = (1 - eta * eta / 2) ** (k - 1) <= Fraction(len(a), 2 * len(a_k))
-    records.append(HypothesisRecord(
-        "(1 - eta^2/2)^(k-1) <= P(A) / 2 P(A^k)",
-        "holds" if growth_hyp else "fails"))
+    records.append(HypothesisRecord.of("(1 - eta^2/2)^(k-1) <= P(A) / 2 P(A^k)", growth_hyp))
 
-    if not _all_hold(records):
+    if any(r.status == "fails" for r in records):
         return EnergyReport(records, eta, k, None, None, None, None, None, None, None)
 
     # middle: half the full-table energy, via the exact counting convolution
@@ -461,10 +445,8 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     report = EnergyReport(records, eta, k, lhs, float(mid_exact),
                           float(rhs_exact), bool(lhs_ge_mid), bool(mid_ge_rhs),
                           float_residual, nonlinear_ok)
-    if not report.all_ok:
-        raise FalsifiedError("spectral energy inequality failed with hypotheses in force",
-                             report)
-    return report
+    return conclude(report, report.all_ok,
+                    "spectral energy inequality failed with hypotheses in force")
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +525,8 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
         ok = math.log(size_k / len(a)) <= d * math.log(k) + _FLOAT_TOL
         window_rows.append(WindowRow(k, size_k, ok))
         ok_all = ok_all and ok
-    records.append(HypothesisRecord(
-        "P(A^k) <= k^d P(A) on the growth window",
-        "holds" if ok_all else "fails",
+    records.append(HypothesisRecord.of(
+        "P(A^k) <= k^d P(A) on the growth window", ok_all,
         f"window [{k_lo}, {k_hi}], power cycle from {start} period {period}" + (
             " (clipped)" if clipped else "")))
 
@@ -578,11 +559,8 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     report = DoublingReport(records, eps, d, "covered", found_r, k_eta_d,
                             tuple(window_rows), clipped, tuple(scan_rows),
                             cover.x, covering_ok, None)
-    if _all_hold(records) and not (covering_ok and cover.within_bound
-                                   and cover.covering_ok):
-        raise FalsifiedError("spectrum doubling cover failed with hypotheses in force",
-                             report)
-    return report
+    return conclude(report, covering_ok and cover.within_bound and cover.covering_ok,
+                    "spectrum doubling cover failed with hypotheses in force")
 
 
 # ---------------------------------------------------------------------------
@@ -630,15 +608,11 @@ def lspec_size_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
         raise ValueError("lspec_size_check needs eps in (0, 1]")
     records = standing_hypotheses(group, s, a)
     k_min = _k_min(eps, d)
-    records.append(HypothesisRecord(
-        "k >= 16 eps^-2 d log(8 eps^-2 d)",
-        "holds" if k >= k_min else "fails",
-        f"k = {k}, needs >= {k_min:.3f}"))
+    records.append(HypothesisRecord.of("k >= 16 eps^-2 d log(8 eps^-2 d)", k >= k_min,
+                                       f"k = {k}, needs >= {k_min:.3f}"))
     size_k = power_chain(a).size(k)
     growth_ok = math.log(size_k / len(a)) <= d * math.log(k) + _FLOAT_TOL
-    records.append(HypothesisRecord("P(A^k) <= k^d P(A)",
-                                    "holds" if growth_ok else "fails",
-                                    f"|A^k| = {size_k}"))
+    records.append(HypothesisRecord.of("P(A^k) <= k^d P(A)", growth_ok, f"|A^k| = {size_k}"))
 
     spec = _lspec(a, eps)
     ball = _inv_two_pi_ball(group, spec.members)
@@ -648,7 +622,4 @@ def lspec_size_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
 
     report = SpectrumSizeReport(records, eps, k, d, lhs, rhs_log, ok,
                                 len(ball), len(spec.members))
-    if _all_hold(records) and not ok:
-        raise FalsifiedError("spectrum Bohr-set size bound failed with hypotheses in force",
-                             report)
-    return report
+    return conclude(report, ok, "spectrum Bohr-set size bound failed with hypotheses in force")

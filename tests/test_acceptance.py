@@ -155,7 +155,8 @@ def test_criterion_02_bohr_contraction():
     assert len(fixtures) >= 20
     for lam, k, delta in fixtures:
         report = cor53_check(lam, k, delta)
-        assert report.hypothesis_ok and report.equal and report.forward_inclusion
+        assert all(r.status == "holds" for r in report.hypotheses)
+        assert report.equal and report.forward_inclusion
     print(f"ACCEPTANCE 02 bohr-contraction: PASS "
           f"({len(fixtures)} (Lambda,k,delta) fixtures, exact set equality)")
 
@@ -255,7 +256,7 @@ def test_criterion_06_high_value_linearity():
     rows_total = 0
     for g, s, a in fixtures:
         report = high_value_linearity_check(g, s, a)
-        assert report.hypothesis_violations == ()
+        assert all(r.status == "holds" for r in report.hypotheses)
         assert report.consistent
         for row in report.rows:
             if row.exceeds_threshold:

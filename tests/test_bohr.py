@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from monoball import bohr, pipeline
-from monoball.errors import CapExceededError, HypothesisError
+from monoball.errors import CapExceededError
 from monoball.groups import (
     OR_BUILD_LIMIT,
     GroupSubset,
+    build_group,
     cyclic_group,
     dihedral_group,
     heisenberg_group,
@@ -30,8 +31,9 @@ from monoball.bohr import (
     prop51_check,
 )
 from monoball.metric import ball_dimension, validate_norm
-from monoball.setops import set_predicates
-from monoball.spectra import _inv_two_pi_ball
+from monoball.pipeline import PipelineConfig, freiman_ball
+from monoball.setops import power_set, set_predicates
+from monoball.spectra import _inv_two_pi_ball, large_spectrum
 
 
 def _lin_by_phase(group, phase_at_one):
@@ -303,10 +305,18 @@ def test_triangle_containment():
         assert lhs.is_subset_of(rhs)
 
 
+def _statuses(rep) -> dict[str, str]:
+    return {r.name: r.status for r in rep.hypotheses}
+
+
+def _all_hold(rep) -> bool:
+    return all(r.status == "holds" for r in rep.hypotheses)
+
+
 def test_cor53_trivial_lambda():
     g = cyclic_group(18)
     rep = cor53_check(CharSet.trivial(g), 4, Fraction(1, 20))
-    assert rep.hypothesis_ok and rep.equal
+    assert _all_hold(rep) and rep.equal
     assert rep.lhs_size == 18
 
 
@@ -314,7 +324,7 @@ def test_cor53_cyclic36():
     g = cyclic_group(36)
     lam = CharSet.build(g, [_trivial(g), _lin_by_phase(g, Fraction(1, 36))])
     rep = cor53_check(lam, 3, Fraction(1, 10))
-    assert rep.hypothesis_ok and rep.equal and rep.forward_inclusion
+    assert _all_hold(rep) and rep.equal and rep.forward_inclusion
 
 
 def test_cor53_dihedral12():
@@ -322,7 +332,7 @@ def test_cor53_dihedral12():
     sign = [l for l in linear_characters(g) if not l.is_trivial][0]
     lam = CharSet.build(g, [_trivial(g), sign])
     rep = cor53_check(lam, 2, Fraction(1, 8))
-    assert rep.hypothesis_ok and rep.equal
+    assert _all_hold(rep) and rep.equal
 
 
 def test_cor53_descriptive_on_hypothesis_violation():
@@ -330,7 +340,7 @@ def test_cor53_descriptive_on_hypothesis_violation():
     # k*delta = 3 * (1/6) = 1/2 >= 1/3: corollary no longer applies
     lam = CharSet.build(g, [_trivial(g), _lin_by_phase(g, Fraction(1, 36))])
     rep = cor53_check(lam, 3, Fraction(1, 6))
-    assert not rep.hypothesis_ok
+    assert _statuses(rep)["k delta < 1/3"] == "fails"
     assert rep.forward_inclusion
     # equality may fail here; the report carries a witness if it does
     if not rep.equal:
@@ -355,7 +365,7 @@ def test_prop51_trivial():
     g = cyclic_group(20)
     triv = CharSet.trivial(g)
     rep = prop51_check(triv, triv, Fraction(1, 32))
-    assert rep.hypothesis_ok and rep.ratio == 1 and rep.ratio_ok
+    assert _all_hold(rep) and rep.ratio == 1 and rep.ratio_ok
     assert rep.all_inclusions_ok
 
 
@@ -366,7 +376,7 @@ def test_prop51_cyclic101():
     gamma = CharSet.build(g, [_trivial(g), g1, g1.negate()])
     x = CharSet.build(g, [g2])
     rep = prop51_check(gamma, x, Fraction(1, 32))
-    assert rep.hypothesis_ok
+    assert _all_hold(rep)
     assert rep.all_inclusions_ok
     assert rep.ratio_ok and rep.ratio <= rep.ratio_bound
     assert rep.t_size <= rep.t_bound
@@ -378,7 +388,7 @@ def test_prop51_heisenberg():
     gamma = char_span(CharSet.build(g, [lam]))
     x = CharSet.build(g, [lam])
     rep = prop51_check(gamma, x, Fraction(1, 32))
-    assert rep.hypothesis_ok and rep.ratio_ok and rep.all_inclusions_ok
+    assert _all_hold(rep) and rep.ratio_ok and rep.all_inclusions_ok
 
 
 def test_prop51_reports_hypothesis_failure():
@@ -388,18 +398,62 @@ def test_prop51_reports_hypothesis_failure():
     gamma = CharSet.build(g, [_trivial(g), g1, g1.negate()])
     x = CharSet.build(g, [g40])
     rep = prop51_check(gamma, x, Fraction(1, 32))
-    assert not rep.hypothesis_ok
-    assert rep.hypothesis_witness is not None
+    (record,) = [r for r in rep.hypotheses if r.status == "fails"]
+    assert record.name == "Gamma + Gamma inside Span(X) + Gamma"
+    assert record.detail
+
+
+# the first proper balls at eps 1/128 (golden runs freiman-c2200-eps128 and
+# freiman-s3xc1065-eps128): group spec, A, |ball| and prop51's ratio at 1/32
+PROPER_RUNS = {
+    "c2200": ({"type": "cyclic", "n": 2200}, [2199, 0, 1], 275, Fraction(275, 137)),
+    "s3xc1065": ({"type": "product", "factors": [
+        {"type": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]},
+        {"type": "cyclic", "n": 1065}]},
+        [0, 1066, 2129, 2130, 3196, 4259, 4261, 5324, 5325], 801, Fraction(267, 133)),
+}
+
+
+@pytest.mark.parametrize("run", list(PROPER_RUNS))
+def test_lemma_replays_on_the_first_proper_balls(run):
+    """Each run's own sets fed to the replays: Lambda = LSpec(eps) u X
+    contracts back to the run's ball, and Gamma = LSpec(2 eps) with the run's
+    X grows as the growth chain says at 1/32. At 1/16, 8 delta < 1/3 fails and
+    so does the contraction step, and the report says so without raising."""
+    spec, indices, ball_size, ratio = PROPER_RUNS[run]
+    g = build_group(spec)
+    rep = freiman_ball(g, GroupSubset.from_indices(g, indices),
+                       PipelineConfig(epsilon_override=Fraction(1, 128)))
+    assert not rep.restricted and len(rep.ball) == ball_size < g.order
+    gamma = large_spectrum(power_set(rep.a, rep.l), 2 * rep.eps).members
+
+    contraction = cor53_check(rep.spectrum | rep.x, 5, Fraction(1, 16))
+    assert _all_hold(contraction) and contraction.equal and contraction.forward_inclusion
+    assert contraction.lhs_size == contraction.rhs_size == ball_size
+
+    growth = prop51_check(gamma, rep.x, Fraction(1, 32))
+    assert _all_hold(growth) and growth.all_inclusions_ok and growth.ratio_ok
+    assert growth.ratio == ratio
+
+    wide = prop51_check(gamma, rep.x, Fraction(1, 16))
+    assert [r.name for r in wide.hypotheses if r.status == "fails"] == ["8 delta < 1/3"]
+    assert [(s.name, s.lhs_size, s.rhs_size) for s in wide.steps if not s.ok] == [
+        ("8-fold contraction back to radius delta", g.order, ball_size)]
 
 
 def test_prop51_rejects_bad_preconditions():
+    # an unmet hypothesis is a record that fails; only a radius the grid cannot
+    # use is refused
     g = cyclic_group(20)
     lam = _lin_by_phase(g, Fraction(1, 20))
     asym = CharSet.build(g, [_trivial(g), lam])
-    with pytest.raises(HypothesisError):
-        prop51_check(asym, CharSet.trivial(g), Fraction(1, 32))
-    with pytest.raises(HypothesisError):
-        prop51_check(CharSet.trivial(g), CharSet.trivial(g), Fraction(1, 8))
+    rep = prop51_check(asym, CharSet.trivial(g), Fraction(1, 32))
+    assert _statuses(rep)["Gamma is symmetric and contains the trivial character"] == "fails"
+    rep = prop51_check(CharSet.trivial(g), CharSet.trivial(g), Fraction(1, 8))
+    assert _statuses(rep)["delta <= 2^-4"] == "fails"
+    for delta in (0, Fraction(-1, 32)):
+        with pytest.raises(ValueError, match="delta > 0"):
+            prop51_check(CharSet.trivial(g), CharSet.trivial(g), delta)
 
 
 def test_bohr_dimension_bound():

@@ -23,6 +23,13 @@ C360_A = {"indices": [359, 0, 1]}
 # the fat set of the spectral-energy fixture on Heis(3)
 HEIS3_FAT = {"indices": [x for x in range(27) if x not in (12, 13, 14, 24, 25, 26)],
              "s_indices": [0, 9, 3]}
+S3 = {"type": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+# the first proper balls, at eps 1/128: every other freiman run ends with a ball
+# equal to its working group; C2200 reaches 275 of 2200 elements, S3 x C1065
+# 801 of 6390
+C2200 = {"type": "cyclic", "n": 2200}
+S3XC1065 = {"type": "product", "factors": [S3, {"type": "cyclic", "n": 1065}]}
+S3XC1065_A = {"indices": [0, 1066, 2129, 2130, 3196, 4259, 4261, 5324, 5325]}
 S5 = {"type": "permutation", "degree": 5, "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
 # SL(2,3) acting on the nonzero vectors of F_3^2: not monomial
 SL23 = {"type": "permutation", "degree": 8,
@@ -110,6 +117,8 @@ RUNS = [
     ("freiman-s4", "freiman", S4, {"indices": [1], "normalize": NORMAL}, []),
     # every monomiality entry reads "fails", so the run is descriptive: exit 2
     ("freiman-sl23", "freiman", SL23, {"indices": [1], "normalize": NORMAL}, []),
+    ("freiman-c2200-eps128", "freiman", C2200, {"indices": [2199, 0, 1]}, ["--eps", "1/128"]),
+    ("freiman-s3xc1065-eps128", "freiman", S3XC1065, S3XC1065_A, ["--eps", "1/128"]),
 ]
 
 # exit code and sha256 of json.dumps(report["result"], indent=2); None when
@@ -155,6 +164,10 @@ GOLDEN = {
     "monomial-s4": (0, "b5864d7c42fe5967249c0dca610674e8b32047f0a10b9bb499061df09e65cddd"),
     "freiman-s4": (0, "ea1af5991b30d901253a4ce0387a87165c7eaf5304521ae7701c1e0d40638cd6"),
     "freiman-sl23": (2, "3457dab9f2db0a736da72627ab134691ab0b5bfad6233a278f96612c3b35eacd"),
+    "freiman-c2200-eps128":
+        (0, "438033a57ec3d95144da26ad78f87d944db770a56a2b6ef53bac9144941716e6"),
+    "freiman-s3xc1065-eps128":
+        (0, "05e5af8289e90e820d8608e990d3bb4d80704f6f4a02cd7f1ba9f443c6fad268"),
 }
 
 

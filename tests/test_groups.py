@@ -1,6 +1,7 @@
 import ast
 import gc
 import itertools
+import json
 import math
 import pathlib
 import re
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from monoball import groups, harmonic
+from monoball import cli, groups, harmonic
 from monoball.errors import CapExceededError, GroupValidationError
 from monoball.groups import (
     GroupSubset,
@@ -246,6 +247,45 @@ def test_table_budget_ends_at_order_23170():
                   lambda: dihedral_group(23172), lambda: heisenberg_group(29)):
         with pytest.raises(CapExceededError, match="beyond the cap of 2147483648"):
             build()
+
+
+def test_product_spec_is_refused_before_any_factor(monkeypatch, tmp_path, capsys):
+    """C20000 x C2 would need 6.4 GB; its order is read from the factors'
+    specs, so not even the 1.6 GB C20000 table is built: the spy refuses it."""
+    def spy(n):
+        raise AssertionError(f"cyclic({n}) was built")
+    monkeypatch.setattr(groups, "cyclic_group", spy)
+    spec = {"type": "product", "factors": [{"type": "cyclic", "n": 20000},
+                                           {"type": "cyclic", "n": 2}]}
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="order 40000 needs 6400000000 bytes"):
+            build_group(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.1
+    assert peak < 10 * 2 ** 20
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["group-info", "--group", str(path)]) == 1
+    assert "order 40000 needs 6400000000 bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build", [lambda: dihedral_group(2000), lambda: heisenberg_group(13)],
+                         ids=["d2000", "heis13"])
+def test_arithmetic_tables_are_written_in_row_blocks(build):
+    """The int32 table is the only n x n array: the peak stays within a
+    quarter of it (a table built in int64 and cast peaked at 4 to 6 times)."""
+    tracemalloc.start()
+    try:
+        g = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.mul_table.dtype == np.int32
+    assert peak <= 1.25 * g.mul_table.nbytes
 
 
 def test_abelianization_of_s3():

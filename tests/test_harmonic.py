@@ -569,7 +569,7 @@ def test_high_value_linearity_scan():
     a = GroupSubset.from_indices(g, [0, 1, 2])  # center: normal and symmetric
     rep = high_value_linearity_check(g, GroupSubset.full(g), a)
     assert rep.consistent
-    assert not rep.hypothesis_violations
+    assert all(r.status == "holds" for r in rep.hypotheses)
 
     # A = G: only the trivial character carries weight, and it is one-dimensional
     full = GroupSubset.full(g)
@@ -594,8 +594,9 @@ def test_high_value_linearity_reports_violated_hypotheses():
     a = GroupSubset.from_indices(g, [1])
     s = GroupSubset.from_indices(g, [0, 5])
     rep = high_value_linearity_check(g, s, a)
-    assert "A is not symmetric" in rep.hypothesis_violations
-    assert "S does not generate the group" in rep.hypothesis_violations
+    statuses = {r.name: r.status for r in rep.hypotheses}
+    assert statuses["A is symmetric"] == "fails"
+    assert statuses["S generates the group"] == "fails"
 
 
 def test_high_value_linearity_refuses_sets_of_another_group():

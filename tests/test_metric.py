@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from monoball.bohr import CharSet, bohr_norm
-from monoball.errors import FalsifiedError, HypothesisError
 from monoball.groups import (
     GroupSubset,
     closure,
@@ -298,9 +297,13 @@ def test_bourgain_two_sided_bound_holds():
 
 
 def test_bourgain_rejects_underreported_dimension():
+    # the ball is log2(3)-dimensional: the record fails, and the best
+    # certificate comes back without a raise
     rho = _c13_word()
-    with pytest.raises(HypothesisError):
-        bourgain_radius(rho, 2, 0.5)
+    cert = bourgain_radius(rho, 2, 0.5)
+    (record,) = cert.hypotheses
+    assert (record.name, record.status) == ("ball dimension at delta <= d", "fails")
+    assert "1.584963-dimensional" in record.detail
 
 
 @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])

@@ -1,29 +1,39 @@
-"""Package-wide properties: result records are immutable tuples, and a cold
-run imports neither mpmath nor more dataclass machinery than the stateful
-classes need."""
+"""Package-wide properties: result records are immutable tuples, a cold run
+imports neither mpmath nor more dataclass machinery than the stateful classes
+need, and every conditional lemma keeps one contract: an unmet hypothesis is a
+record that fails, and a claim is falsified only through `errors.conclude`."""
 
 import ast
 import importlib
+import itertools
 import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import monoball
+from monoball.bohr import CharSet, cor53_check, prop51_check
+from monoball.errors import FalsifiedError, HypothesisRecord, conclude
+from monoball.groups import GroupSubset, cyclic_group
+from monoball.metric import bourgain_radius, word_norm
+from monoball.spectra import lspec_doubling_cover, lspec_size_check, spectral_energy_check
 
 # every result record: a NamedTuple, immutable, one namedtuple call per class
 RECORDS = {
-    "bohr": ("ContractionReport", "ChainStep", "BohrGrowthReport"),
+    "bohr": ("ContractionReport", "BohrGrowthReport"),
+    "errors": ("HypothesisRecord", "StageCheck"),
     "groups": ("Subgroup", "SubgroupView", "Quotient"),
     "harmonic": ("CharacterTable", "FourierScalar", "MonomialCertificate", "LinearityScanRow",
                  "LinearityScanReport"),
     "metric": ("NormReport", "BallAxiomsReport", "GridPoint", "BourgainCertificate"),
-    "pipeline": ("LedgerEntry", "StageCheck", "Prop81Report", "PipelineReport"),
+    "pipeline": ("LedgerEntry", "Prop81Report", "PipelineReport"),
     "setops": ("GrowthProfile", "FittedGrowth", "CoveringCertificate", "SetPredicates",
                "AppendixGrowthRow", "AppendixGrowthReport"),
-    "spectra": ("HypothesisRecord", "LargeSpectrum", "SpectrumWeight", "SpectrumDistance",
+    "spectra": ("LargeSpectrum", "SpectrumWeight", "SpectrumDistance",
                 "EnergyReport", "ChangCover", "WindowRow", "DoublingReport",
                 "SpectrumSizeReport"),
 }
@@ -109,3 +119,79 @@ def test_every_definition_is_read_or_exported():
     unread = [f"{where} {name}" for name, where in defined.items()
               if name not in named and name not in monoball.__all__]
     assert unread == []
+
+
+
+def test_falsified_error_is_raised_by_conclude_or_an_unconditional_check():
+    """A conditional lemma reports an unmet hypothesis as a record and raises
+    only through `errors.conclude`; the other raises are the checks that hold
+    whatever the hypotheses, and no file names the retired HypothesisError."""
+    raisers = []
+    for path in sorted(pathlib.Path(monoball.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "HypothesisError" not in text, path.name
+        for func in ast.walk(ast.parse(text)):
+            if isinstance(func, ast.FunctionDef):
+                raisers += [f"{path.stem}.{func.name}" for node in ast.walk(func)
+                            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                            and ast.unparse(node.exc.func).endswith("FalsifiedError")]
+    assert sorted(raisers) == ["cli._cmd_appendix", "errors.conclude",
+                               "pipeline.freiman_ball", "pipeline.prop81_check"]
+
+
+
+def _lemmas_with_a_failing_hypothesis():
+    """Per conditional lemma: the call, the record that fails, and what the
+    report says besides. Where the claim fails too (the C36 contraction, the
+    size bound, the asymmetric growth chain), only that record keeps the call
+    from raising."""
+    c13, c16, c20, c36, c360 = (cyclic_group(n) for n in (13, 16, 20, 36, 360))
+    sub = GroupSubset.from_indices
+    a360 = sub(c360, [359, 0, 1])
+    return {
+        "spectral_energy_check": (
+            lambda: spectral_energy_check(c16, sub(c16, [0, 1]), sub(c16, [0, 1]),
+                                          Fraction(19, 20), 4),
+            "A is symmetric and normal", lambda rep: rep.lhs is None),    # descriptive
+        "lspec_doubling_cover": (
+            lambda: lspec_doubling_cover(c360, sub(c360, [0, 2]), a360, Fraction(1, 16), 1.0),
+            "S generates G and contains the identity", lambda rep: rep.covering_ok),
+        "lspec_size_check": (
+            lambda: lspec_size_check(c360, a360, a360, Fraction(1, 16), 1, 1.0),
+            "k >= 16 eps^-2 d log(8 eps^-2 d)", lambda rep: not rep.ok),
+        "cor53_check": (
+            lambda: cor53_check(CharSet.from_indices(c36, (0, 1)), 3, Fraction(1, 6)),
+            "k delta < 1/3", lambda rep: not rep.equal),
+        "prop51_check-gamma": (
+            lambda: prop51_check(CharSet.from_indices(c20, (0, 1)), CharSet.trivial(c20),
+                                 Fraction(1, 32)),
+            "Gamma is symmetric and contains the trivial character",
+            lambda rep: not rep.all_inclusions_ok),
+        "prop51_check-delta": (
+            lambda: prop51_check(CharSet.trivial(c20), CharSet.trivial(c20), Fraction(1, 8)),
+            "delta <= 2^-4", lambda rep: rep.all_inclusions_ok),
+        "bourgain_radius": (
+            lambda: bourgain_radius(word_norm(c13, sub(c13, [1, 12])), 2, 0.5),
+            "ball dimension at delta <= d", lambda rep: rep.lam == Fraction(5, 4)),
+    }
+
+
+@pytest.mark.parametrize("lemma", list(_lemmas_with_a_failing_hypothesis()))
+def test_an_unmet_hypothesis_is_a_failing_record(lemma):
+    call, name, says = _lemmas_with_a_failing_hypothesis()[lemma]
+    report = call()
+    assert {r.name: r.status for r in report.hypotheses}[name] == "fails"
+    assert says(report)
+
+
+def test_conclude_raises_exactly_when_no_record_fails_and_the_claim_fails():
+    for statuses in itertools.product(("holds", "unchecked", "fails"), repeat=2):
+        report = SimpleNamespace(hypotheses=[HypothesisRecord(f"h{i}", status)
+                                             for i, status in enumerate(statuses)])
+        assert conclude(report, True, "the claim") is report
+        if "fails" in statuses:
+            assert conclude(report, False, "the claim") is report
+        else:
+            with pytest.raises(FalsifiedError, match="the claim") as caught:
+                conclude(report, False, "the claim")
+            assert caught.value.report is report
