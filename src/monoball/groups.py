@@ -484,12 +484,10 @@ def permutation_group(degree: int, generators: Sequence[Sequence[int]]) -> Finit
         # apply q first, then p
         return tuple(p[q[i]] for i in range(degree))
 
-    # breadth-first, so that each element is its parent times one generator,
-    # and right[k][i] is the index of element i times generator k
+    # breadth-first, so that each element is its parent times one generator
     ident = tuple(range(degree))
     index_of = {ident: 0}
     elems, parent, via = [ident], [0], [0]
-    right: list[list[int]] = [[] for _ in gens]
     for i, cur in enumerate(elems):     # elems grows while it is read
         for k, g in enumerate(gens):
             w = compose(cur, g)
@@ -502,15 +500,15 @@ def permutation_group(degree: int, generators: Sequence[Sequence[int]]) -> Finit
                 elems.append(w)
                 parent.append(i)
                 via.append(k)
-            right[k].append(index_of[w])
     n = len(elems)
-    right_arr = np.array(right, dtype=np.int64).reshape(len(gens), n)
-    # x * (p g) = (x * p) g, so column j comes from its parent's column
-    cols = np.empty((n, n), dtype=np.int64)
-    cols[0] = np.arange(n)
+    # left[k][y] is the index of generator k times element y, and (p g) * y =
+    # p * (g y): row j is its parent's row read at left[via[j]], so the int32
+    # table is written row by row, with no n x n temporary
+    left = np.array([[index_of[compose(g, y)] for y in elems] for g in gens], dtype=np.int32)
+    mul = np.empty((n, n), dtype=np.int32)
+    mul[0] = np.arange(n)
     for j in range(1, n):
-        cols[j] = right_arr[via[j]][cols[parent[j]]]
-    mul = cols.T
+        mul[j] = mul[parent[j]][left[via[j]]]
     labels = ["(" + " ".join(map(str, p)) + ")" for p in elems]
     return _finish(mul, labels, f"perm(deg {degree})")
 
@@ -659,7 +657,9 @@ class PowerChain:
         b = self.order[:sizes[m]]
         prods = self._mul[f, b[:, None]].ravel()     # row j holds the x*b_j
         fresh = np.flatnonzero(self.dist[prods] < 0)
-        first = np.sort(fresh[np.unique(prods[fresh], return_index=True)[1]])
+        pos = np.full(len(self._mul), len(prods))    # each y's first position
+        np.minimum.at(pos, prods[fresh], fresh)
+        first = np.sort(pos[pos < len(prods)])
         ys, levels = prods[first], k + self.dist[b[first // len(f)]]
         self.dist[ys] = levels
         self.order[sizes[k]:sizes[k] + len(ys)] = ys

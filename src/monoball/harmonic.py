@@ -8,7 +8,7 @@ transform at an irreducible is just |mu|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -185,21 +185,45 @@ class LinearPhases:
     exponent: int
     gens: tuple[int, ...]
     radices: np.ndarray
+    _key_terms: np.ndarray = field(init=False, repr=False)      # r x |Lin|
+    _coord_terms: np.ndarray = field(init=False, repr=False)    # r x |G| x 1
+    _places: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # a phase is sum_j keys[i, j] coords[x, j] mod e, every factor below e,
+        # so each partial sum of the r products is at most r (e - 1)^2 and int32
+        # holds it when that is below 2^31; a trivial G^ab gives one zero term
+        e, r = self.exponent, self.keys.shape[1]
+        dtype = np.int32 if r * (e - 1) ** 2 < 2 ** 31 else np.int64
+        keys, coords = ((self.keys, self.coords) if r else
+                        (np.zeros((len(self.keys), 1)), np.zeros((len(self.coords), 1))))
+        for name, table in (("_key_terms", np.ascontiguousarray(keys.T, dtype)),
+                            ("_coord_terms", np.ascontiguousarray(coords.T, dtype)[:, :, None]),
+                            ("_places", len(self.keys) // self.radices.cumprod())):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     def block(self, rows: Optional[Sequence[int]] = None,
               cols: Optional[Sequence[int]] = None) -> np.ndarray:
         """Phase numerators of characters `rows` at elements `cols`, each all
-        when None: one row per character, laid out column by column."""
-        keys = self.keys if rows is None else self.keys[np.asarray(rows, dtype=np.int64)]
-        coords = self.coords if cols is None else self.coords[np.asarray(cols, dtype=np.int64)]
-        return (coords @ keys.T % self.exponent).T
+        when None: one int64 row per character, laid out column by column."""
+        keys, coords = self._key_terms, self._coord_terms
+        keys = keys if rows is None else keys[:, np.asarray(rows, dtype=np.int64)]
+        coords = coords if cols is None else coords[:, np.asarray(cols, dtype=np.int64)]
+        x = coords[0] * keys[0]             # x[c, i]: element c, character i
+        for j in range(1, len(keys)):
+            x += coords[j] * keys[j]
+        x -= x // self.exponent * self.exponent     # numpy vectorizes int32 //, not %
+        # int64 and transposed: the cos table gathers an int64 index faster, and
+        # `FourierMagnitudes.estimates` are bit for bit those of this layout
+        return x.astype(np.int64).T
 
     def find(self, keys: np.ndarray) -> np.ndarray:
         """The index of each row of `keys` mod e, or KeyError. Key column j is
         c + t e/m_j, t < m_j, with c < e/m_j fixed by the earlier columns, so
         the index is the mixed-radix number of the digits t = key_j m_j // e."""
-        keys, m = keys % self.exponent, self.radices
-        idx = (keys * m // self.exponent) @ (len(self.keys) // m.cumprod())
+        keys = keys % self.exponent
+        idx = (keys * self.radices // self.exponent) @ self._places
         miss = (self.keys[idx] != keys).any(axis=1)
         if miss.any():
             raise KeyError(f"no linear character has phases {keys[miss.argmax()].tolist()}")

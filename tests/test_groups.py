@@ -288,6 +288,22 @@ def test_arithmetic_tables_are_written_in_row_blocks(build):
     assert peak <= 1.25 * g.mul_table.nbytes
 
 
+def test_permutation_table_is_written_row_by_row():
+    """S6 x C2 on 8 points: each row is its parent's row read through a
+    generator's left action, so the int32 table is the one n x n array and
+    the peak is the table and the search's Python objects (it was 3.2 times
+    the table when an int64 column table was built and transposed)."""
+    tracemalloc.start()
+    try:
+        g = permutation_group(8, [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 0, 6, 7],
+                                  [0, 1, 2, 3, 4, 5, 7, 6]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 1440 and g.mul_table.dtype == np.int32
+    assert peak <= 1.5 * g.mul_table.nbytes
+
+
 def test_abelianization_of_s3():
     ab = abelianization(_s3())
     assert len(ab.kernel) == 3
@@ -1182,6 +1198,39 @@ def test_linear_phases_read_the_exponent_off_the_chain():
         assert np.array_equal(lp.find(keys), np.arange(len(keys))), g.name
         assert np.array_equal(lp.find(keys + lp.exponent), np.arange(len(keys))), g.name
     assert linear_phases(_a5()).keys.shape == (1, 0)
+
+
+def test_phase_block_is_the_int64_product_of_keys_and_coords():
+    """`block` sums r outer products in int32 when r (e - 1)^2 < 2^31 and in
+    int64 otherwise, and returns int64 equal to one int64 matmul's remainder:
+    on every suite group (r = 0 for A5 and C1, r >= 2 for C2 x Heis(3) and
+    C6 x C10 x C4), on row and column subsets, and on hand-made phases on
+    either side of the bound, whose products (e - 1)^2 wrap round in int32
+    past it."""
+    rng = np.random.default_rng(28)
+    ranks = set()
+    for g in _lin_groups() + [_a5(), product_group([cyclic_group(n) for n in (6, 10, 4)])]:
+        lp = linear_phases(g)
+        ranks.add(lp.keys.shape[1])
+        full = (lp.coords @ lp.keys.T % lp.exponent).T
+        every_row, every_col = np.arange(len(lp.keys)), np.arange(g.order)
+        cases = [(None, None), ([0], None), (None, [g.identity])]
+        cases += [(rng.choice(every_row, k), rng.choice(every_col, j))
+                  for k, j in ((1, 7), (3, 1), (5, 40))]
+        for rows, cols in cases:
+            got = lp.block(rows, cols)
+            want = full[np.ix_(every_row if rows is None else rows,
+                               every_col if cols is None else cols)]
+            assert got.dtype == np.int64 and np.array_equal(got, want), g.name
+    assert {0, 1, 2, 3} <= ranks
+    for r, e, dtype in ((1, 46341, np.int32), (1, 46342, np.int64),
+                        (2, 32768, np.int32), (2, 32769, np.int64)):
+        keys = np.array(list(itertools.product([0, 1, e - 2, e - 1], repeat=r)))
+        lp = harmonic.LinearPhases(keys, keys[::-1].copy(), e, tuple(range(r)), np.full(r, e))
+        assert lp._key_terms.dtype == dtype, (r, e)
+        got = lp.block()
+        assert got.dtype == np.int64, (r, e)
+        assert np.array_equal(got, (keys[::-1] @ keys.T % e).T), (r, e)
 
 
 def test_linear_phases_find_refuses_a_row_that_is_no_key():

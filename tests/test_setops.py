@@ -177,6 +177,45 @@ def test_power_chain_matches_the_level_loop(build):
             assert chain.mask(n) == want and chain.size(n) == want.bit_count()
 
 
+def _bfs_word_lengths(g, a):
+    """Each element's word length in A by a breadth-first search, -1 off <A>."""
+    dist = np.full(g.order, -1)
+    dist[g.identity], frontier = 0, [g.identity]
+    while frontier:
+        reached = []
+        for x in frontier:
+            for s in a:
+                y = g.mul(x, s)
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    reached.append(y)
+        frontier = reached
+    return dist
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic_group(360), lambda: dihedral_group(16),
+    lambda: product_group([cyclic_group(2), heisenberg_group(3)]),
+], ids=["C360", "D16", "C2xHeis3"])
+def test_power_chain_ball_matches_a_breadth_first_search(build):
+    """A ball step keeps the first position of each unreached product: the
+    word lengths, the ball sizes and the level order of `order` are those
+    of a breadth-first search, on random symmetric sets with the identity."""
+    g = build()
+    rng = np.random.default_rng(g.order + 28)
+    for k in (1, 1, 2, 2, 3, 5, 8, 20):
+        gens = rng.choice(g.order, size=min(k, g.order), replace=False)
+        a = normalize_set(_subset(g, gens), symmetrize=True, add_identity=True)
+        chain = power_chain(a)
+        chain.cycle()
+        dist = _bfs_word_lengths(g, a.array().tolist())
+        assert np.array_equal(chain.dist, dist), (g.name, gens)
+        assert chain.sizes == [int(((dist >= 0) & (dist <= n)).sum())
+                               for n in range(dist.max() + 1)], (g.name, gens)
+        levels = dist[chain.order[:chain.sizes[-1]]]
+        assert np.array_equal(levels, np.sort(levels)), (g.name, gens)
+
+
 def test_power_chain_sizes_read_lazily_equal_the_finished_chain():
     g = product_group([cyclic_group(2), heisenberg_group(3)])
     for idx in ([0, 1, 3, 10], [1, 3, 10], [0, 9, 27, 40]):

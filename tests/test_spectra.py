@@ -216,6 +216,46 @@ def test_folded_estimates_lie_within_the_certified_error():
     assert plain >= 20       # 25 of the 54 sets are neither symmetric nor normal
 
 
+def test_estimates_are_the_cos_table_at_the_transposed_int64_block():
+    """The estimates gather the cos table at the int64 phase block laid out as
+    (coords @ keys.T % e).T and take one matvec with the folded weights, bit
+    for bit: a block of another dtype or layout moved the last bits."""
+    rng = np.random.default_rng(28)
+    for g in (cyclic_group(360), cyclic_group(768), dihedral_group(24),
+              product_group([cyclic_group(2), heisenberg_group(3)]),
+              product_group([cyclic_group(6), cyclic_group(10), cyclic_group(4)])):
+        lp = linear_phases(g)
+        e = lp.exponent
+        phases = (lp.coords @ lp.keys.T % e).T
+        for size in (1, 3, g.order // 5, g.order // 2, 3 * g.order // 5):
+            a = _subset(g, rng.choice(g.order, size, replace=False))
+            counts = spectra._autocorrelation_counts(a)
+            support = np.flatnonzero(counts)
+            inv = g.inv(support)
+            least = support <= inv
+            folded = np.where(support == inv, 1.0, 2.0)[least] * counts[support][least]
+            want = spectra._cos_table(e)[phases[:, support[least]]] @ folded
+            assert np.array_equal(FourierMagnitudes(a).estimates, want), (g.name, size)
+
+
+def test_coefficients_add_row_offsets_into_a_fresh_int64_block():
+    """`coefficients` adds e j to row j of the block `block` returns, in place:
+    that block is a new int64 array, so offsets up to e |Lin| stay exact and
+    nothing is written back into the phase tables."""
+    g = cyclic_group(768)
+    lp, e = linear_phases(g), 768
+    a = _subset(g, np.random.default_rng(29).choice(g.order, 100, replace=False))
+    mags = FourierMagnitudes(a)
+    support = np.flatnonzero(spectra._autocorrelation_counts(a))
+    before = lp.block(None, support)
+    assert before.dtype == np.int64 and before.flags.writeable
+    coeffs = mags.coefficients(np.arange(e))
+    rows = lp.block(None, a.array())
+    want = np.array([np.bincount((row[:, None] - row).ravel() % e, minlength=e) for row in rows])
+    assert np.array_equal(coeffs, want)
+    assert np.array_equal(lp.block(None, support), before)
+
+
 @st.composite
 def _cyclic_cases(draw):
     n = draw(st.integers(1, 64))
