@@ -234,8 +234,17 @@ class LinearPhases:
         total = self.keys[list(a)][:, None, :] + self.keys[list(b)][None, :, :]
         return self.find(total.reshape(len(a) * len(b), self.keys.shape[1]))
 
+    @cached_property
+    def _negations(self) -> np.ndarray:
+        """i -> the index of gamma_i^-1, whose key is -keys[i]: found once, on
+        first use, since hand-made phases need not be closed under negation."""
+        table = self.find(-self.keys)
+        table.setflags(write=False)
+        return table
+
     def negations(self, a: Sequence[int]) -> np.ndarray:
-        return self.find(-self.keys[list(a)])
+        """The index of gamma_i^-1 for every i in a."""
+        return self._negations[np.asarray(a, dtype=np.int64)]
 
 
 def linear_phases(group: FiniteGroup) -> LinearPhases:

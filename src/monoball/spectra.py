@@ -154,9 +154,10 @@ class FourierMagnitudes:
     For gamma with phase row r over e this is sum_y w(y) zeta_e^{r(y)}, w the
     autocorrelation counts of `spectrum_weight`. The exact coefficients read all
     of supp w; the float estimates read one element of each inverse pair
-    {y, y^-1} in it, since w and the real part agree on both. Held by the group,
-    it holds no reference back, so that no cycle keeps a dropped group alive
-    until the cyclic collector runs."""
+    {y, y^-1} in it, since w and the real part agree on both, and are computed
+    for one character of each inverse pair {gamma, gamma^-1}, whose rows gather
+    the same table entries. Held by the group, it holds no reference back, so
+    that no cycle keeps a dropped group alive until the cyclic collector runs."""
 
     def __init__(self, a: GroupSubset):
         g = a.group
@@ -171,7 +172,13 @@ class FourierMagnitudes:
         inv = g.inv(self._support)
         least = self._support <= inv
         folded = np.where(self._support == inv, 1.0, 2.0)[least] * self.weights[least]
-        self.estimates = _cos_table(lp.exponent)[lp.block(None, self._support[least])] @ folded
+        # gamma^-1 has phase row e - r, and the table is symmetric: the estimate
+        # of the least character of each pair {gamma, gamma^-1} is both of theirs
+        neg = lp.negations(np.arange(len(lp.keys)))
+        reps = np.flatnonzero(np.arange(len(neg)) <= neg)
+        est = _cos_table(lp.exponent)[lp.block(reps, self._support[least])] @ folded
+        self.estimates = np.empty(len(neg))
+        self.estimates[reps] = self.estimates[neg[reps]] = est
         # with u = 2^-53 and k = len(folded) terms whose weights sum to |A|^2, an
         # estimate errs by at most u |A|^2 from the table entries (each within u,
         # of size at most 1) and by gamma_k |A|^2 < (k + 1) u |A|^2 from the k
@@ -235,13 +242,17 @@ def _decide(a: GroupSubset, eps: Fraction) -> tuple[int, tuple[float, ...], Frac
     near = np.flatnonzero(~verdict & (np.abs(mags.estimates - t) <= bound))
     # reduction mod Phi_e is linear, so one pass reduces every near tie (and with
     # none, Phi_e is not built); the reduced row is canonical, so equal values are
-    # decided once
+    # decided once. gamma and gamma^-1 have one estimate and one value, so near
+    # ties come in inverse pairs, and the least of each is reduced for both
+    neg = linear_phases(group).negations(near)
+    least = near <= neg
+    near, neg = near[least], neg[least]
     threshold, decided = Fraction(num, den), {}
-    for i, reduced in zip(near, _reduce(mags.coefficients(near)) if near.size else ()):
+    for i, j, reduced in zip(near, neg, _reduce(mags.coefficients(near)) if near.size else ()):
         key = tuple(reduced)
         if key not in decided:
             decided[key] = _exact_at_least(reduced, threshold)
-        verdict[i] = decided[key]
+        verdict[i] = verdict[j] = decided[key]
     assert verdict[0]      # hat 1_A(0) = P(A) clears every threshold
     est = mags.estimates[verdict]
     values = np.sqrt(np.where(est < 0, 0.0, est)) / group.order    # as max(est, 0.0)

@@ -1233,6 +1233,27 @@ def test_phase_block_is_the_int64_product_of_keys_and_coords():
         assert np.array_equal(got, (keys[::-1] @ keys.T % e).T), (r, e)
 
 
+def test_negations_read_one_stored_map_of_find_on_the_negated_keys(monkeypatch):
+    """`negations(a)` is find(-keys[a]) on every suite group, A5 and C1, and an
+    involution; it reads a read-only map built once per Lin(G), so no later
+    call runs `find`."""
+    rng = np.random.default_rng(29)
+    maps = []
+    for g in _lin_groups() + [_a5(), cyclic_group(1)]:
+        lp = linear_phases(g)
+        every = np.arange(len(lp.keys))
+        for a in (every, rng.choice(every, 5), [0], []):
+            got = lp.negations(a)
+            assert np.array_equal(got, lp.find(-lp.keys[list(a)])), g.name
+            assert got.dtype == np.int64, g.name
+        assert np.array_equal(lp.negations(lp.negations(every)), every), g.name
+        assert not lp._negations.flags.writeable, g.name
+        maps.append((lp, lp.negations(every)))
+    monkeypatch.setattr(harmonic.LinearPhases, "find", None)    # a call would raise
+    for lp, want in maps:
+        assert np.array_equal(lp.negations(np.arange(len(want))), want)
+
+
 def test_linear_phases_find_refuses_a_row_that_is_no_key():
     """In C2 x C4 the chain takes (0, 1) of order 4, then (1, 0) of order 2,
     whose phase over e = 4 is 0 or 2: a row with an odd second entry is no key."""

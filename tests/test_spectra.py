@@ -238,6 +238,38 @@ def test_estimates_are_the_cos_table_at_the_transposed_int64_block():
             assert np.array_equal(FourierMagnitudes(a).estimates, want), (g.name, size)
 
 
+def test_inverse_characters_share_one_estimate():
+    """`estimates` evaluates the least character i of each inverse pair
+    {i, neg(i)} and writes it to both, bit for bit: the reference is the full
+    block's evaluation at the representatives, scattered to both partners.
+    On C997 the full block's own rows i and neg(i) can differ in the last bits,
+    so only a fold gives the two partners one value."""
+    rng = np.random.default_rng(29)
+    for g, pairs in ((cyclic_group(360), 181), (cyclic_group(768), 385), (dihedral_group(24), 4),
+                     (product_group([cyclic_group(2), heisenberg_group(3)]), 10),
+                     (product_group([cyclic_group(6), cyclic_group(10), cyclic_group(4)]), 124),
+                     (cyclic_group(997), 499), (dihedral_group(200), 4)):
+        lp = linear_phases(g)
+        e, n = lp.exponent, len(lp.keys)
+        neg = lp.negations(np.arange(n))
+        reps = np.flatnonzero(np.arange(n) <= neg)
+        assert len(reps) == pairs, g.name
+        phases = (lp.coords @ lp.keys.T % e).T
+        for size in (1, 3, g.order // 5, g.order // 2, 3 * g.order // 5):
+            a = _subset(g, rng.choice(g.order, size, replace=False))
+            counts = spectra._autocorrelation_counts(a)
+            support = np.flatnonzero(counts)
+            inv = g.inv(support)
+            least = support <= inv
+            folded = np.where(support == inv, 1.0, 2.0)[least] * counts[support][least]
+            full = spectra._cos_table(e)[phases[:, support[least]]] @ folded
+            want = np.full(n, np.nan)
+            want[reps] = want[neg[reps]] = full[reps]
+            estimates = FourierMagnitudes(a).estimates
+            assert np.array_equal(estimates, want), (g.name, size)
+            assert np.array_equal(estimates, estimates[neg]), (g.name, size)
+
+
 def test_coefficients_add_row_offsets_into_a_fresh_int64_block():
     """`coefficients` adds e j to row j of the block `block` returns, in place:
     that block is a new int64 array, so offsets up to e |Lin| stay exact and
@@ -483,6 +515,27 @@ def test_lspec_decides_each_near_tie_value_once(monkeypatch):
     # |1 + zeta^96k + zeta^384k|^2 is the threshold 1 at 480 characters
     spec = large_spectrum(_subset(g, [0, 96, 384]), Fraction(4, 3))
     assert len(spec.members) == 768 and calls == [1]
+
+
+def test_lspec_reduces_one_near_tie_of_each_inverse_pair(monkeypatch):
+    """gamma and gamma^-1 share an estimate and a value, so the near ties come
+    in inverse pairs and one batched `_reduce` reads the least of each: 240 of
+    the 480 rows at C768, and 3 of the 5 on C8 (the odd k pair as (1, 7) and
+    (3, 5); 4 is its own inverse). Each verdict is its partner's too."""
+    rows = []
+    real = spectra._reduce
+
+    def spy(coeffs):
+        if np.ndim(coeffs) == 2:
+            rows.append(len(coeffs))
+        return real(coeffs)
+
+    monkeypatch.setattr(spectra, "_reduce", spy)
+    spec = large_spectrum(_subset(cyclic_group(768), [0, 96, 384]), Fraction(4, 3))
+    assert len(spec.members) == 768 and rows == [240]
+    rows.clear()
+    spec = large_spectrum(_subset(cyclic_group(8), [0, 1, 4]), Fraction(4, 3))
+    assert spec.members.indices() == tuple(range(8)) and rows == [3]
 
 
 def test_lspec_without_near_ties_builds_no_cyclotomic():
