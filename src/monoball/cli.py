@@ -17,6 +17,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from . import __version__
@@ -195,10 +196,74 @@ def _flatten(prefix: str, value: Any, out: list[tuple[str, str]]) -> None:
         out.append((prefix, str(value)))
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_scalar(value: Any) -> Optional[str]:
+    """A JSON scalar as json.dumps writes it, or None for anything else."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    return None
+
+
+# the exact types whose lists are written by one join over one formatter
+_JSON_RUNS = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
+
+
+def _to_json(value: Any, pad: str = "") -> str:
+    """json.dumps(value, indent=2, ensure_ascii=True) for a value nested at
+    `pad`, byte for byte, with json's TypeErrors; a list of one scalar type
+    is one str.join."""
+    scalar = _json_scalar(value)
+    if scalar is not None:
+        return scalar
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        run = _JSON_RUNS.get(kinds.pop()) if len(kinds) == 1 else None
+        body = sep.join(map(run, value) if run else [_to_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join(f"{_json_key(k)}: {_to_json(v, inner)}" for k, v in value.items())
+        return f"{{\n{inner}{body}\n{pad}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key: Any) -> str:
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _json_scalar(key)
+    return encode_basestring_ascii(key)
+
+
 def emit_report(report: dict, fmt: str, out: Optional[str],
                 csv_rows: Optional[list[list]] = None) -> None:
     if fmt == "json":
-        payload = json.dumps(report, indent=2, ensure_ascii=True) + "\n"
+        payload = _to_json(report) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

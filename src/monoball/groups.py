@@ -602,7 +602,8 @@ class PowerChain:
     A: `dist` holds each element's word length (-1 while unreached), `order`
     the reached elements level by level and `sizes[k]` = |A^k|, and one step
     grows many levels (`_ball_step`). Without it the chain keeps A^n as
-    bitmasks, one product per level.
+    bitmasks, one product per level. A power A^n of a set with the identity
+    walks no chain of its own: `strided` reads this one at stride n.
 
     It holds the multiplication table and integers, never the group, so the
     group can cache it without a reference cycle."""
@@ -694,9 +695,54 @@ class PowerChain:
             pass
         return self.start, self.period
 
+    def strided(self, n: int) -> StridedChain:
+        """The chain of A^n read off this one; A must hold the identity."""
+        return StridedChain(self, n)
 
-def power_chain(a: GroupSubset) -> PowerChain:
-    """The power chain of A, cached per set on its group."""
+
+class StridedChain:
+    """The power chain of B = A^n, for an A that holds the identity, read off
+    A's chain at stride n: B^k = A^{nk}, so |B^k| and B^k are A's at radius nk,
+    B saturates at ceil(start_A / n) with period 1, and an element's word length
+    in B is the ceiling of its length in A over n (-1 outside <A>). A's chain
+    grows only as far as the reads reach; no chain is walked for B."""
+
+    def __init__(self, base: PowerChain, stride: int):
+        self._base, self._stride = base, stride
+
+    def strided(self, n: int) -> StridedChain:
+        """(A^m)^n = A^{mn}: strides compose on the one walked chain."""
+        return StridedChain(self._base, self._stride * n)
+
+    def mask(self, n: int) -> int:
+        return self._base.mask(self._stride * n)
+
+    def size(self, n: int) -> int:
+        return self._base.size(self._stride * n)
+
+    @property
+    def start(self) -> Optional[int]:
+        start = self._base.start
+        return None if start is None else -(-start // self._stride)
+
+    @property
+    def period(self) -> Optional[int]:
+        return self._base.period
+
+    @property
+    def dist(self) -> np.ndarray:
+        d = self._base.dist
+        return np.where(d < 0, -1, -(-d // self._stride))
+
+    def cycle(self) -> tuple[int, int]:
+        self._base.cycle()
+        return self.start, self.period
+
+
+def power_chain(a: GroupSubset) -> PowerChain | StridedChain:
+    """The power chain of A, cached per set on its group: a walked chain, or
+    the chain of a set A^n with 1 in A that `setops.power_set` left as A's
+    read at stride n."""
     return a.group.cached("_power_chains", lambda: PowerChain(
         a.group.mul_table, a.group.identity, a.array()), a.mask)
 

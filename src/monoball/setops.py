@@ -54,10 +54,16 @@ class AppendixGrowthReport(NamedTuple):
 
 
 def power_set(a: GroupSubset, n: int) -> GroupSubset:
-    """A^n for n >= 0; A^0 is the identity singleton."""
+    """A^n for n >= 0; A^0 is the identity singleton. With the identity in A,
+    (A^n)^k = A^{nk}, so A^n's power chain is cached as A's read at stride n
+    (unless A^n already has one) and no chain is walked for A^n."""
     if n < 0:
         raise ValueError("power_set: n must be >= 0")
-    return GroupSubset(a.group, power_chain(a).mask(n))
+    chain = power_chain(a)
+    mask = chain.mask(n)
+    if n > 1 and a.group.identity in a:
+        a.group.cached("_power_chains", lambda: chain.strided(n), mask)
+    return GroupSubset(a.group, mask)
 
 
 def growth_profile(a: GroupSubset, n_max: int) -> tuple[GrowthProfile, FittedGrowth]:

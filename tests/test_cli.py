@@ -1,9 +1,11 @@
 import json
+import math
 import re
 import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from monoball import cli
@@ -585,6 +587,43 @@ def test_csv_fallback_is_key_value(tmp_path, capsys):
     lines = open(out).read().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("monomial,") for line in lines)
+
+
+# reports the writer must spell as json.dumps(indent=2, ensure_ascii=True) does
+_WRITER_EDGES = {
+    "empty": [[], {}, (), [[], {}], {"a": [], "b": {}}],
+    "tuples": (1, (2, (3,)), ("x", 1.5)),
+    "mixed": [1, "two", 3.0, None, [True, [False, {"k": [0]}]], {"n": None}],
+    "non-ascii": ["h\u00e9llo", "\u2603", "\U0001f600", "tab\tquote\"back\\slash\n"],
+    "\u00e9-key": {"\u2603": "\u00fc"},
+    "non-finite": [math.nan, math.inf, -math.inf, 0.1, -0.0, 1e300, 5e-324],
+    "bools-in-ints": [1, True, 0, False, 2],
+    "bools": [True, False],
+    "ints": [-1, 0, 2 ** 64, -(10 ** 40)],
+    "scalar-keys": {1: "int", 2.5: "float", True: "bool", None: "null"},
+}
+
+
+@pytest.mark.parametrize("report", [_WRITER_EDGES, *({k: v} for k, v in _WRITER_EDGES.items())],
+                         ids=["all", *_WRITER_EDGES])
+def test_report_writer_matches_json_dumps(tmp_path, report):
+    out = tmp_path / "report.json"
+    cli.emit_report(report, "json", str(out))
+    assert out.read_bytes() == (json.dumps(report, indent=2, ensure_ascii=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("bad", [
+    np.int64(3), [1, 2, np.int64(3)], np.bool_(True), [np.bool_(False)], {(1, 2): 0},
+    {np.int64(1): 0}, {1, 2}, object(),
+], ids=["np-int", "np-int-in-ints", "np-bool", "np-bool-in-list", "tuple-key", "np-int-key",
+        "set", "object"])
+def test_report_writer_raises_where_json_dumps_does(tmp_path, bad):
+    out = tmp_path / "report.json"
+    with pytest.raises(TypeError) as expected:
+        json.dumps({"result": bad}, indent=2, ensure_ascii=True)
+    with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+        cli.emit_report({"result": bad}, "json", str(out))
+    assert not out.exists()
 
 
 def test_module_entrypoint_subprocess(tmp_path, package_env):

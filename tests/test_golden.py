@@ -1,5 +1,6 @@
 """Golden reports: the sha256 of each CLI run's JSON `result` body is pinned,
-and the file must be the canonical indent-2, ASCII encoding of what it parses to.
+and the file must be json.dumps(report, indent=2, ensure_ascii=True) of the
+report the CLI handed to its writer.
 
 A refactor that keeps the reports byte-identical keeps every digest here.
 A digest changes only with a deliberate change to what a report says; record
@@ -179,7 +180,7 @@ def _result_digest(path) -> str:
 
 @pytest.mark.parametrize("run_id, command, group, set_spec, extra", RUNS,
                          ids=[r[0] for r in RUNS])
-def test_golden_report(tmp_path, capsys, run_id, command, group, set_spec, extra):
+def test_golden_report(tmp_path, capsys, monkeypatch, run_id, command, group, set_spec, extra):
     group_path = tmp_path / "group.json"
     group_path.write_text(json.dumps(group))
     argv = [command, "--group", str(group_path)]
@@ -188,12 +189,19 @@ def test_golden_report(tmp_path, capsys, run_id, command, group, set_spec, extra
         set_path.write_text(json.dumps(set_spec))
         argv += ["--set", str(set_path)]
     out = tmp_path / "report.json"
+    emitted, emit = [], cli.emit_report
+
+    def spy(report, *args, **kwargs):
+        emitted.append(report)
+        emit(report, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "emit_report", spy)
     code = cli.main(argv + extra + ["--out", str(out)])
     capsys.readouterr()
     digest = _result_digest(out) if out.exists() else None
     assert (code, digest) == GOLDEN[run_id]
-    if out.exists():        # the bytes written, not only the result they parse to
+    if out.exists():        # the bytes written: json.dumps of the report handed to the writer
         text = out.read_text(encoding="utf-8")
-        report = json.loads(text)
-        assert list(report) == ["tool", "version", "command", "result"]
+        (report,) = emitted
+        assert list(json.loads(text)) == ["tool", "version", "command", "result"]
         assert text == json.dumps(report, indent=2, ensure_ascii=True) + "\n"

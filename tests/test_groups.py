@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import functools
 import gc
 import itertools
 import json
@@ -11,8 +13,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monoball import cli, groups, harmonic
+from monoball import cli, groups, harmonic, setops
 from monoball.errors import CapExceededError, GroupValidationError
 from monoball.groups import (
     GroupSubset,
@@ -34,6 +37,7 @@ from monoball.groups import (
     table_group,
 )
 from monoball.harmonic import linear_characters, linear_phases
+from monoball.metric import word_norm
 
 
 def _s3():
@@ -917,6 +921,74 @@ def _successive_orders(g):
         power = g.mul_table[power, elems]
         k += 1
     return tuple(orders.tolist())
+
+
+@functools.cache
+def _suite_once():
+    return _suite_groups()
+
+
+@st.composite
+def _strided_cases(draw):
+    """A group of the suite, an A with the identity (symmetric or not,
+    generating or not), a stride n and a second stride l."""
+    g = draw(st.sampled_from(_suite_once()))
+    members = draw(st.sets(st.integers(0, g.order - 1), max_size=6))
+    return g, members, draw(st.booleans()), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+
+
+def _word_norm_or_none(gens):
+    try:
+        return word_norm(gens.group, gens).scaled.tolist()
+    except ValueError:      # gens does not generate the group
+        return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_strided_cases())
+def test_a_strided_power_chain_equals_a_walked_one(case):
+    """A^n's chain, read off A's at stride n by `power_set`, against one walked
+    for A^n. Each read runs on a fresh copy of the group, so A's chain grows
+    only as far as that read reaches."""
+    g, members, symmetric, n, l = case
+
+    def base():
+        group = dataclasses.replace(g)
+        a = GroupSubset.from_indices(group, sorted(members | {group.identity}))
+        return a | a.inverse() if symmetric else a
+
+    def strided(*strides):
+        """A^(product of strides), one power_set per stride, and its chain."""
+        a = power = base()
+        for stride in strides:
+            power = setops.power_set(power, stride)
+        chain = groups.power_chain(power)
+        assert isinstance(chain, groups.StridedChain) == (
+            math.prod(strides) > 1 and power.mask != a.mask)
+        return power, chain
+
+    def walked(mask):
+        """The same set in a fresh copy of the group, its chain walked."""
+        return GroupSubset(dataclasses.replace(g), mask)
+
+    for strides in ((n,), (l, n)):
+        power, chain = strided(*strides)
+        want = groups.power_chain(walked(power.mask))
+        start, period = want.cycle()
+        assert isinstance(want, groups.PowerChain) and period == 1
+        for k in range(start + 3):
+            assert (chain.size(k), chain.mask(k)) == (want.size(k), want.mask(k)), (strides, k)
+        assert chain.cycle() == (start, 1), strides
+        assert np.array_equal(chain.dist, want.dist), strides
+    # (A^l)^n = A^{ln}
+    assert power.mask == strided(l * n)[0].mask
+
+    power = strided(n)[0]
+    start = groups.power_chain(walked(power.mask)).cycle()[0]
+    for m in {max(start - 1, 1), max(start, 1), start + 1}:    # saturated_at flips
+        got = setops.growth_profile(strided(n)[0], m)
+        assert got == setops.growth_profile(walked(power.mask), m), m
+    assert _word_norm_or_none(strided(n)[0]) == _word_norm_or_none(walked(power.mask))
 
 
 def test_element_orders_match_successive_powers():

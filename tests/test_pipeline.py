@@ -275,11 +275,12 @@ def test_freiman_ball_builds_one_power_chain_per_set(monkeypatch):
     g = cyclic_group(256)
     a = _interval(g, 1)
     rep = freiman_ball(g, a)
-    # A and A^l: find_l, both fits, the predicates, the doubling window and
-    # the size check read the same two chains, and so do the hull of A and
-    # both "S generates G" records; C256 is abelian, so its commutator
-    # subgroup is {0} without a closure
-    assert sorted(built) == sorted([a.indices(), power_set(a, rep.l).indices()])
+    # A's alone: find_l, both fits, the predicates, the doubling window and
+    # the size check read it, and so do the hull of A and both "S generates G"
+    # records; A^l's chain is A's read at stride l (l > 1 here), and C256 is
+    # abelian, so its commutator subgroup is {0} without a closure
+    assert rep.l > 1 and built == [a.indices()]
+    assert isinstance(groups.power_chain(power_set(a, rep.l)), groups.StridedChain)
 
 
 def test_freiman_ball_reads_no_class_list_on_an_abelian_group():
