@@ -14,7 +14,9 @@ import functools
 import io
 import json
 import math
+import os
 import re
+import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -262,6 +264,11 @@ def _json_key(key: Any) -> str:
 
 def emit_report(report: dict, fmt: str, out: Optional[str],
                 csv_rows: Optional[list[list]] = None) -> None:
+    """Write the report to stdout, or to `out` in place: through an existing
+    file or symlink without truncating it at open (on ext4 a truncate to zero
+    makes close() start writeback), then cut to the report's length. A
+    non-regular target (a FIFO, /dev/null) is written and not truncated. Any
+    OSError is an InputError naming `out`."""
     if fmt == "json":
         payload = _to_json(report) + "\n"
     else:
@@ -279,8 +286,11 @@ def emit_report(report: dict, fmt: str, out: Optional[str],
         sys.stdout.write(payload)
         return
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()       # flushes, then cuts the file at the written length
     except OSError as exc:
         raise InputError(f"cannot write {out}: {exc}") from exc
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end checks, one test and one summary line each.
+"""Acceptance gate: thirteen end-to-end checks, one test and one summary line each.
 
 Every check states its fixture family, tolerance, and where applicable a
 runtime budget. Tolerances are zero (exact set or rational arithmetic) unless
@@ -11,11 +11,14 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from monoball.bohr import CharSet, bohr_norm, char_span, charset_sum, cor53_check, linbohr
 from monoball.groups import (
     GroupSubset,
+    build_group,
     closure,
+    commutator_subgroup,
     conjugacy_classes,
     cyclic_group,
     dihedral_group,
@@ -41,7 +44,7 @@ from monoball.harmonic import (
     plancherel_check,
 )
 from monoball.metric import ball_axioms_check, ball_dimension, word_norm, zero_norm
-from monoball.pipeline import freiman_ball, prop81_check
+from monoball.pipeline import PipelineConfig, freiman_ball, prop81_check
 from monoball.setops import (
     appendix_growth_check,
     growth_profile,
@@ -440,3 +443,45 @@ def test_criterion_12_bohr_dimension_bound():
     print(f"ACCEPTANCE 12 bohr-dimension-bound: PASS "
           f"({len(fixtures)} (Gamma,delta) fixtures, dim <= 2|Gamma| exact, "
           f"min margin {worst_margin:.3f})")
+
+
+# the proper non-abelian balls at eps 1/128 (golden runs freiman-*-eps128), one
+# group from each class the paper names: group, A and |ball|
+PROPER_NONABELIAN = {
+    "supersolvable S3 x C1065": (
+        {"type": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}, 1065,
+        [0, 1066, 2129, 2130, 3196, 4259, 4261, 5324, 5325], 801),
+    "nilpotent D8 x C993": (
+        {"type": "dihedral", "order": 8}, 993,
+        [0, 993, 1986, 2979, 3973, 4964, 5959, 6950], 996),
+    "solvable A-group A4 x C710": (
+        {"type": "permutation", "degree": 4, "generators": [[1, 2, 0, 3], [1, 0, 3, 2]]}, 710,
+        [0, 711, 1420, 2839, 2841, 3551, 4969, 5679, 6389, 6391, 7100, 7810], 1068),
+}
+
+
+@pytest.fixture(scope="module")
+def proper_nonabelian_runs():
+    runs = {}
+    for name, (factor, n, indices, _) in PROPER_NONABELIAN.items():
+        g = build_group({"type": "product", "factors": [factor, {"type": "cyclic", "n": n}]})
+        runs[name] = freiman_ball(g, _subset(g, indices),
+                                  PipelineConfig(epsilon_override=Fraction(1, 128)))
+    return runs
+
+
+def test_criterion_13_proper_nonabelian_balls(proper_nonabelian_runs):
+    lines = []
+    for name, rep in proper_nonabelian_runs.items():
+        g, ball = rep.group, rep.ball
+        assert not rep.restricted and len(ball) == PROPER_NONABELIAN[name][3] < g.order
+        assert product_set(rep.a, rep.a.inverse()).is_subset_of(ball)
+        # B is a union of G'-cosets: the linear characters it is cut out by
+        # are trivial on G'
+        assert product_set(ball, commutator_subgroup(g)) == ball
+        # above the subgroup cap monomiality is not checked; once the
+        # hypotheses are certified above order 128 this entry reads "holds"
+        assert [e.status for e in rep.ledger if e.stage == "hypotheses"] == ["unchecked"]
+        lines.append(f"{name}: |B| = {len(ball)} of {g.order}")
+    print("ACCEPTANCE 13 proper non-abelian balls: PASS (" + "; ".join(lines)
+          + "; AA^-1 inside B, B a union of G'-cosets)")

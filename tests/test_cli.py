@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -624,6 +625,67 @@ def test_report_writer_raises_where_json_dumps_does(tmp_path, bad):
     with pytest.raises(TypeError, match=re.escape(str(expected.value))):
         cli.emit_report({"result": bad}, "json", str(out))
     assert not out.exists()
+
+
+def test_report_overwrites_a_longer_file_exactly(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("x" * 10000)
+    cli.emit_report({"a": [1, 2]}, "json", str(out))
+    assert out.read_bytes() == (json.dumps({"a": [1, 2]}, indent=2) + "\n").encode()
+    cli.emit_report({"result": {"k": 1}}, "csv", str(out))
+    assert out.read_bytes() == b"key,value\nk,1\n"
+
+
+def test_report_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("x" * 1000)
+    link.symlink_to(target)
+    cli.emit_report({"b": 1}, "json", str(link))
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == '{\n  "b": 1\n}\n'
+
+
+def test_report_to_a_device_is_written_not_truncated(tmp_path, capsys):
+    g = _group_file(tmp_path, {"type": "cyclic", "n": 6})
+    assert cli.main(["group-info", "--group", g, "--out", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("out, message", [
+    ("d", "cannot write d: [Errno 21] Is a directory: 'd'"),
+    ("missing/x.json",
+     "cannot write missing/x.json: [Errno 2] No such file or directory: 'missing/x.json'"),
+], ids=["directory", "missing-parent"])
+def test_report_write_errors_exit1(tmp_path, capsys, monkeypatch, out, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    g = _group_file(tmp_path, {"type": "cyclic", "n": 6})
+    assert cli.main(["group-info", "--group", g, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_new_report_file_honours_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        cli.emit_report({"b": 1}, "json", str(tmp_path / "new.json"))
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o640
+
+
+def test_report_is_not_truncated_at_open(tmp_path, monkeypatch):
+    # on ext4 a truncate to zero at open makes close() start writeback; the
+    # writer cuts the file to length after writing instead
+    flags, os_open = [], os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return os_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    out = tmp_path / "report.json"
+    out.write_text("x" * 1000)
+    cli.emit_report({"b": 1}, "json", str(out))
+    assert flags and not any(f & os.O_TRUNC for f in flags)
 
 
 def test_module_entrypoint_subprocess(tmp_path, package_env):

@@ -27,10 +27,17 @@ HEIS3_FAT = {"indices": [x for x in range(27) if x not in (12, 13, 14, 24, 25, 2
 S3 = {"type": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
 # the first proper balls, at eps 1/128: every other freiman run ends with a ball
 # equal to its working group; C2200 reaches 275 of 2200 elements, S3 x C1065
-# 801 of 6390
+# 801 of 6390, D8 x C993 996 of 7944 and A4 x C710 1068 of 8520 (one group from
+# each class the paper names: supersolvable, nilpotent, solvable A-group)
 C2200 = {"type": "cyclic", "n": 2200}
 S3XC1065 = {"type": "product", "factors": [S3, {"type": "cyclic", "n": 1065}]}
 S3XC1065_A = {"indices": [0, 1066, 2129, 2130, 3196, 4259, 4261, 5324, 5325]}
+D8XC993 = {"type": "product", "factors": [{"type": "dihedral", "order": 8},
+                                         {"type": "cyclic", "n": 993}]}
+D8XC993_A = {"indices": [0, 993, 1986, 2979, 3973, 4964, 5959, 6950]}
+A4 = {"type": "permutation", "degree": 4, "generators": [[1, 2, 0, 3], [1, 0, 3, 2]]}
+A4XC710 = {"type": "product", "factors": [A4, {"type": "cyclic", "n": 710}]}
+A4XC710_A = {"indices": [0, 711, 1420, 2839, 2841, 3551, 4969, 5679, 6389, 6391, 7100, 7810]}
 S5 = {"type": "permutation", "degree": 5, "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
 # SL(2,3) acting on the nonzero vectors of F_3^2: not monomial
 SL23 = {"type": "permutation", "degree": 8,
@@ -120,6 +127,8 @@ RUNS = [
     ("freiman-sl23", "freiman", SL23, {"indices": [1], "normalize": NORMAL}, []),
     ("freiman-c2200-eps128", "freiman", C2200, {"indices": [2199, 0, 1]}, ["--eps", "1/128"]),
     ("freiman-s3xc1065-eps128", "freiman", S3XC1065, S3XC1065_A, ["--eps", "1/128"]),
+    ("freiman-d8xc993-eps128", "freiman", D8XC993, D8XC993_A, ["--eps", "1/128"]),
+    ("freiman-a4xc710-eps128", "freiman", A4XC710, A4XC710_A, ["--eps", "1/128"]),
 ]
 
 # exit code and sha256 of json.dumps(report["result"], indent=2); None when
@@ -169,6 +178,10 @@ GOLDEN = {
         (0, "438033a57ec3d95144da26ad78f87d944db770a56a2b6ef53bac9144941716e6"),
     "freiman-s3xc1065-eps128":
         (0, "05e5af8289e90e820d8608e990d3bb4d80704f6f4a02cd7f1ba9f443c6fad268"),
+    "freiman-d8xc993-eps128":
+        (0, "6abc73c3135ea0fa3e45ae9d8bb54d704e05de89bcdb7bb46847155aa17b3624"),
+    "freiman-a4xc710-eps128":
+        (0, "7076db1220dca62c8a548e81c1eb389d198b56410630a15969b7cf0d13c537cb"),
 }
 
 
