@@ -11,11 +11,10 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import HypothesisRecord, conclude
-from .groups import (FiniteGroup, GroupSubset, _index_mask, conjugacy_classes,
-                     conjugation_escape, power_chain, product_set)
+from .groups import FiniteGroup, GroupSubset, _blocks, _index_mask, conjugacy_classes, power_chain
 
 Scalar = Union[Fraction, int]
-_FLOAT_TOL = 1e-12  # bounds comparisons with a measured float dimension only
+_FLOAT_TOL = 1e-12  # slack where a float dimension or logarithm is compared with a bound
 _GRID_STEPS = 10  # bourgain_radius tests 2 * _GRID_STEPS dilations
 
 
@@ -121,6 +120,30 @@ def word_norm(group: FiniteGroup, gens: GroupSubset) -> PseudoMetricNorm:
 # validation
 
 
+def _subadditivity_breaks(rho: PseudoMetricNorm) -> tuple[Optional[tuple], Optional[tuple]]:
+    """One pass over the table in row blocks: the first (x, y), row-major, with
+    rho(xy) > rho(x) + rho(y), and the least (rho(x), rho(y)) numerators of all such."""
+    g, v = rho.group, rho.scaled
+    first = least = None
+    for rows in _blocks(g.order):
+        bad = v.take(g.mul(rows, slice(None))) > v[rows, None] + v
+        if bad.any():
+            xs, ys = np.nonzero(bad)
+            first = first or (rows.start + int(xs[0]), int(ys[0]))
+            vx = v[rows][xs]
+            pair = (int(vx.min()), int(v[ys[vx == vx.min()]].min()))
+            least = min(least or pair, pair)
+    return first, least
+
+
+def _class_max(rho: PseudoMetricNorm) -> np.ndarray:
+    """The largest value of rho on each element's conjugacy class, per element."""
+    cls = conjugacy_classes(rho.group).class_of
+    top = np.full(cls.max() + 1, rho.scaled.min())
+    np.maximum.at(top, cls, rho.scaled)
+    return top[cls]
+
+
 def validate_norm(rho: PseudoMetricNorm) -> NormReport:
     g, v = rho.group, rho.scaled
     witnesses: dict = {}
@@ -134,26 +157,19 @@ def validate_norm(rho: PseudoMetricNorm) -> NormReport:
     if not symmetric:
         witnesses["symmetric"] = int(off[0])
 
-    elems = np.arange(g.order)
-    prods = g.mul(elems[:, None], elems)
-    lhs = v[prods]
-    bad = lhs > v[:, None] + v[None, :]
-    subadditive = not bad.any()
+    first, _ = _subadditivity_breaks(rho)
+    subadditive = first is None
     if not subadditive:
-        x, y = map(int, np.argwhere(bad)[0])
-        witnesses["subadditive"] = (x, y)
-    del bad
+        witnesses["subadditive"] = first
 
-    # (ab, ba) runs over the pairs (g x g^-1, x) with a = g, b = x g^-1, so rho
-    # is a class function exactly when rho(ab) = rho(ba) for all a, b
-    moved = lhs != lhs.T
-    class_invariant = not moved.any()
+    # (ab, ba) runs over the pairs (z, h z h^-1) with a = h^-1, b = h z: the ab with
+    # rho(ab) != rho(ba) fill the classes on which rho is not constant
+    cls = conjugacy_classes(g).class_of
+    mixed = np.flatnonzero(np.isin(cls, cls[v < _class_max(rho)]))
+    class_invariant = not mixed.size
     if not class_invariant:
-        x = int(prods[moved].min())
-        part = conjugacy_classes(g)
-        orbit = np.array(part.classes[part.class_of[x]])
-        y = int(orbit[v[orbit] != v[x]][0])
-        witnesses["class_invariant"] = (x, y)
+        x = int(mixed[0])
+        witnesses["class_invariant"] = (x, int(np.flatnonzero((cls == cls[x]) & (v != v[x]))[0]))
 
     valid = zero_at_identity and symmetric and class_invariant and subadditive
     return NormReport(valid, zero_at_identity, symmetric, class_invariant, subadditive,
@@ -178,46 +194,30 @@ def ball(rho: PseudoMetricNorm, delta: Scalar) -> GroupSubset:
 
 
 def ball_axioms_check(rho: PseudoMetricNorm) -> BallAxiomsReport:
-    g = rho.group
+    """The ball axioms at every breakpoint, read off rho; each witness the least that fails."""
+    g, v = rho.group, rho.scaled
     witnesses: dict = {}
-    points = rho.breakpoints()
-    balls = {bp: ball(rho, bp) for bp in points}
 
-    symmetric_ok = True
-    for bp, b in balls.items():
-        if g.identity not in b or b.inverse().mask != b.mask:
-            symmetric_ok = False
-            witnesses["symmetric"] = bp
-            break
+    # the first B(t) to lack 1 or symmetry has t the least value below rho(1) or off its inverse's
+    fails = v[(v[g.inv(slice(None))] != v) | (v < v[g.identity])]
+    if fails.size:
+        witnesses["symmetric"] = Fraction(int(fails.min()), rho.denom)
 
-    nesting_ok = True
-    for i in range(len(points) - 1):
-        if not balls[points[i]].is_subset_of(balls[points[i + 1]]):
-            nesting_ok = False
-            witnesses["nesting"] = (points[i], points[i + 1])
-            break
+    # B(r)B(s) escapes B(r + s) iff some x, y with rho(x) <= r, rho(y) <= s break
+    # subadditivity, so the first failing (r, s) is the least (rho(x), rho(y))
+    _, least = _subadditivity_breaks(rho)
+    if least is not None:
+        witnesses["subadditive"] = tuple(Fraction(t, rho.denom) for t in least)
 
-    subadditive_ok = True
-    for bp1 in points:
-        for bp2 in points:
-            target = ball(rho, bp1 + bp2)
-            prod = product_set(balls[bp1], balls[bp2])
-            if not prod.is_subset_of(target):
-                subadditive_ok = False
-                witnesses["subadditive"] = (bp1, bp2)
-                break
-        if not subadditive_ok:
-            break
+    # B(t) is normal iff no x in it has a class-mate above t: x the least of least value
+    low = v < _class_max(rho)
+    if low.any():
+        x = int(np.flatnonzero(low)[v[low].argmin()])
+        witnesses["normal"] = (Fraction(int(v[x]), rho.denom), x)
 
-    normal_ok = True
-    for bp, b in balls.items():
-        escape = conjugation_escape(b)
-        if escape is not None:
-            normal_ok = False
-            witnesses["normal"] = (bp, escape)
-            break
-
-    return BallAxiomsReport(symmetric_ok, nesting_ok, subadditive_ok, normal_ok, witnesses)
+    # nesting holds: sublevel sets of one function always nest
+    return BallAxiomsReport("symmetric" not in witnesses, True, "subadditive" not in witnesses,
+                            "normal" not in witnesses, witnesses)
 
 
 def ball_dimension(rho: PseudoMetricNorm, delta: Scalar) -> tuple[float, Optional[Fraction]]:

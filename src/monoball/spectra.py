@@ -200,6 +200,11 @@ class FourierMagnitudes:
         return float(self.estimates[index]) if any(rem[1:]) else Fraction(int(rem[0]))
 
 
+def _magnitudes(a: GroupSubset) -> FourierMagnitudes:
+    """A's Fourier magnitudes, built once per set and cached on its group."""
+    return a.group.cached("_fourier_magnitudes", lambda: FourierMagnitudes(a), a.mask)
+
+
 # ---------------------------------------------------------------------------
 # large spectra
 
@@ -231,7 +236,7 @@ def _lspec(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
 
 def _decide(a: GroupSubset, eps: Fraction) -> tuple[int, tuple[float, ...], Fraction]:
     group = a.group
-    mags = group.cached("_fourier_magnitudes", lambda: FourierMagnitudes(a), a.mask)
+    mags = _magnitudes(a)
     p, q = eps.numerator, eps.denominator       # threshold (1 - eps^2/2) |A|^2 = num / den
     num, den = max(0, 2 * q * q - p * p) * len(a) ** 2, 2 * q * q
     # the float num / den errs by at most 2^-53 of it; beyond both errors the
@@ -311,7 +316,7 @@ def spectrum_distance_exact(a: GroupSubset, gamma: LinearCharacter,
     # |A|^2 rho^2 = sum_y w(y) |1 - (gamma' - gamma)(y)|^2 = 2 |A|^2 - 2 |sum_A (gamma' - gamma)|^2
     lp = linear_phases(a.group)
     diff = int(lp.find((lp.keys[gamma_prime.index] - lp.keys[gamma.index])[None])[0])
-    mag = a.group.cached("_fourier_magnitudes", lambda: FourierMagnitudes(a), a.mask).mag_sq(diff)
+    mag = _magnitudes(a).mag_sq(diff)
     rho_sq = 2 - 2 * mag / len(a) ** 2
     return SpectrumDistance(math.sqrt(max(float(rho_sq), 0.0)), rho_sq, isinstance(mag, Fraction))
 
@@ -425,7 +430,7 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
     # product of k copies lies within k (1 + r)^k (r + u) <= 2k (r + u) of its
     # power, u = 2^-53; fsum and float(mid) add u of each side. Beyond that the
     # estimate decides.
-    mags = group.cached("_fourier_magnitudes", lambda: FourierMagnitudes(a), a.mask)
+    mags = _magnitudes(a)
     members = _lspec(a, eta).members.indices()
     sq = len(a) ** 2
     x = mags.estimates[list(members)] / sq

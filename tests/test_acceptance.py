@@ -43,7 +43,9 @@ from monoball.harmonic import (
     linear_characters,
     plancherel_check,
 )
-from monoball.metric import ball_axioms_check, ball_dimension, word_norm, zero_norm
+from monoball.metric import ball as norm_ball
+from monoball.metric import (ball_axioms_check, ball_dimension, validate_norm, word_norm,
+                             zero_norm)
 from monoball.pipeline import PipelineConfig, freiman_ball, prop81_check
 from monoball.setops import (
     appendix_growth_check,
@@ -479,9 +481,14 @@ def test_criterion_13_proper_nonabelian_balls(proper_nonabelian_runs):
         # B is a union of G'-cosets: the linear characters it is cut out by
         # are trivial on G'
         assert product_set(ball, commutator_subgroup(g)) == ball
+        # the final ball is the 1/16-ball of a bi-invariant pseudo-metric norm
+        rho = bohr_norm(rep.spectrum | rep.x)
+        assert norm_ball(rho, Fraction(1, 16)) == ball
+        assert ball_axioms_check(rho).all_ok and validate_norm(rho).valid
         # above the subgroup cap monomiality is not checked; once the
         # hypotheses are certified above order 128 this entry reads "holds"
         assert [e.status for e in rep.ledger if e.stage == "hypotheses"] == ["unchecked"]
         lines.append(f"{name}: |B| = {len(ball)} of {g.order}")
     print("ACCEPTANCE 13 proper non-abelian balls: PASS (" + "; ".join(lines)
-          + "; AA^-1 inside B, B a union of G'-cosets)")
+          + "; AA^-1 inside B, B a union of G'-cosets and the 1/16-ball of a norm that"
+          " passes both axiom checks)")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +8,21 @@ import pytest
 from monoball.bohr import CharSet, bohr_norm
 from monoball.groups import (
     GroupSubset,
+    _blocks,
     closure,
+    conjugacy_classes,
+    conjugation_escape,
     cyclic_group,
     dihedral_group,
     heisenberg_group,
+    permutation_group,
+    product_group,
+    product_set,
+    quaternion_group,
 )
 from monoball.metric import (
+    BallAxiomsReport,
+    NormReport,
     PseudoMetricNorm,
     ball,
     ball_axioms_check,
@@ -353,3 +363,176 @@ def test_breakpoints_and_balls_match_the_scalar_definitions():
             if delta > 0:
                 assert ball_dimension(rho, delta) == _ball_dimension_reference(rho, delta), \
                     (i, delta)
+
+
+def _validate_norm_reference(rho):
+    """The norm axioms element by element, on the full n x n table of products."""
+    g, v = rho.group, rho.scaled
+    witnesses: dict = {}
+
+    zero_at_identity = bool(v[g.identity] == 0 and (v >= 0).all())
+    if not zero_at_identity:
+        witnesses["zero_at_identity"] = g.identity
+
+    off = np.flatnonzero(v[g.inv(slice(None))] != v)
+    symmetric = off.size == 0
+    if not symmetric:
+        witnesses["symmetric"] = int(off[0])
+
+    elems = np.arange(g.order)
+    prods = g.mul(elems[:, None], elems)
+    lhs = v[prods]
+    bad = lhs > v[:, None] + v[None, :]
+    subadditive = not bad.any()
+    if not subadditive:
+        x, y = map(int, np.argwhere(bad)[0])
+        witnesses["subadditive"] = (x, y)
+    del bad
+
+    # (ab, ba) runs over the pairs (g x g^-1, x) with a = g, b = x g^-1, so rho
+    # is a class function exactly when rho(ab) = rho(ba) for all a, b
+    moved = lhs != lhs.T
+    class_invariant = not moved.any()
+    if not class_invariant:
+        x = int(prods[moved].min())
+        part = conjugacy_classes(g)
+        orbit = np.array(part.classes[part.class_of[x]])
+        y = int(orbit[v[orbit] != v[x]][0])
+        witnesses["class_invariant"] = (x, y)
+
+    valid = zero_at_identity and symmetric and class_invariant and subadditive
+    return NormReport(valid, zero_at_identity, symmetric, class_invariant, subadditive,
+                      witnesses)
+
+
+def _ball_axioms_reference(rho):
+    """The ball axioms ball by ball: one ball per breakpoint, one product set per
+    ordered pair of breakpoints."""
+    g = rho.group
+    witnesses: dict = {}
+    points = rho.breakpoints()
+    balls = {bp: ball(rho, bp) for bp in points}
+
+    symmetric_ok = True
+    for bp, b in balls.items():
+        if g.identity not in b or b.inverse().mask != b.mask:
+            symmetric_ok = False
+            witnesses["symmetric"] = bp
+            break
+
+    nesting_ok = True
+    for i in range(len(points) - 1):
+        if not balls[points[i]].is_subset_of(balls[points[i + 1]]):
+            nesting_ok = False
+            witnesses["nesting"] = (points[i], points[i + 1])
+            break
+
+    subadditive_ok = True
+    for bp1 in points:
+        for bp2 in points:
+            target = ball(rho, bp1 + bp2)
+            prod = product_set(balls[bp1], balls[bp2])
+            if not prod.is_subset_of(target):
+                subadditive_ok = False
+                witnesses["subadditive"] = (bp1, bp2)
+                break
+        if not subadditive_ok:
+            break
+
+    normal_ok = True
+    for bp, b in balls.items():
+        escape = conjugation_escape(b)
+        if escape is not None:
+            normal_ok = False
+            witnesses["normal"] = (bp, escape)
+            break
+
+    return BallAxiomsReport(symmetric_ok, nesting_ok, subadditive_ok, normal_ok, witnesses)
+
+
+def _seeded_norms(group, rng, count):
+    """`count` norms on the group, cycling through three kinds: rational values
+    (negative ones included), word norms with a few values changed, and class
+    functions with one element's value changed."""
+    gens = GroupSubset.from_indices(group, group.generators)
+    word = word_norm(group, gens | gens.inverse()).scaled
+    cls = conjugacy_classes(group).class_of
+    for trial in range(count):
+        if trial % 3 == 0:
+            vals = [Fraction(int(rng.integers(-1, 6)), int(rng.integers(1, 4)))
+                    for _ in range(group.order)]
+            if rng.random() < 0.5:
+                vals[group.identity] = 0
+        elif trial % 3 == 1:
+            vals = word.tolist()
+            for x in rng.choice(group.order, size=int(rng.integers(0, 3)), replace=False):
+                vals[x] = int(rng.integers(0, 4))
+        else:
+            per_class = rng.integers(0, 4, size=cls.max() + 1)
+            vals = per_class[cls].tolist()
+            vals[group.identity] = 0
+            vals[int(rng.integers(group.order))] = int(rng.integers(0, 4))
+        yield PseudoMetricNorm.from_values(group, vals)
+
+
+# the small groups of acceptance criterion 01
+CRITERION_01_GROUPS = [cyclic_group(5), cyclic_group(12), cyclic_group(60), dihedral_group(6),
+                       dihedral_group(12), dihedral_group(16), quaternion_group(),
+                       heisenberg_group(3), product_group([cyclic_group(2), dihedral_group(6)]),
+                       permutation_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]])]
+
+
+def test_axiom_checks_match_the_table_and_ball_references():
+    """Both checks give the reports of the element-by-element and ball-by-ball
+    definitions, witnesses included, and every kind of failure occurs."""
+    rng = np.random.default_rng(32)
+    failed, checked = set(), 0
+    for group in CRITERION_01_GROUPS:
+        for rho in _seeded_norms(group, rng, 21):
+            norm_rep, ball_rep = validate_norm(rho), ball_axioms_check(rho)
+            assert norm_rep == _validate_norm_reference(rho), (group.name, rho.values)
+            assert ball_rep == _ball_axioms_reference(rho), (group.name, rho.values)
+            # a Fraction witness stays a Fraction, not an equal int
+            assert repr(ball_rep.witnesses) == repr(_ball_axioms_reference(rho).witnesses)
+            failed |= {("norm", k) for k in norm_rep.witnesses}
+            failed |= {("ball", k) for k in ball_rep.witnesses}
+            checked += 1
+    assert checked >= 200
+    assert failed == {("norm", "zero_at_identity"), ("norm", "symmetric"),
+                      ("norm", "subadditive"), ("norm", "class_invariant"),
+                      ("ball", "symmetric"), ("ball", "subadditive"), ("ball", "normal")}
+
+
+def test_subadditivity_witnesses_past_the_first_row_block():
+    """On C512 the table is read in blocks of 128 rows. Rows 1..127 hold norm 10,
+    above any sum they bound, so no pair breaks subadditivity before row 128;
+    the first break is in the second block, with values (2, 1), and the least
+    pair of values, (1, 1), first breaks in the third."""
+    g = cyclic_group(512)
+    vals = [0] + [10] * 127 + [2] * 128 + [1] * 256
+    rho = PseudoMetricNorm.from_values(g, vals)
+    first, second, third = _blocks(g.order)[:3]
+    norm_rep, ball_rep = validate_norm(rho), ball_axioms_check(rho)
+    assert norm_rep == _validate_norm_reference(rho)
+    assert ball_rep == _ball_axioms_reference(rho)
+    x, y = norm_rep.witnesses["subadditive"]
+    assert second.start <= x < second.stop and (vals[x], vals[y]) == (2, 1)
+    assert ball_rep.witnesses["subadditive"] == (1, 1)
+    assert not any(vals[(a + b) % 512] > vals[a] + vals[b]
+                   for a in range(first.stop) for b in range(512))
+
+
+@pytest.mark.parametrize("check", [validate_norm, ball_axioms_check])
+def test_axiom_checks_run_in_small_memory(check):
+    """Both checks read the table in blocks: on C2048 (4 Mi products) neither
+    holds more than a few blocks at once."""
+    rho = bohr_norm(CharSet.from_indices(cyclic_group(2048), (1, 3, 7)))
+    assert len(rho.breakpoints()) > 500
+    tracemalloc.start()
+    try:
+        report = check(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.witnesses == {}
+    assert peak < 8 * 2 ** 20

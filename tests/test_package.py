@@ -121,6 +121,26 @@ def test_every_definition_is_read_or_exported():
     assert unread == []
 
 
+def test_every_import_is_read():
+    """Each name a module of src/ imports is read in that module; `__init__.py`
+    imports to export. The `from __future__` switches bind no name."""
+    unread = []
+    for path in sorted(pathlib.Path(monoball.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(a.asname or a.name.partition(".")[0]): node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for a in node.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unread == []
+
+
 
 def test_falsified_error_is_raised_by_conclude_or_an_unconditional_check():
     """A conditional lemma reports an unmet hypothesis as a record and raises
