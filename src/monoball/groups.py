@@ -1,4 +1,9 @@
-"""Finite groups as validated multiplication tables over 0-based indices, and set arithmetic."""
+"""Finite groups as multiplication tables over 0-based indices, and set arithmetic.
+
+Every table is proved a group's: the cyclic, dihedral, quaternion, Heisenberg,
+permutation and table constructors prove theirs (`_validate_table`), and a
+direct product, a quotient and a subgroup view are groups by the structure
+they are built from, so their tables are not proved again."""
 
 from __future__ import annotations
 
@@ -31,13 +36,15 @@ Index = int | np.ndarray | slice      # an element, an array of them, or slice(N
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Immutable finite group; the multiplication table defines it."""
+    """Immutable finite group; the multiplication table defines it. A direct
+    product keeps its factors, whose structure decides some of its properties."""
 
     mul_table: np.ndarray
     inv_table: np.ndarray
     identity: int
     labels: tuple[str, ...]
     name: str = "group"
+    factors: tuple[FiniteGroup, ...] = ()
 
     @property
     def order(self) -> int:
@@ -86,7 +93,8 @@ class FiniteGroup:
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """At most log2 n elements that generate the group: `_generating_set`.
-        `_finish` seeds it with the set its Light's test ran on."""
+        `_finish` seeds it with the set its Light's test ran on; a product, a
+        quotient or a subgroup view runs the search on first read."""
         return tuple(_generating_set(self.mul_table, self.identity))
 
     @cached_property
@@ -259,6 +267,15 @@ class SubgroupView(NamedTuple):
     group: FiniteGroup
     to_parent: tuple[int, ...]
     from_parent: dict
+
+
+class CosetProjection(NamedTuple):
+    """G -> G/N with no coset table, as read-only index arrays: `projection[x]`
+    is the coset of x, and `section[c]` the least element of coset c, ascending.
+    It holds no group, so a group may keep one without a reference cycle."""
+
+    projection: np.ndarray
+    section: np.ndarray
 
 
 class Quotient(NamedTuple):
@@ -447,24 +464,37 @@ def heisenberg_group(p: int) -> FiniteGroup:
 
 
 def product_group(factors: Sequence[FiniteGroup]) -> FiniteGroup:
+    """The direct product, each element at the mixed-radix number of its
+    digits, the first factor most significant. The table is not proved
+    (`_finish` is not called): a direct product of groups is a group, with the
+    identity and the inverses read digit by digit from the factors', and
+    associativity holding digit by digit. The group keeps its factors."""
     if not factors:
         raise GroupValidationError("product: needs at least one factor")
+    factors = tuple(factors)
     orders = [g.order for g in factors]
     n = math.prod(orders)
     name = "x".join(g.name for g in factors)
     _check_table_bytes(n, f"product({name})")
-    # element indices are mixed-radix digits, the first factor most significant
+    # fold in the factors from the last: with T the table of the later ones,
+    # of order m, x = a m + u times y = b m + v is f[a, b] m + T[u, v], so each
+    # row block a of the new table is one broadcast add of f's row a and T
+    last = factors[-1]
+    mul, inv, identity = last.mul_table, last.inv_table, last.identity
+    for f in reversed(factors[:-1]):
+        m, k = len(inv), f.order
+        out = np.empty((k * m, k * m), dtype=np.int32)
+        for a in range(k):
+            np.add(mul[:, None, :], (m * f.mul_table[a])[:, None],
+                   out=out[a * m:(a + 1) * m].reshape(m, k, m))
+        mul, inv = out, ((m * f.inv_table)[:, None] + inv).ravel()
+        identity += f.identity * m
+    mul.setflags(write=False)
+    inv.setflags(write=False)
     digits = np.unravel_index(np.arange(n), orders)
-
-    def rows(x):
-        out = 0
-        for g, d in zip(factors, digits):
-            out = out * g.order + g.mul(d[x, None], d)
-        return out
-    mul = _blocked_table(n, rows)
-    labels = ["(" + ",".join(g.labels[t] for g, t in zip(factors, tup)) + ")"
-              for tup in zip(*(d.tolist() for d in digits))]
-    return _finish(mul, labels, f"product({name})")
+    labels = tuple("(" + ",".join(g.labels[t] for g, t in zip(factors, tup)) + ")"
+                   for tup in zip(*(d.tolist() for d in digits)))
+    return FiniteGroup(mul, inv, identity, labels, f"product({name})", factors)
 
 
 def permutation_group(degree: int, generators: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -835,39 +865,55 @@ def commutator_subgroup(group: FiniteGroup) -> GroupSubset:
     return closure(group, seeds.indices())
 
 
+def coset_projection(group: FiniteGroup, normal: GroupSubset) -> CosetProjection:
+    """The projection p of G onto G/N for a normal subgroup N, with no coset
+    table: each coset is named by its least element, and p(x) is the coset of
+    x. Cosets multiply through their least elements, as p(min(aN) min(bN)).
+    The fibres of p are the sets xN. p must have p(xs) = p(x)p(s) for every s
+    in a generating set, and kernel N. Then right multiplication by G permutes
+    the fibres, so the identity's fibre is a subgroup K whose right cosets Kg
+    are the fibres. So K = N, the left cosets xN are the right ones, N is
+    normal and p is a homomorphism onto G/N."""
+    if normal.mask == 1 << group.identity:
+        same = np.arange(group.order)
+        same.setflags(write=False)
+        return CosetProjection(same, same)
+    rep_of = group.mul(slice(None), normal.array()).min(axis=1)
+    section = np.unique(rep_of)
+    proj = np.searchsorted(section, rep_of)
+    for s in group.generators:
+        lifts = group.mul(section[proj], section[proj[s]])
+        if not np.array_equal(proj[group.mul(slice(None), s)], proj[lifts]):
+            raise GroupValidationError(f"{group.name}: quotient projection is not a homomorphism")
+    if _bool_mask(proj == proj[group.identity]) != normal.mask:
+        raise GroupValidationError(f"{group.name}: quotient kernel differs from the subgroup")
+    proj.setflags(write=False)
+    section.setflags(write=False)
+    return CosetProjection(proj, section)
+
+
 def quotient(group: FiniteGroup, normal: GroupSubset) -> Quotient:
     """G/N for a normal subgroup N, each coset named by its least element; G
-    itself for N = {1}. The projection p, whose fibres are the sets xN, must
-    have p(xs) = p(x)p(s) for every s in a generating set, and kernel N. Then
-    right multiplication by G permutes the fibres, so the identity's fibre is a
-    subgroup K with the fibres its right cosets Kg; K = N, the left cosets xN
-    are the right ones, N is normal and p is the homomorphism onto G/N. Being
-    onto, p carries the group axioms to the coset table, so that table is not
-    validated again."""
+    itself for N = {1}. It is `coset_projection` with the coset table on top.
+    Being onto, the projection carries the group axioms to that table, so the
+    table is not validated again."""
     if normal.mask == 1 << group.identity:
         same = tuple(range(group.order))
         return Quotient(normal, group, same, same)
-    n_idx = normal.array()
-    rep_of = group.mul(slice(None), n_idx).min(axis=1)
-    reps = np.unique(rep_of)
-    parr = np.searchsorted(reps, rep_of)
-    q_mul = parr[group.mul(reps[:, None], reps)].astype(np.int32)
-    for s in group.generators:
-        if not np.array_equal(parr[group.mul(slice(None), s)], q_mul[parr, parr[s]]):
-            raise GroupValidationError(f"{group.name}: quotient projection is not a homomorphism")
-    identity = int(parr[group.identity])
-    if _bool_mask(parr == identity) != normal.mask:
-        raise GroupValidationError(f"{group.name}: quotient kernel differs from the subgroup")
-    q_inv = parr[group.inv(reps)].astype(np.int32)
+    proj, section = coset_projection(group, normal)
+    q_mul = proj[group.mul(section[:, None], section)].astype(np.int32)
+    q_inv = proj[group.inv(section)].astype(np.int32)
     q_mul.setflags(write=False)
     q_inv.setflags(write=False)
-    labels = tuple(group.labels[int(r)] for r in reps)
-    q = FiniteGroup(q_mul, q_inv, identity, labels, f"{group.name}/{len(normal)}")
-    return Quotient(normal, q, tuple(parr.tolist()), tuple(reps.tolist()))
+    labels = tuple(group.labels[int(r)] for r in section)
+    q = FiniteGroup(q_mul, q_inv, int(proj[group.identity]), labels,
+                    f"{group.name}/{len(normal)}")
+    return Quotient(normal, q, tuple(proj.tolist()), tuple(section.tolist()))
 
 
-def abelianization(group: FiniteGroup) -> Quotient:
-    return quotient(group, commutator_subgroup(group))
+def abelianization(group: FiniteGroup) -> CosetProjection:
+    """The projection of G onto G^ab = G/[G, G]."""
+    return coset_projection(group, commutator_subgroup(group))
 
 
 def _prime_base(k: int) -> int:
@@ -892,16 +938,25 @@ def _cyclic_bits(group: FiniteGroup) -> np.ndarray:
 
 
 def is_supersolvable(group: FiniteGroup) -> bool:
-    """Whether G has a normal series with cyclic factors. An abelian group has;
-    otherwise G/<x> is tested for any x of prime order with <x> normal, and
-    without one G has not: a minimal normal subgroup of a supersolvable group
-    has prime order, and every quotient of one is supersolvable. The group
-    caches the verdict as a bool, which never refers back to it."""
+    """Whether G has a normal series with cyclic factors. Two exact rungs come
+    first, and again at each quotient: a group of prime-power order has (it
+    is nilpotent, and a finite nilpotent group is supersolvable), and a direct
+    product has exactly when each factor has (the factors' series, one after
+    the other, are normal in the product, and each factor is a quotient of
+    it). An abelian group has; otherwise G/<x> is tested for any x of prime
+    order with <x> normal, and without one G has not: a minimal normal
+    subgroup of a supersolvable group has prime order, and every quotient of
+    one is supersolvable. The group caches the verdict as a bool, which never
+    refers back to it."""
     return group.cached("_supersolvable", lambda: _supersolvable(group))
 
 
 def _supersolvable(g: FiniteGroup) -> bool:
-    while not g.is_abelian:
+    while not _prime_base(g.order):
+        if g.factors:
+            return all(map(is_supersolvable, g.factors))
+        if g.is_abelian:
+            return True
         primes = (p for p in range(g.order, 1, -1) if g.order % p == 0 and _prime_base(p) == p)
         normal = next(filter(None, (_normal_cyclic(g, p) for p in primes)), None)
         if normal is None:

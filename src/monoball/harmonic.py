@@ -254,40 +254,48 @@ def linear_phases(group: FiniteGroup) -> LinearPhases:
 
 def _linear_phases(group: FiniteGroup) -> LinearPhases:
     ab = abelianization(group)
-    q = ab.quotient
-    n = q.order
+    proj, n = ab.projection, len(ab.section)
 
-    # grow a subgroup chain of G^ab by the least coset y outside it (cosets are
-    # numbered by least element) and its powers y^0, ..., y^(m-1), y^m the first
-    # one inside, with elems[i] = y_1^c_1 ... y_r^c_r for c = coords[i]. Phases
+    # grow a subgroup chain of G^ab by the coset of y, the least element of G
+    # whose coset lies outside it, and the powers y^0, ..., y^(m-1), y^m the
+    # first whose coset is inside, with elems[i] = y_1^c_1 ... y_r^c_r for c =
+    # coords[i]. The chain is walked in G and read through the projection, so
+    # no coset table is built; y is the least element of its coset, which is
+    # the least coset outside, as cosets are numbered by least element. Phases
     # are over n = |G^ab| until the chain ends. A character of the chain so far
-    # extends to y in m ways, one for each m-th root of its value at y^m; y^m has
-    # order dividing ord(y)/m, so that value is a multiple of m.
-    elems, coords = np.array([q.identity]), np.zeros((1, 0), dtype=np.int64)
-    inside = np.arange(n) == q.identity
+    # extends to y in m ways, one for each m-th root of its value at y^m; y^m
+    # has order dividing ord(y)/m in G^ab, so that value is a multiple of m.
+    elems, coords = np.array([group.identity]), np.zeros((1, 0), dtype=np.int64)
+    inside = np.arange(n) == proj[group.identity]
     keys = np.zeros((1, 0), dtype=np.int64)
     gens, radices = [], []
     while len(elems) < n:
-        y = int(np.argmin(inside))
-        powers, step = np.array([q.identity]), y      # y^0, y^1, ... by doubling
-        while not inside[new := q.mul(powers, step)].any():
-            powers, step = np.concatenate([powers, new]), q.mul(step, step)
-        m = len(powers) + int(np.argmax(inside[new]))
+        y = int(np.argmin(inside[proj]))
+        powers, step = np.array([group.identity]), y      # y^0, y^1, ... by doubling
+        while not inside[proj[new := group.mul(powers, step)]].any():
+            powers, step = np.concatenate([powers, new]), group.mul(step, step)
+        m = len(powers) + int(np.argmax(inside[proj[new]]))
         powers = np.concatenate([powers, new])
-        at_y_m = keys @ coords[np.flatnonzero(elems == powers[m])[0]] % n
+        at_y_m = keys @ coords[np.flatnonzero(proj[elems] == proj[powers[m]])[0]] % n
         roots = np.repeat(at_y_m // m, m) + np.tile(np.arange(m) * (n // m), len(keys))
         keys = np.column_stack([np.repeat(keys, m, axis=0), roots])
-        elems = q.mul(elems[None, :], powers[:m, None]).ravel()
+        elems = group.mul(elems[None, :], powers[:m, None]).ravel()
         coords = np.column_stack([np.tile(coords, (m, 1)), np.repeat(np.arange(m), len(coords))])
-        inside[elems] = True
-        gens.append(int(ab.section[y]))
+        inside[proj[elems]] = True
+        gens.append(y)
         radices.append(m)
+    # the walk reaches one element per coset, n in all, when the projection
+    # is a homomorphism. Then the n keys are distinct functions on the n coords,
+    # and every coord is some element's, so if each key passes the homomorphism
+    # check below, the keys are n distinct characters of G^ab: all of Lin(G)
+    if len(elems) != n:
+        raise AssertionError(f"{group.name}: the projection onto G^ab is not a homomorphism")
     # by induction along the chain every key is n/e times its phases over the
     # exponent e of G^ab, and some character has order e: so the gcd of n and
     # every key entry is n/e, and e is read off without any element's order
     scale = math.gcd(n, int(np.gcd.reduce(keys, axis=None)))
     keys, e = keys // scale, n // scale
-    coords = coords[np.argsort(elems)[np.array(ab.projection)]]
+    coords = coords[np.argsort(proj[elems])[proj]]
     if gens:        # else G^ab is trivial, and so is its one character
         keys = keys[np.lexsort(keys.T[::-1])]
         # every key is a homomorphism of G: gamma(xs) = gamma(x) + gamma(s) for

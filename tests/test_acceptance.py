@@ -448,7 +448,8 @@ def test_criterion_12_bohr_dimension_bound():
 
 
 # the proper non-abelian balls at eps 1/128 (golden runs freiman-*-eps128), one
-# group from each class the paper names: group, A and |ball|
+# group from each class the paper names, and a supersolvable A-group whose G'
+# is C7: group, A and |ball|
 PROPER_NONABELIAN = {
     "supersolvable S3 x C1065": (
         {"type": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}, 1065,
@@ -459,24 +460,24 @@ PROPER_NONABELIAN = {
     "solvable A-group A4 x C710": (
         {"type": "permutation", "degree": 4, "generators": [[1, 2, 0, 3], [1, 0, 3, 2]]}, 710,
         [0, 711, 1420, 2839, 2841, 3551, 4969, 5679, 6389, 6391, 7100, 7810], 1068),
+    "supersolvable A-group (C7 x| C3) x C710": (
+        {"type": "permutation", "degree": 7,
+         "generators": [[1, 2, 3, 4, 5, 6, 0], [0, 2, 4, 6, 1, 3, 5]]}, 710,
+        [0, 710, 1421, 2130, 2841, 3551, 4969, 4970, 5681, 7099, 7101, 8519, 9229, 9230, 9941,
+         11359, 12069, 12071, 13489, 13490, 14200], 1869),
 }
 
 
-@pytest.fixture(scope="module")
-def proper_nonabelian_runs():
-    runs = {}
-    for name, (factor, n, indices, _) in PROPER_NONABELIAN.items():
-        g = build_group({"type": "product", "factors": [factor, {"type": "cyclic", "n": n}]})
-        runs[name] = freiman_ball(g, _subset(g, indices),
-                                  PipelineConfig(epsilon_override=Fraction(1, 128)))
-    return runs
-
-
-def test_criterion_13_proper_nonabelian_balls(proper_nonabelian_runs):
+def test_criterion_13_proper_nonabelian_balls():
+    """Each run is built, checked and dropped before the next, since their
+    tables are large: (C7 x| C3) x C710's int32 table alone takes 889 MB."""
     lines = []
-    for name, rep in proper_nonabelian_runs.items():
-        g, ball = rep.group, rep.ball
-        assert not rep.restricted and len(ball) == PROPER_NONABELIAN[name][3] < g.order
+    for name, (factor, n, indices, size) in PROPER_NONABELIAN.items():
+        g = build_group({"type": "product", "factors": [factor, {"type": "cyclic", "n": n}]})
+        rep = freiman_ball(g, _subset(g, indices),
+                           PipelineConfig(epsilon_override=Fraction(1, 128)))
+        ball = rep.ball
+        assert not rep.restricted and len(ball) == size < g.order
         assert product_set(rep.a, rep.a.inverse()).is_subset_of(ball)
         # B is a union of G'-cosets: the linear characters it is cut out by
         # are trivial on G'
@@ -489,6 +490,7 @@ def test_criterion_13_proper_nonabelian_balls(proper_nonabelian_runs):
         # hypotheses are certified above order 128 this entry reads "holds"
         assert [e.status for e in rep.ledger if e.stage == "hypotheses"] == ["unchecked"]
         lines.append(f"{name}: |B| = {len(ball)} of {g.order}")
+        del g, rep, ball, rho
     print("ACCEPTANCE 13 proper non-abelian balls: PASS (" + "; ".join(lines)
           + "; AA^-1 inside B, B a union of G'-cosets and the 1/16-ball of a norm that"
           " passes both axiom checks)")

@@ -38,6 +38,14 @@ D8XC993_A = {"indices": [0, 993, 1986, 2979, 3973, 4964, 5959, 6950]}
 A4 = {"type": "permutation", "degree": 4, "generators": [[1, 2, 0, 3], [1, 0, 3, 2]]}
 A4XC710 = {"type": "product", "factors": [A4, {"type": "cyclic", "n": 710}]}
 A4XC710_A = {"indices": [0, 711, 1420, 2839, 2841, 3551, 4969, 5679, 6389, 6391, 7100, 7810]}
+# (C7 x| C3) x C710, 1869 of 14910: C7 x| C3 is generated by i -> i + 1 and i -> 2i
+# on Z/7, and A is C7 x {0}, with xC7 x {1} and x^2 C7 x {-1} for x: i -> 2i. The
+# product's int32 table alone takes 889 MB
+C7C3 = {"type": "permutation", "degree": 7,
+        "generators": [[1, 2, 3, 4, 5, 6, 0], [0, 2, 4, 6, 1, 3, 5]]}
+C7C3XC710 = {"type": "product", "factors": [C7C3, {"type": "cyclic", "n": 710}]}
+C7C3XC710_A = {"indices": [0, 710, 1421, 2130, 2841, 3551, 4969, 4970, 5681, 7099, 7101, 8519,
+                           9229, 9230, 9941, 11359, 12069, 12071, 13489, 13490, 14200]}
 S5 = {"type": "permutation", "degree": 5, "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
 # SL(2,3) acting on the nonzero vectors of F_3^2: not monomial
 SL23 = {"type": "permutation", "degree": 8,
@@ -129,6 +137,7 @@ RUNS = [
     ("freiman-s3xc1065-eps128", "freiman", S3XC1065, S3XC1065_A, ["--eps", "1/128"]),
     ("freiman-d8xc993-eps128", "freiman", D8XC993, D8XC993_A, ["--eps", "1/128"]),
     ("freiman-a4xc710-eps128", "freiman", A4XC710, A4XC710_A, ["--eps", "1/128"]),
+    ("freiman-c7c3xc710-eps128", "freiman", C7C3XC710, C7C3XC710_A, ["--eps", "1/128"]),
 ]
 
 # exit code and sha256 of json.dumps(report["result"], indent=2); None when
@@ -182,6 +191,8 @@ GOLDEN = {
         (0, "6abc73c3135ea0fa3e45ae9d8bb54d704e05de89bcdb7bb46847155aa17b3624"),
     "freiman-a4xc710-eps128":
         (0, "7076db1220dca62c8a548e81c1eb389d198b56410630a15969b7cf0d13c537cb"),
+    "freiman-c7c3xc710-eps128":
+        (0, "b70382aaf5af46518439a98a23834fd6d9154cc4a2e7f4e986499b8393321a46"),
 }
 
 

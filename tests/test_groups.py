@@ -164,7 +164,7 @@ def test_heisenberg_class_and_commutator_structure():
     cc = conjugacy_classes(g)
     assert len(cc.classes) == 11
     assert sorted(cc.sizes) == [1, 1, 1] + [3] * 8
-    ab = abelianization(g)
+    ab = _abelian_quotient(g)
     assert len(ab.kernel) == 3
     assert ab.quotient.order == 9
     assert ab.quotient.is_abelian
@@ -308,8 +308,13 @@ def test_permutation_table_is_written_row_by_row():
     assert peak <= 1.5 * g.mul_table.nbytes
 
 
+def _abelian_quotient(g):
+    """G^ab with its coset table: `abelianization` is the projection alone."""
+    return quotient(g, commutator_subgroup(g))
+
+
 def test_abelianization_of_s3():
-    ab = abelianization(_s3())
+    ab = _abelian_quotient(_s3())
     assert len(ab.kernel) == 3
     assert ab.quotient.order == 2
     assert ab.projection[ab.section[1]] == 1
@@ -325,7 +330,12 @@ def test_abelianization_of_s3():
 def test_abelianization_quotient_matches_validated_table():
     for g in (_s3(), heisenberg_group(3), dihedral_group(16), cyclic_group(12),
               product_group([cyclic_group(2), heisenberg_group(3)])):
-        q = abelianization(g).quotient
+        ab = _abelian_quotient(g)
+        proj = abelianization(g)
+        assert proj.projection.tolist() == list(ab.projection), g.name
+        assert proj.section.tolist() == list(ab.section), g.name
+        assert not proj.projection.flags.writeable and not proj.section.flags.writeable
+        q = ab.quotient
         identity, inv, _, _ = groups._validate_table(np.array(q.mul_table), q.name)
         assert q.identity == identity
         assert np.array_equal(q.inv_table, inv)
@@ -383,8 +393,12 @@ def test_supersolvable_steps_through_quotients(monkeypatch):
 
     monkeypatch.setattr(groups, "quotient", recording)
     assert is_supersolvable(cyclic_group(12)) and seen == []
-    # Heis(3): its center has prime order, and the quotient is abelian
-    assert is_supersolvable(heisenberg_group(3)) and seen == [(27, 3)]
+    # the exact rungs take no quotient: Heis(3) has prime-power order, and
+    # C3 x D8 is a product of a group of prime order and a 2-group
+    assert is_supersolvable(heisenberg_group(3)) and seen == []
+    assert is_supersolvable(product_group([cyclic_group(3), dihedral_group(8)])) and seen == []
+    # D24: <r^4> has prime order and is normal, and the quotient D8 is a 2-group
+    assert is_supersolvable(dihedral_group(24)) and seen == [(24, 3)]
     seen.clear()
     # SL(2,3) / {+-1} is A4, where no element of prime order spans a normal subgroup
     assert not is_supersolvable(_sl23()) and seen == [(24, 2)]
@@ -412,12 +426,21 @@ def test_supersolvable_agrees_with_the_power_table_route():
     named = [g for g in _suite_groups() if g.order <= 128] + [
         _a4(), _s5(), _relabelled(_sl23(), 3), dihedral_group(128), _relabelled(_a4(), 4),
         product_group([_s3(), cyclic_group(7)]), product_group([_a4(), cyclic_group(2)]),
-        product_group([_s3(), _s3()]), product_group([quaternion_group(), cyclic_group(3)])]
+        product_group([_s3(), _s3()]), product_group([quaternion_group(), cyclic_group(3)]),
+        # p-groups, settled by their order
+        product_group([cyclic_group(2), dihedral_group(8)]),
+        # products settled by a factor that is not supersolvable
+        product_group([_s4(), cyclic_group(3)]), product_group([_sl23(), cyclic_group(5)])]
     for g in named:
         assert is_supersolvable(g) is _supersolvable_by_power_table(g), g.name
     verdicts = {g.name: is_supersolvable(g) for g in named}
     assert not verdicts[_a4().name] and not verdicts[_s4().name] and not verdicts[_sl23().name]
     assert verdicts[_s3().name] and verdicts["heisenberg(3)"]
+    for name in ("quaternion8", "dihedral(16)", "product(cyclic(2)xdihedral(8))"):
+        assert verdicts[name], name
+    for name in ("product(perm(deg 4)xcyclic(2))", "product(perm(deg 4)xcyclic(3))",
+                 "product(perm(deg 8)xcyclic(5))"):
+        assert not verdicts[name], name
 
 
 def test_supersolvable_builds_no_square_table():
@@ -432,6 +455,19 @@ def test_supersolvable_builds_no_square_table():
         tracemalloc.stop()
     assert verdict and "element_orders" not in g.__dict__
     assert peak < n * n / 4
+
+
+def test_linear_phases_build_no_coset_table():
+    """S3 x C255: G^ab's coset table, (n/|G'|)^2 int32 entries, would take 1.0 MiB."""
+    linear_phases(product_group([_s3(), cyclic_group(5)]))    # numpy's lazy imports
+    g = product_group([_s3(), cyclic_group(255)])
+    tracemalloc.start()
+    try:
+        linear_phases(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (g.order // 3) ** 2 * 4
 
 
 def test_cyclic_linear_phases_validate_one_table(monkeypatch):
@@ -636,7 +672,8 @@ def test_generators_are_the_set_the_proof_ran_on(monkeypatch):
     built = len(searches)                  # one search per validated table
     for g in suite:
         assert g.generators == tuple(real(g.mul_table, g.identity)), g.name
-    assert len(searches) == built
+    # a product's table is not proved, so its search runs on first read
+    assert len(searches) == built + sum(1 for g in suite if g.factors) == built + 2
 
 
 def test_large_cyclic_validation_sampled():
@@ -713,6 +750,56 @@ def test_product_table_is_written_in_row_blocks():
             tracemalloc.stop()
         assert g.mul_table.dtype == np.int32 and np.array_equal(g.mul_table, want)
     assert peak < 8 * 2 ** 20      # the 1080 x 1080 int32 table itself is 4.4 MiB
+
+
+# products whose tables `product_group` does not prove: the suite's groups as
+# factors, up to order 4096, with three factors, a trivial factor, one factor,
+# and relabelled table factors whose identity is not element 0
+PRODUCTS = {
+    "c4xc6": lambda: [cyclic_group(4), cyclic_group(6)],
+    "c3xd8": lambda: [cyclic_group(3), dihedral_group(8)],
+    "c2xheis3": lambda: [cyclic_group(2), heisenberg_group(3)],
+    "c3xd8xs3": lambda: [cyclic_group(3), dihedral_group(8), _s3()],
+    "c1xq8": lambda: [cyclic_group(1), quaternion_group()],
+    "s4xc1xc5": lambda: [_s4(), cyclic_group(1), cyclic_group(5)],
+    "sl23": lambda: [_sl23()],
+    "s4relabelledxc5": lambda: [_relabelled(_s4(), 2), cyclic_group(5)],
+    "c3xd8relabelled": lambda: [cyclic_group(3), _relabelled(dihedral_group(8), 3)],
+    "d30xheis3": lambda: [dihedral_group(30), heisenberg_group(3)],
+    "c360xs3": lambda: [cyclic_group(360), _s3()],
+    "d16xc128xc2": lambda: [dihedral_group(16), cyclic_group(128), cyclic_group(2)],
+}
+
+
+@pytest.mark.parametrize("factors", PRODUCTS.values(), ids=PRODUCTS)
+def test_product_passes_the_table_proof_it_skips(factors):
+    """The REPLACED CHECK for products: the proof a constructor runs accepts
+    each product table, and finds the identity, the inverses and the
+    generating set that the product holds without it."""
+    factors = factors()
+    g = product_group(factors)
+    assert g.factors == tuple(factors) and g.order <= 4096
+    identity, inv, mul, gens = groups._validate_table(np.array(g.mul_table), g.name)
+    assert identity == g.identity and np.array_equal(inv, g.inv_table)
+    assert np.array_equal(mul, g.mul_table) and gens == g.generators
+    assert g.mul_table.dtype == g.inv_table.dtype == np.int32
+    assert not g.mul_table.flags.writeable and not g.inv_table.flags.writeable
+
+
+def test_a_product_validates_each_factor_once_and_itself_never(monkeypatch):
+    calls = []
+    real = groups._validate_table
+
+    def counting(mul, name):
+        calls.append(name)
+        return real(mul, name)
+
+    monkeypatch.setattr(groups, "_validate_table", counting)
+    g = build_group({"type": "product", "factors": [{"type": "cyclic", "n": 3},
+                                                    {"type": "dihedral", "order": 8}]})
+    linear_phases(g)
+    is_supersolvable(g)
+    assert calls == ["cyclic(3)", "dihedral(8)"]
 
 
 def test_permutation_table_matches_the_loop_definition():
@@ -1084,7 +1171,7 @@ def test_package_imports_only_the_stdlib_numpy_and_itself():
 def test_is_abelian_on_the_generators_matches_the_whole_table():
     verdicts = []
     for g in _suite_groups():
-        for h in (g, abelianization(g).quotient):
+        for h in (g, _abelian_quotient(g).quotient):
             verdicts.append(h.is_abelian)
             assert h.is_abelian == np.array_equal(h.mul_table, h.mul_table.T), h.name
     assert verdicts.count(False) == 10       # the ten non-abelian suite groups
@@ -1234,7 +1321,7 @@ def _a5():
 def _reference_linear_phases(g):
     """The chain of `linear_phases` run over the exponent of G^ab, taken from
     its element orders: (exponent, gens, keys, coords)."""
-    ab = abelianization(g)
+    ab = _abelian_quotient(g)
     q = ab.quotient
     e = math.lcm(*q.element_orders)
     elems, coords = np.array([q.identity]), np.zeros((1, 0), dtype=np.int64)
@@ -1262,7 +1349,7 @@ def _reference_linear_phases(g):
 def test_linear_phases_read_the_exponent_off_the_chain():
     for g in _lin_groups() + [_a5(), cyclic_group(1)]:
         lp = linear_phases(g)
-        assert lp.exponent == math.lcm(*abelianization(g).quotient.element_orders), g.name
+        assert lp.exponent == math.lcm(*_abelian_quotient(g).quotient.element_orders), g.name
         e, gens, keys, coords = _reference_linear_phases(g)
         assert (lp.exponent, lp.gens) == (e, gens), g.name
         assert np.array_equal(lp.keys, keys) and lp.keys.shape == keys.shape, g.name
@@ -1360,25 +1447,35 @@ def test_linear_phases_retain_no_phase_matrix():
 
 
 def test_linear_phases_reject_a_projection_that_is_no_homomorphism(monkeypatch):
-    """Two cosets of G^ab swapped in the projection: linear_phases raises exactly
-    when the n^2 check finds the swapped projection no homomorphism. In Heis(3)
-    the first generator lies in [G, G], so only the later ones see a swap of two
-    cosets other than the identity's."""
+    """The images of two elements swapped in the projection onto G^ab:
+    linear_phases raises exactly when the n^2 check finds that the coset of a
+    product no longer depends on the cosets of its factors alone, so that the
+    swapped projection is no homomorphism. An abelian group's cosets are its
+    elements, so there a swap only renames two cosets, and Lin(G) is unchanged;
+    so is it for two elements of one coset."""
     rng = np.random.default_rng(7)
     c2c4c6 = product_group([cyclic_group(2), cyclic_group(4), cyclic_group(6)])
-    for g in (cyclic_group(12), dihedral_group(16), heisenberg_group(3), c2c4c6,
-              _relabelled(_s4(), 4)):
-        ab = abelianization(g)
-        q = ab.quotient
-        pairs = list(itertools.combinations(range(q.order), 2))
+    outcomes = set()
+    cases = [(g, abelianization(g), linear_phases(g)) for g in (
+        cyclic_group(12), dihedral_group(16), heisenberg_group(3), c2c4c6, _relabelled(_s4(), 4))]
+    for g, ab, want in cases:
+        n = len(ab.section)
+        pairs = list(itertools.combinations(range(g.order), 2))
         for i in rng.permutation(len(pairs))[:30]:
-            swap = dict(zip(pairs[i], pairs[i][::-1]))
-            p = np.array([swap.get(x, x) for x in ab.projection])
-            swapped = groups.Quotient(ab.kernel, q, tuple(p.tolist()), ab.section)
+            p = np.array(ab.projection)
+            p[list(pairs[i])] = p[list(pairs[i][::-1])]
+            swapped = groups.CosetProjection(p, ab.section)
             monkeypatch.setattr(harmonic, "abelianization", lambda group: swapped)
             g.__dict__.pop("_linear_phases", None)
-            if np.array_equal(p[g.mul_table], q.mul_table[p[:, None], p]):
-                linear_phases(g)
+            factors = (p[:, None] * n + p).ravel()
+            homomorphism = (len(np.unique(factors * n + p[g.mul_table].ravel()))
+                            == len(np.unique(factors)))
+            outcomes.add(homomorphism)
+            if homomorphism:
+                got = linear_phases(g)
+                assert np.array_equal(got.keys, want.keys), g.name
+                assert np.array_equal(got.coords, want.coords), g.name
             else:
                 with pytest.raises(AssertionError, match="not a homomorphism"):
                     linear_phases(g)
+    assert outcomes == {True, False}

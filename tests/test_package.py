@@ -26,7 +26,7 @@ from monoball.spectra import lspec_doubling_cover, lspec_size_check, spectral_en
 RECORDS = {
     "bohr": ("ContractionReport", "BohrGrowthReport"),
     "errors": ("HypothesisRecord", "StageCheck"),
-    "groups": ("Subgroup", "SubgroupView", "Quotient"),
+    "groups": ("Subgroup", "SubgroupView", "CosetProjection", "Quotient"),
     "harmonic": ("CharacterTable", "FourierScalar", "MonomialCertificate", "LinearityScanRow",
                  "LinearityScanReport"),
     "metric": ("NormReport", "BallAxiomsReport", "GridPoint", "BourgainCertificate"),
