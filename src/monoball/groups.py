@@ -882,7 +882,7 @@ def coset_projection(group: FiniteGroup, normal: GroupSubset) -> CosetProjection
     section = np.unique(rep_of)
     proj = np.searchsorted(section, rep_of)
     for s in group.generators:
-        lifts = group.mul(section[proj], section[proj[s]])
+        lifts = group.mul(rep_of, rep_of[s])        # min(xN) min(sN)
         if not np.array_equal(proj[group.mul(slice(None), s)], proj[lifts]):
             raise GroupValidationError(f"{group.name}: quotient projection is not a homomorphism")
     if _bool_mask(proj == proj[group.identity]) != normal.mask:
