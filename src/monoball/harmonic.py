@@ -213,7 +213,13 @@ class LinearPhases:
         x = coords[0] * keys[0]             # x[c, i]: element c, character i
         for j in range(1, len(keys)):
             x += coords[j] * keys[j]
-        x -= x // self.exponent * self.exponent     # numpy vectorizes int32 //, not %
+        # x mod e in place through one quotient buffer (numpy vectorizes int32
+        # //, not %), freed before the int64 copy: two int32 buffers, or one
+        # and the output, are alive at once, 12 bytes an entry at the peak
+        q = x // self.exponent
+        q *= self.exponent
+        x -= q
+        del q
         # int64 and transposed: the cos table gathers an int64 index faster, and
         # `FourierMagnitudes.estimates` are bit for bit those of this layout
         return x.astype(np.int64).T
@@ -245,6 +251,17 @@ class LinearPhases:
     def negations(self, a: Sequence[int]) -> np.ndarray:
         """The index of gamma_i^-1 for every i in a."""
         return self._negations[np.asarray(a, dtype=np.int64)]
+
+    @cached_property
+    def inverse_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(least, partner): the least index i of each inverse pair {gamma_i,
+        gamma_i^-1}, ascending, and the index of gamma_i^-1, found once per
+        Lin(G); i is its own partner where gamma_i = gamma_i^-1."""
+        least = np.flatnonzero(np.arange(len(self._negations)) <= self._negations)
+        partner = self._negations[least]
+        for table in (least, partner):
+            table.setflags(write=False)
+        return least, partner
 
 
 def linear_phases(group: FiniteGroup) -> LinearPhases:

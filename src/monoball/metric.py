@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import HypothesisRecord, conclude
-from .groups import FiniteGroup, GroupSubset, _blocks, _index_mask, conjugacy_classes, power_chain
+from .groups import FiniteGroup, GroupSubset, _blocks, _bool_mask, conjugacy_classes, power_chain
 
 Scalar = Union[Fraction, int]
 _FLOAT_TOL = 1e-12  # slack where a float dimension or logarithm is compared with a bound
@@ -188,9 +188,9 @@ def _threshold(rho: PseudoMetricNorm, delta: Scalar) -> int:
 
 
 def ball(rho: PseudoMetricNorm, delta: Scalar) -> GroupSubset:
-    """{x : rho(x) <= delta}: one integer threshold on the numerators."""
-    inside = rho.scaled <= _threshold(rho, delta)
-    return GroupSubset(rho.group, _index_mask(np.flatnonzero(inside), rho.group.order))
+    """{x : rho(x) <= delta}: one integer threshold on the numerators, whose
+    comparison is packed into the mask as it stands."""
+    return GroupSubset(rho.group, _bool_mask(rho.scaled <= _threshold(rho, delta)))
 
 
 def ball_axioms_check(rho: PseudoMetricNorm) -> BallAxiomsReport:

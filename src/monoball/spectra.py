@@ -149,15 +149,19 @@ def _exact_at_least(coeffs, threshold: Fraction) -> bool:
 
 
 class FourierMagnitudes:
-    """|sum_{x in A} gamma(x)|^2 for every degree-one character, cached per (G, A).
+    """|sum_{x in A} gamma(x)|^2 for every degree-one character, cached per (G, A),
+    and the value every large spectrum of A reports for it.
 
     For gamma with phase row r over e this is sum_y w(y) zeta_e^{r(y)}, w the
-    autocorrelation counts of `spectrum_weight`. The exact coefficients read all
-    of supp w; the float estimates read one element of each inverse pair
-    {y, y^-1} in it, since w and the real part agree on both, and are computed
-    for one character of each inverse pair {gamma, gamma^-1}, whose rows gather
-    the same table entries. Held by the group, it holds no reference back, so
-    that no cycle keeps a dropped group alive until the cyclic collector runs."""
+    autocorrelation counts of `spectrum_weight`, counted over A or over its
+    complement, whichever is smaller. The exact coefficients read all of supp w;
+    the float estimates read one element of each inverse pair {y, y^-1} in it,
+    since w and the real part agree on both, and are computed for one character
+    of each inverse pair {gamma, gamma^-1} (`LinearPhases.inverse_pairs`), whose
+    rows gather the same table entries. `values` is sqrt(max(estimate, 0)) / |G|,
+    |hat 1_A(gamma)|, computed once here for every spectrum of A to gather.
+    Held by the group, it holds no reference back, so that no cycle keeps a
+    dropped group alive until the cyclic collector runs."""
 
     def __init__(self, a: GroupSubset):
         g = a.group
@@ -174,11 +178,12 @@ class FourierMagnitudes:
         folded = np.where(self._support == inv, 1.0, 2.0)[least] * self.weights[least]
         # gamma^-1 has phase row e - r, and the table is symmetric: the estimate
         # of the least character of each pair {gamma, gamma^-1} is both of theirs
-        neg = lp.negations(np.arange(len(lp.keys)))
-        reps = np.flatnonzero(np.arange(len(neg)) <= neg)
+        reps, partners = lp.inverse_pairs
         est = _cos_table(lp.exponent)[lp.block(reps, self._support[least])] @ folded
-        self.estimates = np.empty(len(neg))
-        self.estimates[reps] = self.estimates[neg[reps]] = est
+        self.estimates = np.empty(len(lp.keys))
+        self.estimates[reps] = self.estimates[partners] = est
+        # a square estimated below 0 reports 0, as max(est, 0.0)
+        self.values = np.sqrt(np.where(self.estimates < 0, 0.0, self.estimates)) / g.order
         # with u = 2^-53 and k = len(folded) terms whose weights sum to |A|^2, an
         # estimate errs by at most u |A|^2 from the table entries (each within u,
         # of size at most 1) and by gamma_k |A|^2 < (k + 1) u |A|^2 from the k
@@ -235,33 +240,37 @@ def _lspec(a: GroupSubset, eps: Fraction) -> LargeSpectrum:
 
 
 def _decide(a: GroupSubset, eps: Fraction) -> tuple[int, tuple[float, ...], Fraction]:
-    group = a.group
+    """The members' mask, their cached values in ascending index order, and the
+    threshold. One comparison of the estimates with t decides every character
+    outside the certified band |est - t| <= bound; only when that band holds a
+    character are negations read, Phi_e reduced and Z[zeta_e] compared."""
     mags = _magnitudes(a)
     p, q = eps.numerator, eps.denominator       # threshold (1 - eps^2/2) |A|^2 = num / den
     num, den = max(0, 2 * q * q - p * p) * len(a) ** 2, 2 * q * q
+    threshold = Fraction(num, den)
     # the float num / den errs by at most 2^-53 of it; beyond both errors the
     # estimate's side is the exact side, and the rest are decided in Z[zeta_e]
     t = num / den
     bound = mags.error + 2.0 ** -52 * t
-    verdict = (mags.estimates - t > bound) | (num == 0)     # no square is below 0
-    near = np.flatnonzero(~verdict & (np.abs(mags.estimates - t) <= bound))
-    # reduction mod Phi_e is linear, so one pass reduces every near tie (and with
-    # none, Phi_e is not built); the reduced row is canonical, so equal values are
-    # decided once. gamma and gamma^-1 have one estimate and one value, so near
-    # ties come in inverse pairs, and the least of each is reduced for both
-    neg = linear_phases(group).negations(near)
-    least = near <= neg
-    near, neg = near[least], neg[least]
-    threshold, decided = Fraction(num, den), {}
-    for i, j, reduced in zip(near, neg, _reduce(mags.coefficients(near)) if near.size else ()):
-        key = tuple(reduced)
-        if key not in decided:
-            decided[key] = _exact_at_least(reduced, threshold)
-        verdict[i] = verdict[j] = decided[key]
+    gap = mags.estimates - t
+    verdict = gap > 0 if num else np.ones(len(gap), dtype=bool)    # no square is below 0
+    if num and np.abs(gap).min() <= bound:
+        # reduction mod Phi_e is linear, so one pass reduces every near tie; the
+        # reduced row is canonical, so equal values are decided once. gamma and
+        # gamma^-1 have one estimate and one value, so near ties come in inverse
+        # pairs, and the least of each is reduced for both
+        near = np.flatnonzero(np.abs(gap) <= bound)
+        neg = linear_phases(a.group).negations(near)
+        least = near <= neg
+        near, neg = near[least], neg[least]
+        decided = {}
+        for i, j, reduced in zip(near, neg, _reduce(mags.coefficients(near))):
+            key = tuple(reduced)
+            if key not in decided:
+                decided[key] = _exact_at_least(reduced, threshold)
+            verdict[i] = verdict[j] = decided[key]
     assert verdict[0]      # hat 1_A(0) = P(A) clears every threshold
-    est = mags.estimates[verdict]
-    values = np.sqrt(np.where(est < 0, 0.0, est)) / group.order    # as max(est, 0.0)
-    return _bool_mask(verdict), tuple(values.tolist()), threshold
+    return _bool_mask(verdict), tuple(mags.values[verdict].tolist()), threshold
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +297,17 @@ def spectrum_weight(a: GroupSubset) -> SpectrumWeight:
 
 def _autocorrelation_counts(a: GroupSubset) -> np.ndarray:
     """|A intersect xA| for each element x of G, as int64: the number of pairs
-    (x1, x2) of A with x1 x2^-1 = x."""
+    (x1, x2) of A with x1 x2^-1 = x, or of x2 in A with x x2 in A. It is counted
+    over the smaller of A and its complement B, since w_A(x) = |G| - 2|B| +
+    w_B(x): x x2 lies in B for |B| elements x2 of G, w_B(x) of them in B, so
+    for |B| - w_B(x) of the |A| in A."""
     g = a.group
-    idx = a.array()
-    counts = np.bincount(g.mul(idx[:, None], g.inv(idx)).ravel(), minlength=g.order)
+    n, size = g.order, len(a)
+    complement = size > n - size
+    idx = (GroupSubset(g, ((1 << n) - 1) ^ a.mask) if complement else a).array()
+    counts = np.bincount(g.mul(idx[:, None], g.inv(idx)).ravel(), minlength=n)
+    if complement:
+        counts += n - 2 * len(idx)
     assert counts[g.identity] == len(a)         # w(identity) = 1 after scaling
     assert counts.sum() == len(a) ** 2          # E_x w = P(A)
     return counts

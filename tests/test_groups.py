@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoball import cli, groups, harmonic, setops
+from monoball import cli, groups, harmonic, setops, spectra
 from monoball.errors import CapExceededError, GroupValidationError
 from monoball.groups import (
     GroupSubset,
@@ -1411,6 +1411,49 @@ def test_negations_read_one_stored_map_of_find_on_the_negated_keys(monkeypatch):
     monkeypatch.setattr(harmonic.LinearPhases, "find", None)    # a call would raise
     for lp, want in maps:
         assert np.array_equal(lp.negations(np.arange(len(want))), want)
+
+
+def test_inverse_pairs_are_the_least_of_each_pair_and_its_partner(monkeypatch):
+    """`inverse_pairs` is (i, neg(i)) for each i <= neg(i), i ascending: every
+    character lies in exactly one pair. It is read-only and built once per
+    Lin(G), so building Fourier magnitudes reads it and calls no `negations`."""
+    for g in _lin_groups() + [_a5(), cyclic_group(1)]:
+        lp = linear_phases(g)
+        every = np.arange(len(lp.keys))
+        least, partner = lp.inverse_pairs
+        neg = lp.negations(every)
+        assert np.array_equal(least, every[every <= neg]), g.name
+        assert np.array_equal(partner, neg[least]), g.name
+        assert sorted(set(least.tolist()) | set(partner.tolist())) == every.tolist(), g.name
+        assert not least.flags.writeable and not partner.flags.writeable, g.name
+        assert lp.inverse_pairs[0] is least, g.name
+    monkeypatch.setattr(harmonic.LinearPhases, "negations", None)     # a call would raise
+    g = cyclic_group(360)
+    linear_phases(g).inverse_pairs
+    mags = spectra.FourierMagnitudes(GroupSubset.from_indices(g, [359, 0, 1, 7]))
+    assert np.array_equal(mags.estimates, mags.estimates[linear_phases(g)._negations])
+
+
+def test_phase_block_reduces_in_place_through_one_quotient_buffer():
+    """C360's block of every character at the least element of each inverse
+    pair, 360 x 181: the int32 sum and one quotient buffer reduce it mod e in
+    place, and the quotient is freed before the int64 copy, so the traced peak
+    stays within the int32 sum and the int64 output, 12 bytes an entry; with
+    the quotient alive through the copy it would be 16."""
+    g = cyclic_group(360)
+    lp = linear_phases(g)
+    cols = np.arange(181)
+    lp.block(None, cols)
+    tracemalloc.start()
+    try:
+        out = lp.block(None, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lp._key_terms.dtype == np.int32
+    assert out.shape == (360, 181) and out.dtype == np.int64
+    assert np.array_equal(out, (lp.coords[cols] @ lp.keys.T % 360).T)
+    assert peak <= 12 * out.size + 8 * 1024
 
 
 def test_linear_phases_find_refuses_a_row_that_is_no_key():

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +16,7 @@ from mpmath import libmp
 from monoball import spectra
 from monoball.bohr import CharSet, charset_sum, linbohr, linbohr_squared
 from monoball.groups import (
+    FiniteGroup,
     GroupSubset,
     build_group,
     cyclic_group,
@@ -549,6 +551,106 @@ def test_lspec_without_near_ties_builds_no_cyclotomic():
     assert spectra._cyclotomic.cache_info().currsize > 0
 
 
+def _direct_counts(g, ids):
+    """|A intersect xA| per x, counted over the pairs of A itself."""
+    idx = np.asarray(ids, dtype=np.int64)
+    return np.bincount(g.mul(idx[:, None], g.inv(idx)).ravel(), minlength=g.order)
+
+
+def _sweep_c360_sets():
+    """The six C360 shapes of the benchmark's query sweep, drawn as it draws
+    them from a generator seeded with 0, and the A^l of each that its
+    Proposition 8.1 query reads (|A^l| from 13 to 216)."""
+    g = cyclic_group(360)
+    rng = np.random.default_rng(0)
+    others = np.delete(np.arange(360), g.identity)
+    sets = []
+    for _ in range(6):
+        gens = rng.choice(others, size=int(rng.integers(1, 3)), replace=False)
+        a = normalize_set(_subset(g, gens.tolist()), symmetrize=True, add_identity=True,
+                          conjugation_close=True)
+        sets += [a, power_set(a, find_l(a)[0])]
+    return sets
+
+
+def _tie_radii(size, values):
+    """Each eps whose threshold (1 - eps^2/2) size^2 is one of the rational
+    values m: eps = s / size with s^2 = 2 (size^2 - m)."""
+    radii = set()
+    for m in values:
+        s = math.isqrt(2 * (size * size - m)) if m <= size * size else 0
+        if s and s * s == 2 * (size * size - m):
+            radii.add(Fraction(s, size))
+    return radii
+
+
+def test_one_comparison_decides_as_every_character_decided_exactly():
+    """`_decide` compares the estimates with t once and goes to Z[zeta_e] only
+    inside the certified band; the reference decides every character there,
+    from coefficients counted directly over A's pairs and the phases of one
+    int64 matmul. Each set is decided at a grid of radii and at every radius
+    where some |hat 1_A|^2 is exactly the threshold. The values are the cached
+    values of the members, bit for bit, in ascending index order."""
+    c2heis = product_group([cyclic_group(2), heisenberg_group(3)])
+    c4c6 = build_group(_c4xc6_relabelled())
+    rng = np.random.default_rng(34)
+    cases = [_subset(cyclic_group(8), [0, 1, 4]), _subset(cyclic_group(12), [0, 4, 8]),
+             _subset(cyclic_group(12), [11, 0, 1]), _subset(cyclic_group(12), [0, 1, 2, 5, 7]),
+             _subset(cyclic_group(16), [0, 9, 13]), _subset(cyclic_group(768), [0, 96, 384])]
+    cases += _sweep_c360_sets()
+    cases += [normalize_set(_subset(c2heis, [27, 9, 3]), symmetrize=True, add_identity=True,
+                            conjugation_close=True)]
+    cases += [_subset(g, rng.choice(g.order, size, replace=False))
+              for g in (c2heis, c4c6) for size in (2, 5, g.order // 2, g.order - 3)]
+    grid = {Fraction(p, q) for p, q in ((1, 16), (1, 8), (1, 4), (1, 2), (1, 1), (4, 3), (7, 5))}
+    ties = Counter()
+    for a in cases:
+        g, size = a.group, len(a)
+        lp = linear_phases(g)
+        e = lp.exponent
+        counts = _direct_counts(g, a.array())
+        support = np.flatnonzero(counts)
+        phases = (lp.coords[support] @ lp.keys.T % e).T
+        coeffs = np.array([np.bincount(row, counts[support], minlength=e) for row in phases])
+        reduced = spectra._reduce(coeffs.astype(np.int64))
+        rational = [int(r[0]) if not r[1:].any() else None for r in reduced]
+        for eps in sorted(grid | _tie_radii(size, {m for m in rational if m is not None})):
+            threshold = max(1 - eps * eps / 2, Fraction(0)) * size ** 2
+            decided, want = {}, 0
+            for i, row in enumerate(reduced):
+                key = tuple(row)
+                if key not in decided:
+                    decided[key] = spectra._exact_at_least(row, threshold)
+                want |= decided[key] << i
+            ties[g.name] += rational.count(threshold)
+            mask, values, got_threshold = spectra._decide(a, eps)
+            assert (mask, got_threshold) == (want, threshold), (g.name, a.indices(), eps)
+            members = CharSet(g, mask).array()
+            cached = spectra._magnitudes(a).values[members]
+            assert np.array_equal(np.array(values).view(np.int64), cached.view(np.int64))
+    # C8's five ties and C768's 480 at eps = 4/3 (odd k and k = 4, and their
+    # multiples of 96), and ties among the sweep's sets and the non-abelian ones
+    assert ties["cyclic(8)"] == 5 and ties["cyclic(768)"] == 480
+    assert ties["cyclic(360)"] > 0 and ties[c2heis.name] > 0 and ties[c4c6.name] > 0
+
+
+def test_a_spectrum_outside_the_band_reads_no_negation_and_reduces_nothing(monkeypatch):
+    """With no estimate within the certified band of t, one comparison decides
+    every character: no negation, coefficient, reduction or exact comparison."""
+    g = cyclic_group(360)
+    a = _subset(g, [359, 0, 1, 7])
+    mags = spectra._magnitudes(a)
+    for name in ("_reduce", "_exact_at_least"):
+        monkeypatch.setattr(spectra, name, None)            # a call would raise
+    monkeypatch.setattr(type(linear_phases(g)), "negations", None)
+    monkeypatch.setattr(FourierMagnitudes, "coefficients", None)
+    for eps in (Fraction(1, 16), Fraction(1, 4), Fraction(1), Fraction(7, 5)):
+        mask, values, threshold = spectra._decide(a, eps)
+        members = CharSet(g, mask).array()
+        assert np.array_equal(members, np.flatnonzero(mags.estimates > float(threshold)))
+        assert values == tuple(mags.values[members].tolist())
+
+
 def test_cold_freiman_decides_each_spectrum_once(monkeypatch):
     """The C768 ladder job asks for seven large spectra at four radii; each
     (A, eps) is decided once, and the repeats are read from the group."""
@@ -594,6 +696,46 @@ def test_spectrum_weight_subgroup_counts():
     assert w.counts == tuple(3 if x % 4 == 0 else 0 for x in range(12))
     assert w.mean == Fraction(3, 12)
     assert w.weight.values[0] == pytest.approx(1.0)
+
+
+def test_autocorrelation_over_the_complement_is_the_direct_count(monkeypatch):
+    """Past |G|/2 the counts are w_B + |G| - 2|B| over the complement B, equal
+    to the count over A's own pairs on either side of |G|/2, at |A| = |G|/2,
+    at A = G (B empty) and on non-abelian groups; the products read are those
+    of the smaller set's pairs."""
+    pairs = []
+    mul = FiniteGroup.mul
+
+    def counting(self, x, y):
+        out = mul(self, x, y)
+        pairs.append(np.size(out))
+        return out
+
+    rng = np.random.default_rng(34)
+    s4 = build_group({"type": "permutation", "degree": 4,
+                      "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]})
+    for g in (cyclic_group(12), cyclic_group(13), cyclic_group(360),
+              product_group([cyclic_group(2), heisenberg_group(3)]), s4):
+        n = g.order
+        for size in sorted({1, 2, n // 2 - 1, n // 2, (n + 1) // 2, n // 2 + 1, n - 1, n}):
+            ids = rng.choice(n, size, replace=False)
+            want = _direct_counts(g, ids)
+            pairs.clear()
+            monkeypatch.setattr(FiniteGroup, "mul", counting)
+            got = spectra._autocorrelation_counts(_subset(g, ids))
+            monkeypatch.setattr(FiniteGroup, "mul", mul)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (g.name, size)
+            assert pairs == [min(size, n - size) ** 2], (g.name, size)
+
+
+def test_autocorrelation_identity_assert_sees_a_wrong_count_on_either_route(monkeypatch):
+    """Every product read as 5: over A the identity count is 0, over the
+    complement B it is |A| - |B|; either is refused, where |A| is due."""
+    g = cyclic_group(12)
+    monkeypatch.setattr(FiniteGroup, "mul", lambda self, x, y: np.full(np.broadcast(x, y).shape, 5))
+    for ids in ([0, 4, 8], range(10)):
+        with pytest.raises(AssertionError):
+            spectra._autocorrelation_counts(_subset(g, ids))
 
 
 def test_spectrum_weight_general_set():
