@@ -46,6 +46,10 @@ class FiniteGroup:
     name: str = "group"
     factors: tuple[FiniteGroup, ...] = ()
 
+    def __post_init__(self) -> None:
+        self.mul_table.setflags(write=False)
+        self.inv_table.setflags(write=False)
+
     @property
     def order(self) -> int:
         return len(self.labels)
@@ -252,21 +256,15 @@ class ConjugacyPartition:
         return tuple(c[0] for c in self.classes)
 
 
-class Subgroup(NamedTuple):
-    elements: GroupSubset
-    index_in_parent: int
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 class SubgroupView(NamedTuple):
-    """A subgroup rebuilt as a standalone group, with index maps to the parent."""
+    """A subgroup rebuilt as a standalone group, with read-only index maps:
+    `to_parent[i]` is the parent element of view element i, and
+    `from_parent[x]` the view element of x, -1 outside the subgroup."""
 
     parent: FiniteGroup
     group: FiniteGroup
-    to_parent: tuple[int, ...]
-    from_parent: dict
+    to_parent: np.ndarray
+    from_parent: np.ndarray
 
 
 class CosetProjection(NamedTuple):
@@ -276,15 +274,6 @@ class CosetProjection(NamedTuple):
 
     projection: np.ndarray
     section: np.ndarray
-
-
-class Quotient(NamedTuple):
-    """G/N with the projection G -> G/N and the least element of each coset."""
-
-    kernel: GroupSubset
-    quotient: FiniteGroup
-    projection: tuple[int, ...]
-    section: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +373,6 @@ def _finish(mul: np.ndarray, labels: Sequence[str], name: str) -> FiniteGroup:
     identity, inv, mul, gens = _validate_table(mul, name)
     if len(labels) != len(inv):
         raise GroupValidationError(f"{name}: {len(labels)} labels for {len(inv)} elements")
-    mul.setflags(write=False)
-    inv.setflags(write=False)
     group = FiniteGroup(mul, inv, identity, tuple(labels), name)
     group.cached("generators", lambda: gens)     # the search Light's test just ran
     return group
@@ -489,8 +476,6 @@ def product_group(factors: Sequence[FiniteGroup]) -> FiniteGroup:
                    out=out[a * m:(a + 1) * m].reshape(m, k, m))
         mul, inv = out, ((m * f.inv_table)[:, None] + inv).ravel()
         identity += f.identity * m
-    mul.setflags(write=False)
-    inv.setflags(write=False)
     digits = np.unravel_index(np.arange(n), orders)
     labels = tuple("(" + ",".join(g.labels[t] for g, t in zip(factors, tup)) + ")"
                    for tup in zip(*(d.tolist() for d in digits)))
@@ -892,23 +877,19 @@ def coset_projection(group: FiniteGroup, normal: GroupSubset) -> CosetProjection
     return CosetProjection(proj, section)
 
 
-def quotient(group: FiniteGroup, normal: GroupSubset) -> Quotient:
+def quotient(group: FiniteGroup, normal: GroupSubset) -> FiniteGroup:
     """G/N for a normal subgroup N, each coset named by its least element; G
-    itself for N = {1}. It is `coset_projection` with the coset table on top.
-    Being onto, the projection carries the group axioms to that table, so the
-    table is not validated again."""
+    itself for N = {1}. It is `coset_projection`, which maps G onto it, with
+    the coset table on top. Being onto, the projection carries the group
+    axioms to that table, so the table is not validated again."""
     if normal.mask == 1 << group.identity:
-        same = tuple(range(group.order))
-        return Quotient(normal, group, same, same)
+        return group
     proj, section = coset_projection(group, normal)
     q_mul = proj[group.mul(section[:, None], section)].astype(np.int32)
     q_inv = proj[group.inv(section)].astype(np.int32)
-    q_mul.setflags(write=False)
-    q_inv.setflags(write=False)
     labels = tuple(group.labels[int(r)] for r in section)
-    q = FiniteGroup(q_mul, q_inv, int(proj[group.identity]), labels,
-                    f"{group.name}/{len(normal)}")
-    return Quotient(normal, q, tuple(proj.tolist()), tuple(section.tolist()))
+    return FiniteGroup(q_mul, q_inv, int(proj[group.identity]), labels,
+                       f"{group.name}/{len(normal)}")
 
 
 def abelianization(group: FiniteGroup) -> CosetProjection:
@@ -961,7 +942,7 @@ def _supersolvable(g: FiniteGroup) -> bool:
         normal = next(filter(None, (_normal_cyclic(g, p) for p in primes)), None)
         if normal is None:
             return False
-        g = quotient(g, normal).quotient
+        g = quotient(g, normal)
     return True
 
 
@@ -985,17 +966,17 @@ def _normal_cyclic(g: FiniteGroup, p: int) -> Optional[GroupSubset]:
 
 
 def enumerate_subgroups(group: FiniteGroup,
-                        max_order_cap: int = SUBGROUP_ORDER_CAP) -> tuple[Subgroup, ...]:
+                        max_order_cap: int = SUBGROUP_ORDER_CAP) -> tuple[GroupSubset, ...]:
     """All subgroups, ordered by (size, indices): the cyclic subgroups of
     prime-power order closed under join with each other, to a fixpoint. The
-    group caches the masks only."""
+    group caches the masks only; a subgroup H has index |G| // |H|."""
     if group.order > max_order_cap:
         raise CapExceededError(
             f"subgroup enumeration refused at order {group.order} > cap {max_order_cap}; "
             "pass a larger max_order_cap to override"
         )
     masks = group.cached("_subgroups", lambda: _subgroup_masks(group))
-    return tuple(Subgroup(GroupSubset(group, m), group.order // m.bit_count()) for m in masks)
+    return tuple(GroupSubset(group, m) for m in masks)
 
 
 def _subgroup_masks(group: FiniteGroup) -> tuple[int, ...]:
@@ -1035,13 +1016,12 @@ def subgroup_view(group: FiniteGroup, elements: GroupSubset) -> SubgroupView:
             f"subgroup view: not closed, {group.labels[idx[i]]}*{group.labels[idx[j]]} escapes"
         )
     sub_inv = pos[group.inv(idx)]
-    sub_mul.setflags(write=False)
-    sub_inv.setflags(write=False)
     labels = tuple(group.labels[e] for e in idx)
     sub = FiniteGroup(sub_mul, sub_inv, int(pos[group.identity]), labels, f"{group.name}|sub{k}")
     lattice = group.__dict__.get("_subgroups")
     if lattice is not None:
         sub.cached("_subgroups", lambda: tuple(_index_mask(pos[list(GroupSubset(group, m))], k)
                                                for m in lattice if m & ~elements.mask == 0))
-    to_parent = tuple(idx.tolist())
-    return SubgroupView(group, sub, to_parent, {e: i for i, e in enumerate(to_parent)})
+    idx.setflags(write=False)
+    pos.setflags(write=False)
+    return SubgroupView(group, sub, idx, pos)

@@ -493,7 +493,7 @@ def induce_class_function(view: SubgroupView, f: ClassFunction) -> ClassFunction
         raise ValueError("f is not constant on the subgroup's conjugacy classes")
     parent = view.parent
     ext = np.zeros(parent.order, dtype=np.complex128)
-    ext[list(view.to_parent)] = f.values
+    ext[view.to_parent] = f.values
     cls = conjugacy_classes(parent).class_of
     sums = np.bincount(cls, weights=ext.real) + 1j * np.bincount(cls, weights=ext.imag)
     index = parent.order // view.group.order
@@ -510,7 +510,7 @@ def frobenius_residual(view: SubgroupView, f: ClassFunction, g: ClassFunction) -
     """| <f, g|_H> - <f^G, g> | for f on H and g on G."""
     if g.group is not view.parent:
         raise ValueError("g must live on the parent group")
-    restricted = ClassFunction(view.group, g.values[list(view.to_parent)])
+    restricted = ClassFunction(view.group, g.values[view.to_parent])
     lhs = inner(f, restricted)
     rhs = inner(induce_class_function(view, f), g)
     return abs(lhs - rhs)
@@ -555,9 +555,9 @@ def _monomial_certificates(group: FiniteGroup, max_order_cap: int) -> tuple[tupl
         for sub in subs:
             if len(sub) * d != group.order:
                 continue
-            key = sub.elements.mask
+            key = sub.mask
             if key not in views:
-                views[key] = subgroup_view(group, sub.elements)
+                views[key] = subgroup_view(group, sub)
             view = views[key]
             for lam in linear_characters(view.group):
                 induced = induce_class_function(view, lam.as_class_function())
@@ -591,12 +591,12 @@ def _hereditary_search(group: FiniteGroup) -> tuple[bool, Optional[GroupSubset]]
     for sub in enumerate_subgroups(group):
         # the whole group is checked as itself, so its cached verdict is reused
         sub_group = (group if len(sub) == group.order
-                     else subgroup_view(group, sub.elements).group)
+                     else subgroup_view(group, sub).group)
         if is_supersolvable(sub_group):
             continue
         ok, _ = is_monomial(sub_group)
         if not ok:
-            return False, sub.elements
+            return False, sub
     return True, None
 
 

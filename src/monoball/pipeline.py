@@ -140,10 +140,8 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
     restricted = len(hull) < group.order
     if restricted:
         view = subgroup_view(group, hull)
-        work = view.group
-        wa = GroupSubset.from_indices(
-            work, [view.from_parent[x] for x in a.indices()])
-        to_parent: Optional[tuple[int, ...]] = view.to_parent
+        work, to_parent = view.group, view.to_parent
+        wa = GroupSubset.from_indices(work, view.from_parent[a.array()])
     else:
         work, wa, to_parent = group, a, None
     ledger.append(LedgerEntry(
@@ -246,7 +244,7 @@ def freiman_ball(group: FiniteGroup, a: GroupSubset,
         "holds" if size_rep.ok else "fails",
         f"k = {k_size}, lhs = {size_rep.lhs}"))
 
-    parent_ball = (tuple(to_parent[i] for i in ball.indices())
+    parent_ball = (tuple(to_parent[ball.array()].tolist())
                    if to_parent is not None else None)
     report = PipelineReport(
         group, restricted, work.order, a, l, k_ratio, d_fit, d_prime, d_eff,

@@ -309,7 +309,7 @@ def _autocorrelation_counts(a: GroupSubset) -> np.ndarray:
     if complement:
         counts += n - 2 * len(idx)
     assert counts[g.identity] == len(a)         # w(identity) = 1 after scaling
-    assert counts.sum() == len(a) ** 2          # E_x w = P(A)
+    assert (counts[g.inv(slice(None))] == counts).all()     # |A & xA| = |A & x^-1 A|
     return counts
 
 
@@ -342,13 +342,12 @@ def spectrum_distance_exact(a: GroupSubset, gamma: LinearCharacter,
 
 
 def standing_hypotheses(group: FiniteGroup, s: GroupSubset,
-                        a: GroupSubset) -> list[HypothesisRecord]:
-    """The records, decided once per (S, A) and cached on the group as a
-    tuple; each call returns a fresh list, since callers append to it."""
+                        a: GroupSubset) -> tuple[HypothesisRecord, ...]:
+    """The records, decided once per (S, A) and cached on the group."""
     if s.group is not group or a.group is not group:
         raise ValueError("subset belongs to a different group")
-    return list(group.cached("_standing_hypotheses",
-                             lambda: _standing_hypotheses(group, s, a), (s.mask, a.mask)))
+    return group.cached("_standing_hypotheses",
+                        lambda: _standing_hypotheses(group, s, a), (s.mask, a.mask))
 
 
 def _standing_hypotheses(group: FiniteGroup, s: GroupSubset,
@@ -401,7 +400,7 @@ def _counting_convolution_power(a: GroupSubset, k: int) -> list[int]:
 
 
 class EnergyReport(NamedTuple):
-    hypotheses: list[HypothesisRecord]
+    hypotheses: tuple[HypothesisRecord, ...]
     eta: Fraction
     k: int
     lhs: Optional[float]
@@ -430,7 +429,7 @@ def spectral_energy_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
 
     a_k = power_set(a, k)
     growth_hyp = (1 - eta * eta / 2) ** (k - 1) <= Fraction(len(a), 2 * len(a_k))
-    records.append(HypothesisRecord.of("(1 - eta^2/2)^(k-1) <= P(A) / 2 P(A^k)", growth_hyp))
+    records += (HypothesisRecord.of("(1 - eta^2/2)^(k-1) <= P(A) / 2 P(A^k)", growth_hyp),)
 
     if any(r.status == "fails" for r in records):
         return EnergyReport(records, eta, k, None, None, None, None, None, None, None)
@@ -516,7 +515,7 @@ class WindowRow(NamedTuple):
 
 
 class DoublingReport(NamedTuple):
-    hypotheses: list[HypothesisRecord]
+    hypotheses: tuple[HypothesisRecord, ...]
     eps: Fraction
     d: float
     branch: str                      # "covered" | "small"
@@ -557,10 +556,10 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
         ok = math.log(size_k / len(a)) <= d * math.log(k) + _FLOAT_TOL
         window_rows.append(WindowRow(k, size_k, ok))
         ok_all = ok_all and ok
-    records.append(HypothesisRecord.of(
+    records += (HypothesisRecord.of(
         "P(A^k) <= k^d P(A) on the growth window", ok_all,
         f"window [{k_lo}, {k_hi}], power cycle from {start} period {period}" + (
-            " (clipped)" if clipped else "")))
+            " (clipped)" if clipped else "")),)
 
     k_eta_d = math.ceil(_k_min(eps / 2, d))  # eps/2: the smallest radius touched
 
@@ -600,7 +599,7 @@ def lspec_doubling_cover(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
 
 
 class SpectrumSizeReport(NamedTuple):
-    hypotheses: list[HypothesisRecord]
+    hypotheses: tuple[HypothesisRecord, ...]
     eps: Fraction
     k: int
     d: float
@@ -640,11 +639,11 @@ def lspec_size_check(group: FiniteGroup, s: GroupSubset, a: GroupSubset,
         raise ValueError("lspec_size_check needs eps in (0, 1]")
     records = standing_hypotheses(group, s, a)
     k_min = _k_min(eps, d)
-    records.append(HypothesisRecord.of("k >= 16 eps^-2 d log(8 eps^-2 d)", k >= k_min,
-                                       f"k = {k}, needs >= {k_min:.3f}"))
     size_k = power_chain(a).size(k)
     growth_ok = math.log(size_k / len(a)) <= d * math.log(k) + _FLOAT_TOL
-    records.append(HypothesisRecord.of("P(A^k) <= k^d P(A)", growth_ok, f"|A^k| = {size_k}"))
+    records += (HypothesisRecord.of("k >= 16 eps^-2 d log(8 eps^-2 d)", k >= k_min,
+                                    f"k = {k}, needs >= {k_min:.3f}"),
+                HypothesisRecord.of("P(A^k) <= k^d P(A)", growth_ok, f"|A^k| = {size_k}"))
 
     spec = _lspec(a, eps)
     ball = _inv_two_pi_ball(group, spec.members)

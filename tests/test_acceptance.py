@@ -198,7 +198,7 @@ def test_criterion_04_frobenius():
     dim_laws = 0
     for g in groups:
         for sub in enumerate_subgroups(g):
-            view = subgroup_view(g, sub.elements)
+            view = subgroup_view(g, sub)
             rng = np.random.default_rng(13)
             for _ in range(10):
                 f = _random_hermitian(view.group, rng)
@@ -494,3 +494,26 @@ def test_criterion_13_proper_nonabelian_balls():
     print("ACCEPTANCE 13 proper non-abelian balls: PASS (" + "; ".join(lines)
           + "; AA^-1 inside B, B a union of G'-cosets and the 1/16-ball of a norm that"
           " passes both axiom checks)")
+
+
+def _shape(indices, n):
+    """The pairs (h, c), -n/2 <= c < n/2, of the elements h n + (c mod n)."""
+    return [(i // n, (i + n // 2) % n - n // 2) for i in indices]
+
+
+def test_criterion_13_controls_just_below_the_boundary_fill_the_group():
+    """The same set shapes with a cyclic factor two or three smaller: each
+    ball is the whole working group. Built and dropped one at a time."""
+    lines = []
+    for name, n in (("nilpotent D8 x C993", 991), ("supersolvable S3 x C1065", 1063),
+                    ("solvable A-group A4 x C710", 709)):
+        factor, golden_n, indices, _ = PROPER_NONABELIAN[name]
+        g = build_group({"type": "product", "factors": [factor, {"type": "cyclic", "n": n}]})
+        shape = _shape(indices, golden_n)
+        assert [h * golden_n + c % golden_n for h, c in shape] == indices
+        a = _subset(g, [h * n + c % n for h, c in shape])
+        rep = freiman_ball(g, a, PipelineConfig(epsilon_override=Fraction(1, 128)))
+        assert not rep.restricted and len(rep.ball) == g.order, name
+        lines.append(f"{g.name}: |B| = {len(rep.ball)} of {g.order}")
+        del g, a, rep
+    print("ACCEPTANCE 13 controls: PASS (" + "; ".join(lines) + ")")

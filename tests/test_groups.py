@@ -24,6 +24,7 @@ from monoball.groups import (
     closure,
     commutator_subgroup,
     conjugacy_classes,
+    coset_projection,
     cyclic_group,
     dihedral_group,
     enumerate_subgroups,
@@ -164,13 +165,13 @@ def test_heisenberg_class_and_commutator_structure():
     cc = conjugacy_classes(g)
     assert len(cc.classes) == 11
     assert sorted(cc.sizes) == [1, 1, 1] + [3] * 8
-    ab = _abelian_quotient(g)
-    assert len(ab.kernel) == 3
-    assert ab.quotient.order == 9
-    assert ab.quotient.is_abelian
+    kernel, ab = commutator_subgroup(g), _abelian_quotient(g)
+    assert len(kernel) == 3
+    assert ab.order == 9
+    assert ab.is_abelian
     # commutator subgroup here is exactly the center
     center = [x for x in range(27) if all(g.mul(x, y) == g.mul(y, x) for y in range(27))]
-    assert set(ab.kernel.indices()) == set(center)
+    assert set(kernel.indices()) == set(center)
 
 
 def test_conjugacy_matches_brute_force():
@@ -185,7 +186,7 @@ def test_conjugacy_matches_brute_force():
 
 def test_subgroups_match_exhaustive_oracle():
     for g in (_s3(), quaternion_group(), cyclic_group(12), dihedral_group(8)):
-        got = [s.elements.indices() for s in enumerate_subgroups(g)]
+        got = [s.indices() for s in enumerate_subgroups(g)]
         assert got == _brute_subgroups(g)
 
 
@@ -211,11 +212,6 @@ def test_subgroup_lattice_joins_prime_power_cyclics(monkeypatch):
     assert len(calls) < 935 / 2
     calls.clear()
     assert len(enumerate_subgroups(cyclic_group(128))) == 8 and calls == []
-
-
-def test_subgroup_index_in_parent():
-    for s in enumerate_subgroups(_s3()):
-        assert s.index_in_parent * len(s) == 6
 
 
 def test_subgroup_cap():
@@ -314,28 +310,24 @@ def _abelian_quotient(g):
 
 
 def test_abelianization_of_s3():
-    ab = _abelian_quotient(_s3())
-    assert len(ab.kernel) == 3
-    assert ab.quotient.order == 2
-    assert ab.projection[ab.section[1]] == 1
-    # projection respects multiplication
     g = _s3()
+    ab, (proj, section) = _abelian_quotient(g), abelianization(g)
+    assert len(commutator_subgroup(g)) == 3
+    assert ab.order == 2
+    assert proj[section[1]] == 1
+    # projection respects multiplication
     for x in range(6):
         for y in range(6):
-            assert ab.projection[g.mul(x, y)] == ab.quotient.mul(
-                ab.projection[x], ab.projection[y]
-            )
+            assert proj[g.mul(x, y)] == ab.mul(proj[x], proj[y])
 
 
 def test_abelianization_quotient_matches_validated_table():
     for g in (_s3(), heisenberg_group(3), dihedral_group(16), cyclic_group(12),
               product_group([cyclic_group(2), heisenberg_group(3)])):
-        ab = _abelian_quotient(g)
-        proj = abelianization(g)
-        assert proj.projection.tolist() == list(ab.projection), g.name
-        assert proj.section.tolist() == list(ab.section), g.name
-        assert not proj.projection.flags.writeable and not proj.section.flags.writeable
-        q = ab.quotient
+        q, (p, section) = _abelian_quotient(g), abelianization(g)
+        assert np.array_equal(p[g.mul_table], q.mul_table[p[:, None], p]), g.name
+        assert q.labels == tuple(g.labels[r] for r in section), g.name
+        assert not p.flags.writeable and not section.flags.writeable
         identity, inv, _, _ = groups._validate_table(np.array(q.mul_table), q.name)
         assert q.identity == identity
         assert np.array_equal(q.inv_table, inv)
@@ -346,14 +338,14 @@ def test_abelianization_quotient_matches_validated_table():
 def test_quotient_by_a_normal_subgroup():
     g = dihedral_group(8)
     center = closure(g, [2])                    # {r0, r2}
-    q = quotient(g, center)
-    assert q.quotient.order == 4 and q.kernel is center
-    identity, inv, _, _ = groups._validate_table(np.array(q.quotient.mul_table), q.quotient.name)
-    assert q.quotient.identity == identity and np.array_equal(q.quotient.inv_table, inv)
+    q, (proj, section) = quotient(g, center), coset_projection(g, center)
+    assert q.order == 4
+    identity, inv, _, _ = groups._validate_table(np.array(q.mul_table), q.name)
+    assert q.identity == identity and np.array_equal(q.inv_table, inv)
     for x in range(8):
-        assert q.section[q.projection[x]] == min(x, g.mul(x, 2))
+        assert section[proj[x]] == min(x, g.mul(x, 2))
         for y in range(8):
-            assert q.projection[g.mul(x, y)] == q.quotient.mul(q.projection[x], q.projection[y])
+            assert proj[g.mul(x, y)] == q.mul(proj[x], proj[y])
     # a subgroup that is not normal, and a normal subset that is not a subgroup
     with pytest.raises(GroupValidationError, match="not a homomorphism"):
         quotient(g, closure(g, [4]))
@@ -363,9 +355,10 @@ def test_quotient_by_a_normal_subgroup():
 
 def test_quotient_by_the_trivial_subgroup_is_the_group():
     for g in _suite_groups():
-        q = quotient(g, GroupSubset.identity_only(g))
-        assert q.quotient is g, g.name
-        assert q.projection == q.section == tuple(range(g.order))
+        trivial = GroupSubset.identity_only(g)
+        assert quotient(g, trivial) is g, g.name
+        proj = coset_projection(g, trivial)
+        assert proj.projection.tolist() == proj.section.tolist() == list(range(g.order))
 
 
 def test_quotient_accepts_exactly_the_normal_subgroups():
@@ -374,13 +367,12 @@ def test_quotient_accepts_exactly_the_normal_subgroups():
     product."""
     for g in (dihedral_group(16), heisenberg_group(3), _s4(), _sl23(), _relabelled(_s4(), 2)):
         for sub in enumerate_subgroups(g):
-            if groups.normality_witness(sub.elements) is None:
-                q = quotient(g, sub.elements)
-                p = np.array(q.projection)
-                assert np.array_equal(p[g.mul_table], q.quotient.mul_table[p[:, None], p])
+            if groups.normality_witness(sub) is None:
+                q, p = quotient(g, sub), coset_projection(g, sub).projection
+                assert np.array_equal(p[g.mul_table], q.mul_table[p[:, None], p])
             else:
                 with pytest.raises(GroupValidationError, match="not a homomorphism"):
-                    quotient(g, sub.elements)
+                    quotient(g, sub)
 
 
 def test_supersolvable_steps_through_quotients(monkeypatch):
@@ -414,7 +406,7 @@ def _supersolvable_by_power_table(g):
                        and bits[x, part.classes[part.class_of[x]]].all()), None)
         if normal is None:
             return False
-        g = quotient(g, GroupSubset(g, groups._bool_mask(bits[normal]))).quotient
+        g = quotient(g, GroupSubset(g, groups._bool_mask(bits[normal])))
     return True
 
 
@@ -592,6 +584,19 @@ def test_group_subset_operations():
         a | GroupSubset.from_indices(cyclic_group(11), [1])
 
 
+def test_every_table_and_view_map_is_read_only():
+    """FiniteGroup makes its own tables read-only, whichever constructor built
+    them; a subgroup view's index maps are read-only too."""
+    d8 = dihedral_group(8)
+    view = subgroup_view(d8, closure(d8, [1]))
+    built = [cyclic_group(6), d8, quaternion_group(), heisenberg_group(3), _s3(),
+             table_group([[0, 1], [1, 0]]), product_group([cyclic_group(2), _s3()]),
+             quotient(d8, closure(d8, [2])), view.group]
+    for arr in [t for g in built for t in (g.mul_table, g.inv_table)] + list(view[2:]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 def test_subgroup_view_roundtrip():
     g = dihedral_group(12)
     rot = closure(g, [1])
@@ -632,13 +637,13 @@ def test_subgroup_views_are_groups_with_their_own_lattice():
                 product_group([cyclic_group(3), dihedral_group(8)]), _s4(), _sl23()]
     for g in fixtures:
         for sub in enumerate_subgroups(g):
-            view = subgroup_view(g, sub.elements).group
+            view = subgroup_view(g, sub).group
             identity, inv, _, _ = groups._validate_table(view.mul_table, view.name)
             assert identity == view.identity
             assert np.array_equal(inv, view.inv_table)
             rebuilt = table_group(view.mul_table.tolist())
-            assert ([s.elements.mask for s in enumerate_subgroups(view)]
-                    == [s.elements.mask for s in enumerate_subgroups(rebuilt)])
+            assert ([s.mask for s in enumerate_subgroups(view)]
+                    == [s.mask for s in enumerate_subgroups(rebuilt)])
 
 
 def test_cyclic_table_is_the_sum_mod_n():
@@ -1171,7 +1176,7 @@ def test_package_imports_only_the_stdlib_numpy_and_itself():
 def test_is_abelian_on_the_generators_matches_the_whole_table():
     verdicts = []
     for g in _suite_groups():
-        for h in (g, _abelian_quotient(g).quotient):
+        for h in (g, _abelian_quotient(g)):
             verdicts.append(h.is_abelian)
             assert h.is_abelian == np.array_equal(h.mul_table, h.mul_table.T), h.name
     assert verdicts.count(False) == 10       # the ten non-abelian suite groups
@@ -1269,7 +1274,7 @@ def test_normality_witness_is_the_least_x_that_moves_the_set():
     for base in (_s4(), dihedral_group(8), quaternion_group(), _sl23(), heisenberg_group(3),
                  product_group([cyclic_group(2), heisenberg_group(3)])):
         for g in (base, _relabelled(base, 5)):
-            cases = [sub.elements for sub in enumerate_subgroups(g)]
+            cases = list(enumerate_subgroups(g))
             cases += [GroupSubset.from_indices(g, rng.choice(g.order, size=k, replace=False))
                       for k in (1, 2, 3, 4, 6) for _ in range(4)]
             witnesses = [groups.normality_witness(a) for a in cases]
@@ -1321,8 +1326,7 @@ def _a5():
 def _reference_linear_phases(g):
     """The chain of `linear_phases` run over the exponent of G^ab, taken from
     its element orders: (exponent, gens, keys, coords)."""
-    ab = _abelian_quotient(g)
-    q = ab.quotient
+    q, ab = _abelian_quotient(g), abelianization(g)
     e = math.lcm(*q.element_orders)
     elems, coords = np.array([q.identity]), np.zeros((1, 0), dtype=np.int64)
     inside = np.arange(q.order) == q.identity
@@ -1342,14 +1346,14 @@ def _reference_linear_phases(g):
         inside[elems] = True
         gens.append(int(ab.section[y]))
     keys = keys[np.lexsort(keys.T[::-1])] if gens else keys
-    coords = coords[np.argsort(elems)[np.array(ab.projection)]]
+    coords = coords[np.argsort(elems)[ab.projection]]
     return e, tuple(gens), keys, coords
 
 
 def test_linear_phases_read_the_exponent_off_the_chain():
     for g in _lin_groups() + [_a5(), cyclic_group(1)]:
         lp = linear_phases(g)
-        assert lp.exponent == math.lcm(*_abelian_quotient(g).quotient.element_orders), g.name
+        assert lp.exponent == math.lcm(*_abelian_quotient(g).element_orders), g.name
         e, gens, keys, coords = _reference_linear_phases(g)
         assert (lp.exponent, lp.gens) == (e, gens), g.name
         assert np.array_equal(lp.keys, keys) and lp.keys.shape == keys.shape, g.name

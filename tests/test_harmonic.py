@@ -316,7 +316,7 @@ def test_induce_from_whole_group():
     view = subgroup_view(g, GroupSubset.full(g))
     rng = np.random.default_rng(3)
     f = _random_class_function(g, rng)
-    f_on_view = ClassFunction(view.group, f.values[list(view.to_parent)])
+    f_on_view = ClassFunction(view.group, f.values[view.to_parent])
     out = induce_class_function(view, f_on_view)
     assert np.abs(out.values - f.values).max() < 1e-12
 
@@ -375,7 +375,7 @@ def test_induce_class_function_matches_the_mean_over_conjugations():
     rng = np.random.default_rng(12)
     for g in (_s4(), _sl23(), dihedral_group(16), heisenberg_group(3)):
         for sub in enumerate_subgroups(g):
-            view = subgroup_view(g, sub.elements)
+            view = subgroup_view(g, sub)
             f = _random_class_function(view.group, rng)
             want = _mean_over_conjugations(view, f)
             assert np.abs(induce_class_function(view, f).values - want).max() <= 1e-12
@@ -407,7 +407,7 @@ def test_frobenius_reciprocity_all_subgroups():
     for g in (_s3(), quaternion_group(), dihedral_group(12)):
         from monoball.groups import enumerate_subgroups
         for sub in enumerate_subgroups(g):
-            view = subgroup_view(g, sub.elements)
+            view = subgroup_view(g, sub)
             for _ in range(5):
                 f = _random_class_function(view.group, rng)
                 h = _random_class_function(g, rng)
@@ -516,9 +516,9 @@ def test_hereditary_search_enumerates_one_lattice(monkeypatch):
 def _search_every_subgroup(g):
     # the reference: is_monomial on every subgroup, with no certificate
     for sub in enumerate_subgroups(g):
-        view = g if len(sub) == g.order else subgroup_view(g, sub.elements).group
+        view = g if len(sub) == g.order else subgroup_view(g, sub).group
         if not is_monomial(view)[0]:
-            return False, sub.elements
+            return False, sub
     return True, None
 
 

@@ -738,6 +738,18 @@ def test_autocorrelation_identity_assert_sees_a_wrong_count_on_either_route(monk
             spectra._autocorrelation_counts(_subset(g, ids))
 
 
+def test_autocorrelation_symmetry_assert_sees_a_wrong_inverse_table_on_either_route():
+    """|A & xA| = |A & x^-1 A| for every x. With every inverse of C12 read as 1,
+    {0, 4, 8} is counted over A and its identity count is 0; {0, ..., 9} is
+    counted over its complement {10, 11}, whose identity count comes out right
+    (and whose counts sum to |A|^2), so only the symmetry refuses it."""
+    c12 = cyclic_group(12)
+    g = FiniteGroup(c12.mul_table, np.ones(12, dtype=np.int32), c12.identity, c12.labels)
+    for ids in ([0, 4, 8], range(10)):
+        with pytest.raises(AssertionError):
+            spectra._autocorrelation_counts(_subset(g, ids))
+
+
 def test_spectrum_weight_general_set():
     g = cyclic_group(16)
     a = _subset(g, [15, 0, 1])
@@ -862,10 +874,8 @@ def test_standing_hypotheses_are_decided_once_per_pair(monkeypatch):
     g = cyclic_group(16)
     s, a = _subset(g, [0, 1]), _subset(g, [15, 0, 1])
     first = standing_hypotheses(g, s, a)
-    second = standing_hypotheses(g, s, a)
+    assert standing_hypotheses(g, s, a) is first and len(first) == 4
     assert calls == [a.mask]
-    first.append(spectra.HypothesisRecord("appended", "fails"))
-    assert standing_hypotheses(g, s, a) == second and len(second) == 4
     standing_hypotheses(g, a, a)
     assert calls == [a.mask, a.mask]
 
